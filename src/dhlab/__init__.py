@@ -2,7 +2,6 @@
 pushforward (Duistermaat-Heckman) densities of circle actions, plus
 log-concavity analysis and the toric slice-volume baseline."""
 
-from .cli import RunConfig
 from .construction import (
     CutWindow,
     DegenerateWindowError,
@@ -17,7 +16,6 @@ from .construction import (
     canonical_gauge,
     curvature_form,
     shifted_gauge,
-    sigma,
     standard_construction,
     verify_construction,
 )
@@ -30,10 +28,10 @@ from .exterior import (
     Poly,
     UnsupportedIntegrandError,
     Variable,
-    evaluate_poly,
     exterior_derivative,
     integrate_over_face,
     interior_product,
+    isolate_roots,
     poly_str,
     wedge,
 )
@@ -43,7 +41,6 @@ from .logconcavity import (
     analytic_logconcavity,
     concavity_discriminant,
     discrete_logconcavity,
-    isolate_roots,
 )
 from .measure import (
     ComparisonReport,
@@ -52,7 +49,6 @@ from .measure import (
     Histogram,
     SamplerConfig,
     compare,
-    liouville_weight,
     normalize,
     sample_pushforward,
 )
@@ -66,7 +62,6 @@ from .toric import (
     projection_range,
     slice_profile,
     slice_volume_exact_2d,
-    slice_volume_mc,
     suggested_tolerance,
 )
 
@@ -77,17 +72,15 @@ __all__ = [
     "CutWindow", "DegenerateWindowError", "DensityEstimate", "DimensionError",
     "DomainError", "EmptyMeasureError", "EmptyPolytopeError", "Form",
     "GaugeError", "GaugePotential", "HPolytope", "Histogram",
-    "InsufficientDataError", "OmegaParams", "Poly", "RunConfig", "SamplerConfig",
+    "InsufficientDataError", "OmegaParams", "Poly", "SamplerConfig",
     "SliceVolumeFn", "UnboundedPolytopeError", "UnsupportedIntegrandError",
-    "Variable", "VerificationReport", "ViolationReport",
-    "analytic_dh_density", "analytic_logconcavity", "build_connection",
-    "build_omega", "canonical_chart", "canonical_gauge",
-    "concavity_discriminant", "compare", "curvature_form",
-    "discrete_logconcavity", "evaluate_poly", "exterior_derivative",
-    "integrate_over_face", "interior_product", "isolate_roots",
-    "liouville_weight", "normalize", "poly_str", "prekopa_check",
-    "projection_range", "sample_pushforward", "shifted_gauge", "sigma",
-    "slice_profile", "slice_volume_exact_2d", "slice_volume_mc",
+    "Variable", "VerificationReport", "ViolationReport", "analytic_dh_density",
+    "analytic_logconcavity", "build_connection", "build_omega",
+    "canonical_chart", "canonical_gauge", "concavity_discriminant", "compare",
+    "curvature_form", "discrete_logconcavity", "exterior_derivative",
+    "integrate_over_face", "interior_product", "isolate_roots", "normalize",
+    "poly_str", "prekopa_check", "projection_range", "sample_pushforward",
+    "shifted_gauge", "slice_profile", "slice_volume_exact_2d",
     "standard_construction", "suggested_tolerance", "verify_construction",
     "wedge",
 ]

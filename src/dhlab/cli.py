@@ -30,11 +30,12 @@ from .construction import (
     CutWindow,
     DegenerateWindowError,
     OmegaParams,
+    VerificationReport,
     analytic_dh_density,
     standard_construction,
     verify_construction,
 )
-from .exterior import Poly
+from .exterior import Form, Poly
 from .logconcavity import DomainError, analytic_logconcavity, discrete_logconcavity
 from .measure import (
     GENERATOR_NAME,
@@ -166,26 +167,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _, _, omega = standard_construction(cfg.window, cfg.params)
-    report = verify_construction(omega, cfg.window, cfg.params)
+    omega, report = _construct_and_verify(cfg)
     print(report.text_table())
     if cfg.output_path is not None:
         doc = report.to_json_dict()
         doc["omega"] = omega.to_json()
         cfg.output_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if not report.all_passed:
-        for name in report.failed_identities():
-            print(f"FAILED: {name}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_OK if report.all_passed else EXIT_FAILURE
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    _, _, omega = standard_construction(cfg.window, cfg.params)
-    report = verify_construction(omega, cfg.window, cfg.params)
+    _, report = _construct_and_verify(cfg)
     if not report.all_passed:
-        for name in report.failed_identities():
-            print(f"verification failed: {name}", file=sys.stderr)
         return EXIT_FAILURE
     if cfg.flat:
         top = Poly.constant(6, 6)
@@ -202,7 +195,7 @@ def cmd_density(cfg: RunConfig) -> int:
     est = normalize(sample_pushforward(top, sampler))
     comp = compare(est, analytic, cfg.window)
 
-    _emit(cfg.output_path, _density_csv_lines(est, comp, analytic, sampler, cfg))
+    _emit(cfg.output_path, _density_csv_lines(est, comp, sampler, cfg))
     n_extreme = int(np.count_nonzero(np.abs(comp.per_bin_z) > 3))
     print(f"max relative error {comp.max_rel_error:.4f} "
           f"(worst bin {comp.worst_bin} at t={est.bin_centers[comp.worst_bin]:.4g}); "
@@ -217,11 +210,8 @@ def cmd_density(cfg: RunConfig) -> int:
 
 def cmd_logconcavity(cfg: RunConfig) -> int:
     if cfg.analytic:
-        _, _, omega = standard_construction(cfg.window, cfg.params)
-        report = verify_construction(omega, cfg.window, cfg.params)
+        _, report = _construct_and_verify(cfg)
         if not report.all_passed:
-            for name in report.failed_identities():
-                print(f"verification failed: {name}", file=sys.stderr)
             return EXIT_FAILURE
         try:
             density = analytic_dh_density(report, cfg.window)
@@ -306,11 +296,17 @@ def cmd_toric(cfg: RunConfig) -> int:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _density_csv_lines(est, comp, analytic: Poly, sampler: SamplerConfig,
-                       cfg: RunConfig) -> list[str]:
-    mass = analytic.integrate(Fraction(cfg.window.lo), Fraction(cfg.window.hi))
-    ref = [float(analytic.evaluate_exact((Fraction(float(c)),)) / mass)
-           for c in est.bin_centers]
+def _construct_and_verify(cfg: RunConfig) -> tuple[Form, VerificationReport]:
+    """The standard construction and its verify battery, with each failed
+    identity named on stderr."""
+    _, _, omega = standard_construction(cfg.window, cfg.params)
+    report = verify_construction(omega, cfg.window, cfg.params)
+    for name in report.failed_identities():
+        print(f"verification failed: {name}", file=sys.stderr)
+    return omega, report
+
+
+def _density_csv_lines(est, comp, sampler: SamplerConfig, cfg: RunConfig) -> list[str]:
     lines = [
         f"# dhlab density: generator={GENERATOR_NAME} seed={sampler.seed} "
         f"samples={sampler.sample_count} bins={sampler.bins} "
@@ -318,8 +314,9 @@ def _density_csv_lines(est, comp, analytic: Poly, sampler: SamplerConfig,
         f"params=[{cfg.params.c1},{cfg.params.c2}] flat={cfg.flat}",
         "bin_center,analytic_density,mc_density,stderr,z_score",
     ]
-    for c, a, d, e, z in zip(est.bin_centers.tolist(), ref, est.density.tolist(),
-                             est.stderr.tolist(), comp.per_bin_z.tolist()):
+    for c, a, d, e, z in zip(est.bin_centers.tolist(), comp.reference.tolist(),
+                             est.density.tolist(), est.stderr.tolist(),
+                             comp.per_bin_z.tolist()):
         lines.append(f"{c!r},{a!r},{d!r},{e!r},{z!r}")
     return lines
 

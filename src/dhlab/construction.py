@@ -42,10 +42,10 @@ from .exterior import (
     exterior_derivative,
     integrate_over_face,
     interior_product,
+    isolate_roots,
     poly_str,
     wedge,
 )
-from .logconcavity import isolate_roots
 
 # Canonical chart layout: four periodic base coordinates, then the moment
 # map value t, then the fibre angle.
@@ -127,11 +127,6 @@ def canonical_chart(window: CutWindow) -> Chart:
     ))
 
 
-def sigma(chart: Chart, i: int, j: int) -> Form:
-    """The area element dx_i ^ dx_j (axes 0-based, any order)."""
-    return Form.basis(chart, i, j)
-
-
 def curvature_form(chart: Chart) -> Form:
     """The fixed curvature -dx1^dx4 - dx2^dx3 of the line bundle."""
     return Form(chart, 2, {(0, 3): -1, (1, 2): -1})
@@ -177,9 +172,9 @@ def build_omega(theta: Form, params: OmegaParams) -> Form:
     chart = theta.chart
     t = Poly.variable(chart.dim, T_AXIS)
     dt = Form.basis(chart, T_AXIS)
-    return (sigma(chart, 0, 1) + sigma(chart, 2, 3)
-            + (params.c1 - t) * sigma(chart, 0, 3)
-            + (params.c2 - t) * sigma(chart, 1, 2)
+    return (Form.basis(chart, 0, 1) + Form.basis(chart, 2, 3)
+            + (params.c1 - t) * Form.basis(chart, 0, 3)
+            + (params.c2 - t) * Form.basis(chart, 1, 2)
             + wedge(dt, theta))
 
 
@@ -199,8 +194,9 @@ class VerificationReport:
     omega^3 (it keeps the combinatorial factor 6 = 3!; densities derived
     from it are reported up to positive constants, so the factor is
     observationally irrelevant).  ``nondegenerate_on_window`` certifies
-    that this coefficient is strictly positive on the window, by exact
-    rational sign evaluation on a grid plus root isolation.
+    that this coefficient is strictly positive on the window, exactly: it
+    is positive at the lower end and a Sturm count over the rationals finds
+    no root in the closed window.
     """
 
     closed: bool
@@ -272,7 +268,7 @@ def verify_construction(omega: Form, window: CutWindow,
     minus_dt = Form.basis(chart, T_AXIS, coeff=-1)
     moment = interior_product(omega, CoordVectorField(THETA_AXIS)) == minus_dt
     top = wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)
-    nondeg = _certify_positive_on_window(top, window)
+    nondeg = _positive_on_window(top, window)
 
     theta = interior_product(omega, CoordVectorField(T_AXIS))
     curvature = exterior_derivative(theta)
@@ -299,30 +295,20 @@ def analytic_dh_density(report: VerificationReport, window: CutWindow) -> Poly:
         raise DegenerateWindowError(
             f"top power is not positive on [{report.window.lo}, {report.window.hi}]; "
             "Liouville measure degenerates there")
-    if window != report.window and not _certify_positive_on_window(report.top_power_poly, window):
+    if window != report.window and not _positive_on_window(report.top_power_poly, window):
         raise DegenerateWindowError(
             f"top power is not positive on the requested window [{window.lo}, {window.hi}]")
     return report.top_power_poly.univariate(T_AXIS).primitive()
 
 
-def _certify_positive_on_window(top: Poly, window: CutWindow) -> bool:
-    """Strict positivity of the top coefficient on [lo, hi].
-
-    Exact rational sign evaluation on a 257-point grid catches any sign
-    change coarser than the pitch; root isolation rules out the rest.
-    """
+def _positive_on_window(top: Poly, window: CutWindow) -> bool:
+    """Exact strict positivity of a t-only top coefficient on [lo, hi]."""
     try:
         uni = top.univariate(T_AXIS)
     except ValueError:
         return False
-    if not uni:
-        return False
-    lo, hi = Fraction(window.lo), Fraction(window.hi)
-    for k in range(257):
-        s = lo + (hi - lo) * k / 256
-        if uni.evaluate_exact((s,)) <= 0:
-            return False
-    return not isolate_roots(uni, (window.lo, window.hi), tol=1e-9)
+    return (uni.evaluate_exact((window.lo,)) > 0
+            and not isolate_roots(uni, (window.lo, window.hi)))
 
 
 def _pretty_top(top: Poly) -> str:

@@ -388,6 +388,106 @@ def poly_str(p: Poly, names: Sequence[str] | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Exact real roots of univariate polynomials
+# ---------------------------------------------------------------------------
+
+def root_brackets(p: Poly, interval: tuple, tol: float) -> list[tuple[Fraction, Fraction]]:
+    """Rational brackets of the distinct real roots of p in a closed interval.
+
+    The square-free part q = p / gcd(p, p') has the roots of p, each simple;
+    its Sturm chain counts them exactly in any (a, b], and bisection on
+    rational endpoints separates them and narrows each to width <= tol.
+    Brackets come in ascending order, each either (r, r) for a root r met
+    exactly, or (a, b) with a < r < b and q(a), q(b) != 0, so a point
+    strictly between two consecutive roots lies in [b_i, a_{i+1}].
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if p.nvars != 1:
+        raise DimensionError("root isolation needs a univariate polynomial")
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if not lo < hi:
+        raise ValueError(f"empty interval ({float(lo)}, {float(hi)})")
+    if not p:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    tol = Fraction(tol)
+    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
+    g, r = dense, _deriv(dense)
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    q = _divmod(dense, g)[0]
+    chain = [q, _deriv(q)]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (_eval_dense(s, x) for s in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    out = [(lo, lo)] if not _eval_dense(q, lo) else []
+    pending = [(lo, hi, variations(lo), variations(hi))]  # roots in (a, b]: va - vb
+    while pending:
+        a, b, va, vb = pending.pop()
+        if va - vb == 1:
+            out.append(_narrow(q, a, b, tol))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = variations(m)
+            pending += [(m, b, vm, vb), (a, m, va, vm)]  # left half first
+    return out
+
+
+def isolate_roots(p: Poly, interval: tuple[float, float], tol: float = 1e-9) -> list[float]:
+    """Distinct real roots of a univariate polynomial in a closed interval,
+    ascending, each within tol/2 of the true root (see :func:`root_brackets`)."""
+    return [float((a + b) / 2) for a, b in root_brackets(p, interval, tol)]
+
+
+def _narrow(q: list, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect the one simple root of q in (a, b] to a bracket as promised
+    by root_brackets; a starts on a root of q only if it is the one before."""
+    qb = _eval_dense(q, b)
+    if not qb:
+        return b, b
+    while b - a > tol or not _eval_dense(q, a):
+        m = (a + b) / 2
+        qm = _eval_dense(q, m)
+        if not qm:
+            return m, m
+        if (qm > 0) == (qb > 0):
+            b = m
+        else:
+            a = m
+    return a, b
+
+
+def _eval_dense(c: list, x: Fraction) -> Fraction:
+    acc = _ZERO
+    for v in reversed(c):
+        acc = acc * x + v
+    return acc
+
+
+def _deriv(c: list) -> list:
+    return [k * v for k, v in enumerate(c)][1:]
+
+
+def _divmod(n: list, d: list) -> tuple[list, list]:
+    """Quotient and remainder of trimmed coefficient lists, constant first."""
+    r = list(n)
+    q = [_ZERO] * max(len(n) - len(d) + 1, 0)
+    while len(r) >= len(d):
+        k = len(r) - len(d)
+        c = q[k] = r[-1] / d[-1]
+        for i, v in enumerate(d):
+            r[k + i] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+# ---------------------------------------------------------------------------
 # Differential forms
 # ---------------------------------------------------------------------------
 
@@ -682,11 +782,6 @@ def interior_product(a: Form, v: CoordVectorField | int) -> Form:
         else:
             acc.pop(key, None)
     return _raw_form(a.chart, a.degree - 1, acc)
-
-
-def evaluate_poly(p: Poly, point: Sequence[float]) -> float:
-    """Evaluate a coefficient polynomial at a numeric chart point."""
-    return p.evaluate(point)
 
 
 def integrate_over_face(a: Form, axes: tuple[int, int]) -> Fraction:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exterior import DimensionError, Poly
+from .exterior import DimensionError, Poly, isolate_roots, root_brackets
 
 
 class DomainError(ValueError):
@@ -66,39 +66,6 @@ def concavity_discriminant(f: Poly) -> Poly:
     return f * d1.partial(0) - d1 * d1
 
 
-def isolate_roots(p: Poly, interval: tuple[float, float], tol: float = 1e-9,
-                  grid_points: int = 10_000) -> list[float]:
-    """Real roots of a univariate polynomial in a closed interval.
-
-    Sign-scan on a uniform grid followed by bisection of each sign change
-    down to width ``tol``.  Root pairs closer than the scan pitch can be
-    missed; that is acceptable for the low-degree polynomials handled here.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if p.nvars != 1:
-        raise DimensionError("root isolation needs a univariate polynomial")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    coeffs = _float_coeffs(p)
-    xs = np.linspace(lo, hi, grid_points)
-    vals = np.polynomial.polynomial.polyval(xs, coeffs)
-
-    roots: list[float] = []
-
-    def push(r: float):
-        if not roots or abs(r - roots[-1]) > tol:
-            roots.append(r)
-
-    for k in range(grid_points):
-        if vals[k] == 0.0:
-            push(float(xs[k]))
-        elif k + 1 < grid_points and vals[k] * vals[k + 1] < 0.0:
-            push(_bisect(coeffs, float(xs[k]), float(xs[k + 1]), tol))
-    return roots
-
-
 def discrete_logconcavity(samples: Sequence[tuple[float, float]],
                           tol: float) -> ViolationReport:
     """Midpoint log-concavity test on a uniform grid of (s, f(s)) samples.
@@ -140,83 +107,48 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
 def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationReport:
     """Exact log-concavity analysis of a positive polynomial density.
 
-    Computes the concavity discriminant g exactly, isolates its real roots
-    in the interval, and reports the maximal subintervals where g > 0 with
-    endpoints refined to width <= 1e-9.  Signs between roots are decided by
-    exact rational evaluation, never by floating point.
+    Positivity is certified exactly (f(lo) > 0 and no root in [lo, hi]).
+    The roots of the concavity discriminant g are bracketed in rational
+    arithmetic to width <= 1e-9, and the sign of g between two roots is
+    that of g at a rational point proven to lie between them.  Reported are
+    the maximal subintervals where g > 0, with bracket midpoints as ends
+    and the sampled point of largest g as witness.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
     if f.nvars != 1:
         raise DimensionError("analytic log-concavity needs a univariate polynomial")
-    if not _strictly_positive(f, lo, hi):
+    if f.evaluate_exact((lo,)) <= 0 or isolate_roots(f, (lo, hi)):
         raise DomainError(f"density is not strictly positive on [{lo}, {hi}]")
 
     g = concavity_discriminant(f)
     if not g:
         return ViolationReport(True, (), ())
 
-    cuts = [lo, *isolate_roots(g, (lo, hi), tol=1e-9), hi]
-    pieces: list[tuple[float, float, float, Fraction]] = []  # (a, b, mid, g(mid))
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        mid = (a + b) / 2.0
-        gmid = g.evaluate_exact((Fraction(mid),))
-        if gmid > 0:
-            pieces.append((a, b, mid, gmid))
-
+    brackets = root_brackets(g, (lo, hi), 1e-9)
+    ends = [lo, *(float((a + b) / 2) for a, b in brackets), hi]
+    fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
     intervals: list[tuple[float, float]] = []
-    witnesses: list[tuple[float, float]] = []
-    best: tuple[float, Fraction] | None = None
-    for a, b, mid, gmid in pieces:
-        if intervals and a <= intervals[-1][1]:
+    witnesses: list[tuple[Fraction, Fraction]] = []  # (g(x), x)
+    for a, b, u, v in zip(ends, ends[1:], fences[::2], fences[1::2]):
+        x = (u + v) / 2  # strictly between the roots at a and b; on a root if a == b
+        gx = g.evaluate_exact((x,))
+        if gx <= 0:
+            continue
+        if intervals and a <= intervals[-1][1]:  # g > 0 on both sides of a root
             intervals[-1] = (intervals[-1][0], b)
-            if gmid > best[1]:
-                best = (mid, gmid)
-            witnesses[-1] = (best[0], float(best[1]))
+            witnesses[-1] = max(witnesses[-1], (gx, x))
         else:
             intervals.append((a, b))
-            best = (mid, gmid)
-            witnesses.append((mid, float(gmid)))
-    return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
+            witnesses.append((gx, x))
+    return ViolationReport(not intervals, tuple(intervals),
+                           tuple((float(x), float(gx)) for gx, x in witnesses))
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def _float_coeffs(p: Poly) -> np.ndarray:
-    out = np.zeros(p.degree_in(0) + 1)
-    for (e,), c in p.terms.items():
-        out[e] = float(c)
-    return out
-
-
-def _bisect(coeffs: np.ndarray, a: float, b: float, tol: float) -> float:
-    fa = float(np.polynomial.polynomial.polyval(a, coeffs))
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:  # interval below float resolution
-            break
-        fm = float(np.polynomial.polynomial.polyval(m, coeffs))
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _strictly_positive(f: Poly, lo: float, hi: float) -> bool:
-    if f.evaluate_exact((Fraction(lo),)) <= 0:
-        return False
-    if f.evaluate_exact((Fraction(hi),)) <= 0:
-        return False
-    return not isolate_roots(f, (lo, hi), tol=1e-12)
-
 
 def _runs(indices: np.ndarray) -> list[list[int]]:
     runs: list[list[int]] = []

@@ -25,8 +25,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
@@ -116,16 +114,13 @@ class DensityEstimate:
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Per-bin agreement of an estimate with an exactly normalized analytic
-    density; ``worst_bin`` is the bin of largest absolute deviation."""
+    density; ``worst_bin`` is the bin of largest absolute deviation and
+    ``reference`` the normalized density at the bin centers."""
 
     max_rel_error: float
     per_bin_z: np.ndarray
     worst_bin: int
-
-
-def liouville_weight(top_poly: Poly, point: Sequence[float]) -> float:
-    """The Liouville density at a chart point (positive on a verified window)."""
-    return top_poly.evaluate(point)
+    reference: np.ndarray
 
 
 def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
@@ -219,7 +214,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     max_rel = float(np.max(np.abs(diff) / ref))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0, 0.0, diff / est.stderr)
-    return ComparisonReport(max_rel, z, int(np.argmax(np.abs(diff))))
+    return ComparisonReport(max_rel, z, int(np.argmax(np.abs(diff))), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +234,6 @@ def _chunk_points(top_poly: Poly, cfg: SamplerConfig, key: np.ndarray,
     pts = np.ascontiguousarray(u[:, :6])
     pts[:, 4] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * pts[:, 4]
     return pts, _eval_on_points(top_poly, pts)
-
-
-def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (points, weights) chunk by chunk, exactly as the sampler sees them."""
-    key = _philox_key(cfg.seed)
-    for start in range(0, cfg.sample_count, cfg.chunk_size):
-        yield _chunk_points(top_poly, cfg, key, start)
 
 
 def _eval_on_points(p: Poly, pts: np.ndarray) -> np.ndarray:

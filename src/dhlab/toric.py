@@ -61,15 +61,6 @@ class HPolytope:
         b = np.array([h[1] for h in self.halfspaces], dtype=float)
         return a, b
 
-    @cached_property
-    def bounding_box(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis extremes; raises if the polytope is empty or unbounded."""
-        a, b = self._system
-        return tuple(
-            (_extreme(a, b, ax, "min"), _extreme(a, b, ax, "max"))
-            for ax in range(self.dim)
-        )
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         a, b = self._system
         pts = np.atleast_2d(points)
@@ -106,10 +97,12 @@ class SliceVolumeFn:
 
 
 def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
-    """Min and max of the axis coordinate over the polytope."""
+    """Min and max of the axis coordinate over the polytope (two LPs);
+    raises if the polytope is empty or unbounded along the axis."""
     if not 0 <= axis < p.dim:
         raise ValueError(f"axis {axis} out of range for dim {p.dim}")
-    return p.bounding_box[axis]
+    a, b = p._system
+    return _extreme(a, b, axis, "min"), _extreme(a, b, axis, "max")
 
 
 def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
@@ -131,21 +124,9 @@ def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
             lo = max(lo, c / a)
         elif c < 0:
             return 0.0
-    return float(max(hi - lo, 0.0)) if np.isfinite(hi - lo) else _unbounded_slice(p)
-
-
-def _unbounded_slice(p: HPolytope) -> float:
-    raise UnboundedPolytopeError("slice is unbounded; polytope is not bounded")
-
-
-def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:
-    """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s.
-
-    Samples uniformly in the bounding box of the slice; deterministic for a
-    given seed.  A degenerate (empty or measure-zero) bounding box gives 0.
-    """
-    vol, _ = _slice_volume_mc(p, axis, float(s), int(n), _rng(seed))
-    return vol
+    if not np.isfinite(hi - lo):
+        raise UnboundedPolytopeError("slice is unbounded; polytope is not bounded")
+    return float(max(hi - lo, 0.0))
 
 
 def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
@@ -239,6 +220,9 @@ def _extreme(a: np.ndarray, b: np.ndarray, axis: int, sense: str) -> float:
 
 def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
                      rng: np.random.Generator) -> tuple[float, float]:
+    """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s,
+    with its standard error, sampled uniformly in the slice's bounding box;
+    a degenerate (empty or measure-zero) box gives 0."""
     if n < 1:
         raise ValueError("sample count must be positive")
     a, b = p._system

@@ -8,7 +8,9 @@ from itertools import combinations
 
 import numpy as np
 
-from dhlab import Chart, CutWindow, Form, HPolytope, Poly, canonical_chart
+from dhlab import Chart, CutWindow, Form, HPolytope, Poly, SamplerConfig, canonical_chart
+from dhlab.measure import _chunk_points, _philox_key
+from dhlab.toric import _rng, _slice_volume_mc
 
 WINDOW = CutWindow(0.5, 4.5)
 
@@ -52,6 +54,18 @@ def abs_eval(p: Poly, point) -> float:
             term *= abs(float(x)) ** e
         total += term
     return total
+
+
+def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
+    """Yield (points, weights) chunk by chunk, exactly as the sampler sees them."""
+    key = _philox_key(cfg.seed)
+    for start in range(0, cfg.sample_count, cfg.chunk_size):
+        yield _chunk_points(top_poly, cfg, key, start)
+
+
+def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:
+    """Hit-or-miss slice volume from the single stream of ``seed``."""
+    return _slice_volume_mc(p, axis, float(s), int(n), _rng(seed))[0]
 
 
 def random_polytope(rng: np.random.Generator, dim: int) -> HPolytope:

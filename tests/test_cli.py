@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dhlab.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
 SIMPLEX2_JSON = json.dumps({
     "dim": 2,
     "halfspaces": [
@@ -79,6 +81,14 @@ def test_verify_degenerate_params_fail(capsys):
     assert "nondegeneracy" in err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["logconcavity", "--analytic"]])
+def test_double_root_of_top_power_fails_nondegeneracy(capsys, command):
+    # the top power 6 (t - 2)^2 vanishes at t = 2 without changing sign
+    code = main(command + ["--window", "0.5", "4.4", "--params", "1", "3"])
+    assert code == 1
+    assert "nondegeneracy" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -147,6 +157,17 @@ def test_logconcavity_analytic_finding(capsys, tmp_path):
     assert lo == pytest.approx(2.5 - math.sqrt(3) / 2, abs=1e-9)
     assert hi == pytest.approx(2.5 + math.sqrt(3) / 2, abs=1e-9)
     assert "log-concave: NO" in capsys.readouterr().out
+
+
+def test_logconcavity_finds_close_root_pair(capsys, tmp_path):
+    # (log f)'' > 0 only on an interval of width 6.3e-5 around t = 2
+    out = tmp_path / "report.json"
+    code = main(["logconcavity", "--analytic", "--params", "1", "2.999999999",
+                 "--output", str(out)])
+    assert code == 3
+    (lo, hi), = json.loads(out.read_text())["intervals"]
+    assert lo == pytest.approx(1.9999683767234023, abs=1e-9)
+    assert hi == pytest.approx(2.0000316222765977, abs=1e-9)
 
 
 def test_logconcavity_gaussian_csv(capsys, tmp_path):
@@ -222,3 +243,26 @@ def test_toric_byte_identical_reruns(capsys, tmp_path):
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+# ---------------------------------------------------------------------------
+
+def test_default_outputs_byte_identical(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--output", str(report)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify.stdout").read_bytes()
+    assert report.read_bytes() == (GOLDEN / "verify.json").read_bytes()
+
+    assert main(["toric", "--input", str(GOLDEN / "polygon.json"),
+                 "--method", "exact2d"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "toric.stdout").read_bytes()
+
+    # 20000 samples miss the 3% gate (exit 1) but still print the full CSV
+    assert main(["density", "--samples", "20000", "--bins", "8"]) == 1
+    assert capsys.readouterr().out.encode() == (GOLDEN / "density.stdout").read_bytes()
+
+    assert main(["logconcavity", "--analytic"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "log-concave: NO; violations on (1.633974596, 3.366025404)"

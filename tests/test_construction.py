@@ -23,7 +23,6 @@ from dhlab import (
     exterior_derivative,
     interior_product,
     shifted_gauge,
-    sigma,
     standard_construction,
     verify_construction,
 )
@@ -154,7 +153,7 @@ def test_verify_zero_parameters():
 def test_verify_flags_tampered_omega():
     _, _, omega = standard_construction(WINDOW)
     t = Poly.variable(CHART.dim, 4)
-    tampered = omega - (2 - t) * sigma(CHART, 0, 3) + (2 - t * t) * sigma(CHART, 0, 3)
+    tampered = omega - (2 - t) * Form.basis(CHART, 0, 3) + (2 - t * t) * Form.basis(CHART, 0, 3)
     report = verify_construction(tampered, WINDOW)
     assert not report.closed
     assert not report.all_passed

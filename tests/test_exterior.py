@@ -15,7 +15,6 @@ from dhlab import (
     Poly,
     UnsupportedIntegrandError,
     canonical_chart,
-    evaluate_poly,
     exterior_derivative,
     integrate_over_face,
     interior_product,
@@ -188,7 +187,7 @@ def test_evaluate_density_points():
 
 def test_evaluate_dimension_mismatch():
     with pytest.raises(DimensionError):
-        evaluate_poly(RHO, (1.0, 2.0))
+        RHO.evaluate((1.0, 2.0))
 
 
 def test_evaluate_matches_exact():

@@ -1,6 +1,7 @@
 """Discrete and exact log-concavity tests, and root isolation."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -55,10 +56,52 @@ def test_isolate_rejects_bad_arguments():
 
 
 def test_isolate_root_on_grid_point():
-    # roots at 1 and 4 land exactly on the scan grid for (0, 5) with 10001 points
+    # roots at 1 and 4 are rational, met exactly or bracketed to tol
     p = Poly(1, {(2,): 1, (1,): -5, (0,): 4})
-    roots = isolate_roots(p, (0.0, 5.0), tol=1e-9, grid_points=10_001)
+    roots = isolate_roots(p, (0.0, 5.0), tol=1e-9)
     assert [pytest.approx(r, abs=1e-9) for r in roots] == [1.0, 4.0]
+
+
+def test_isolate_double_root():
+    # 6 (t - 2)^2 touches zero without a sign change
+    p = Poly(1, {(2,): 6, (1,): -24, (0,): 24})
+    roots = isolate_roots(p, (0.5, 4.4))
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_isolate_close_root_pair():
+    # roots 2 -/+ 1e-6 lie far inside any fixed-pitch sign scan
+    p = Poly(1, {(2,): 1, (1,): -4, (0,): 4 - Fraction(1, 10 ** 12)})
+    roots = isolate_roots(p, (0.0, 5.0), tol=1e-12)
+    assert roots == [pytest.approx(2 - 1e-6, abs=1e-12), pytest.approx(2 + 1e-6, abs=1e-12)]
+
+
+def test_isolate_random_products_of_known_roots():
+    # rational roots of multiplicity 1-3, some 1e-6 apart, some at the ends
+    rng = random.Random(7)
+    t = Poly.variable(1, 0)
+    for _ in range(200):
+        roots = [Fraction(rng.randint(-40, 40), rng.choice([1, 3, 8, 10 ** 6]))
+                 for _ in range(rng.randint(0, 4))]
+        p = rng.choice([-3, 1, Fraction(2, 5)]) * (t * t + 1) ** rng.randint(0, 1)
+        for r in roots:
+            p = p * (t - r) ** rng.randint(1, 3)
+        lo = Fraction(rng.randint(-50, 0), 7)
+        if roots and rng.random() < 0.3:
+            lo = min(roots)
+        hi = lo + rng.randint(1, 60)
+        want = sorted({r for r in roots if lo <= r <= hi})
+        got = isolate_roots(p, (lo, hi), tol=1e-12)
+        assert got == [pytest.approx(float(r), abs=1e-12) for r in want]
+
+
+def test_isolate_roots_at_interval_ends():
+    # the interval is closed: roots at both ends count
+    p = Poly(1, {(2,): 1, (1,): -5, (0,): 4})
+    assert isolate_roots(p, (1.0, 4.0)) == [1.0, 4.0]
+    with pytest.raises(ValueError):
+        isolate_roots(Poly.zero(1), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from dhlab import (
     SamplerConfig,
     analytic_dh_density,
     compare,
-    liouville_weight,
     normalize,
     sample_pushforward,
     standard_construction,
     verify_construction,
 )
-from dhlab.measure import iter_sample_chunks
+from helpers import iter_sample_chunks
 
 WINDOW = CutWindow(0.5, 4.5)
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})
@@ -48,9 +47,9 @@ def _manual_histogram(weights_per_bin, window=WINDOW, sample_count=1000):
 # ---------------------------------------------------------------------------
 
 def test_liouville_weight_values():
-    assert liouville_weight(VERIFIED_TOP, (0.1, 0.2, 0.3, 0.4, 2.5, 0.9)) == 4.5
-    assert liouville_weight(VERIFIED_TOP, (0.0, 0.0, 0.0, 0.0, 0.5, 0.0)) == 28.5
-    assert liouville_weight(FLAT_TOP, (0.5, 0.5, 0.5, 0.5, 1.0, 0.5)) == 6.0
+    assert VERIFIED_TOP.evaluate((0.1, 0.2, 0.3, 0.4, 2.5, 0.9)) == 4.5
+    assert VERIFIED_TOP.evaluate((0.0, 0.0, 0.0, 0.0, 0.5, 0.0)) == 28.5
+    assert FLAT_TOP.evaluate((0.5, 0.5, 0.5, 0.5, 1.0, 0.5)) == 6.0
 
 
 def test_weight_ignores_fiber_coordinates():
@@ -59,7 +58,7 @@ def test_weight_ignores_fiber_coordinates():
         x = rng.random(6)
         y = x.copy()
         y[[0, 1, 2, 3, 5]] = rng.random(5)
-        assert liouville_weight(VERIFIED_TOP, x) == liouville_weight(VERIFIED_TOP, y)
+        assert VERIFIED_TOP.evaluate(x) == VERIFIED_TOP.evaluate(y)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from dhlab import (
     projection_range,
     slice_profile,
     slice_volume_exact_2d,
-    slice_volume_mc,
     suggested_tolerance,
 )
-from helpers import random_polytope
+from helpers import random_polytope, slice_volume_mc
 
 SQUARE = HPolytope(2, (
     ((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
