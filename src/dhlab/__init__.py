@@ -6,7 +6,6 @@ from .construction import (
     CutWindow,
     DegenerateWindowError,
     GaugeError,
-    GaugePotential,
     OmegaParams,
     VerificationReport,
     analytic_dh_density,
@@ -22,7 +21,6 @@ from .construction import (
 from .exterior import (
     Chart,
     ChartMismatchError,
-    CoordVectorField,
     DimensionError,
     Form,
     Poly,
@@ -68,11 +66,10 @@ from .toric import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "ChartMismatchError", "ComparisonReport", "CoordVectorField",
-    "CutWindow", "DegenerateWindowError", "DensityEstimate", "DimensionError",
-    "DomainError", "EmptyMeasureError", "EmptyPolytopeError", "Form",
-    "GaugeError", "GaugePotential", "HPolytope", "Histogram",
-    "InsufficientDataError", "OmegaParams", "Poly", "SamplerConfig",
+    "Chart", "ChartMismatchError", "ComparisonReport", "CutWindow",
+    "DegenerateWindowError", "DensityEstimate", "DimensionError", "DomainError",
+    "EmptyMeasureError", "EmptyPolytopeError", "Form", "GaugeError", "HPolytope",
+    "Histogram", "InsufficientDataError", "OmegaParams", "Poly", "SamplerConfig",
     "SliceVolumeFn", "UnboundedPolytopeError", "UnsupportedIntegrandError",
     "Variable", "VerificationReport", "ViolationReport", "analytic_dh_density",
     "analytic_logconcavity", "build_connection", "build_omega",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,53 +62,19 @@ DISCRETE_TOL = 1e-9
 DENSITY_GATE = 0.03
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible run: everything the outputs' provenance records."""
-
-    command: str
-    window: CutWindow
-    samples: int
-    bins: int
-    seed: int
-    params: OmegaParams
-    input_path: Path | None = None
-    output_path: Path | None = None
-    flat: bool = False
-    analytic: bool = False
-    axis: int = 0
-    method: str | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        window = CutWindow(args.window[0], args.window[1])
+        args.window = CutWindow(*args.window)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        params = OmegaParams(Fraction(args.params[0]), Fraction(args.params[1]))
+        args.params = OmegaParams(*map(Fraction, args.params))
     except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse --params {args.params[0]} {args.params[1]} as rationals")
-    cfg = RunConfig(
-        command=args.command,
-        window=window,
-        samples=getattr(args, "samples", 2_000_000),
-        bins=getattr(args, "bins", 40),
-        seed=args.seed,
-        params=params,
-        input_path=getattr(args, "input", None),
-        output_path=args.output,
-        flat=getattr(args, "flat", False),
-        analytic=getattr(args, "analytic", False),
-        axis=getattr(args, "axis", 0),
-        method=getattr(args, "method", None),
-    )
-    handler = {"verify": cmd_verify, "density": cmd_density,
-               "logconcavity": cmd_logconcavity, "toric": cmd_toric}[cfg.command]
+        parser.error(f"cannot parse --params {' '.join(args.params)} as rationals")
     try:
-        return handler(cfg)
+        return args.run(args)
     except BrokenPipeError:
         return EXIT_FAILURE
 
@@ -132,9 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exact symbolic verification battery")
     common(p_verify)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_density = sub.add_parser("density", help="Monte-Carlo pushforward density vs analytic")
     common(p_density)
+    p_density.set_defaults(run=cmd_density)
     p_density.add_argument("--samples", type=int, default=2_000_000,
                            help="number of Monte-Carlo samples (default 2000000)")
     p_density.add_argument("--bins", type=int, default=40, help="histogram bins (default 40)")
@@ -143,6 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_logc = sub.add_parser("logconcavity", help="log-concavity analysis of a density")
     common(p_logc)
+    p_logc.set_defaults(run=cmd_logconcavity)
     mode = p_logc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--analytic", action="store_true",
                       help="analyze the exact pushforward density of the construction")
@@ -151,6 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_toric = sub.add_parser("toric", help="slice-volume profile of a convex polytope")
     common(p_toric)
+    p_toric.set_defaults(run=cmd_toric)
     p_toric.add_argument("--input", type=Path, required=True,
                          help='polytope JSON: {"dim": d, "halfspaces": [{"a": [...], "b": v}, ...]}')
     p_toric.add_argument("--axis", type=int, default=0, help="projection axis (default 0)")
@@ -166,64 +135,64 @@ def _build_parser() -> argparse.ArgumentParser:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_verify(cfg: RunConfig) -> int:
-    omega, report = _construct_and_verify(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    omega, report = _construct_and_verify(args)
     print(report.text_table())
-    if cfg.output_path is not None:
+    if args.output is not None:
         doc = report.to_json_dict()
         doc["omega"] = omega.to_json()
-        cfg.output_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.all_passed else EXIT_FAILURE
 
 
-def cmd_density(cfg: RunConfig) -> int:
-    _, report = _construct_and_verify(cfg)
+def cmd_density(args: argparse.Namespace) -> int:
+    _, report = _construct_and_verify(args)
     if not report.all_passed:
         return EXIT_FAILURE
-    if cfg.flat:
+    if args.flat:
         top = Poly.constant(6, 6)
         analytic = Poly.constant(1, 1)
     else:
         top = report.top_power_poly
-        analytic = analytic_dh_density(report, cfg.window)
+        analytic = analytic_dh_density(report, args.window)
 
     try:
-        sampler = SamplerConfig(cfg.samples, cfg.bins, cfg.window, cfg.seed)
+        sampler = SamplerConfig(args.samples, args.bins, args.window, args.seed)
     except ValueError as exc:
         print(f"bad sampling configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     est = normalize(sample_pushforward(top, sampler))
-    comp = compare(est, analytic, cfg.window)
+    comp = compare(est, analytic, args.window)
 
-    _emit(cfg.output_path, _density_csv_lines(est, comp, sampler, cfg))
+    _emit(args.output, _density_csv_lines(est, comp, sampler, args))
     n_extreme = int(np.count_nonzero(np.abs(comp.per_bin_z) > 3))
     print(f"max relative error {comp.max_rel_error:.4f} "
           f"(worst bin {comp.worst_bin} at t={est.bin_centers[comp.worst_bin]:.4g}); "
-          f"{n_extreme}/{cfg.bins} bins with |z| > 3")
+          f"{n_extreme}/{args.bins} bins with |z| > 3")
     if comp.max_rel_error > DENSITY_GATE:
         print(f"relative error exceeds {DENSITY_GATE:.0%}: statistical tolerance "
-              f"not met at {cfg.samples} samples; increase --samples",
+              f"not met at {args.samples} samples; increase --samples",
               file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
 
 
-def cmd_logconcavity(cfg: RunConfig) -> int:
-    if cfg.analytic:
-        _, report = _construct_and_verify(cfg)
+def cmd_logconcavity(args: argparse.Namespace) -> int:
+    if args.analytic:
+        _, report = _construct_and_verify(args)
         if not report.all_passed:
             return EXIT_FAILURE
         try:
-            density = analytic_dh_density(report, cfg.window)
-            result = analytic_logconcavity(density, (cfg.window.lo, cfg.window.hi))
+            density = analytic_dh_density(report, args.window)
+            result = analytic_logconcavity(density, (args.window.lo, args.window.hi))
         except (DegenerateWindowError, DomainError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILURE
     else:
         try:
-            samples = _read_samples_csv(cfg.input_path)
+            samples = _read_samples_csv(args.input)
         except OSError as exc:
-            print(f"cannot read {cfg.input_path}: {exc}", file=sys.stderr)
+            print(f"cannot read {args.input}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except ValueError as exc:
             print(f"bad samples file: {exc}", file=sys.stderr)
@@ -236,8 +205,8 @@ def cmd_logconcavity(cfg: RunConfig) -> int:
 
     payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     print(payload)
-    if cfg.output_path is not None:
-        cfg.output_path.write_text(payload + "\n")
+    if args.output is not None:
+        args.output.write_text(payload + "\n")
     if result.log_concave:
         print("log-concave: yes")
         return EXIT_OK
@@ -246,22 +215,22 @@ def cmd_logconcavity(cfg: RunConfig) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_toric(cfg: RunConfig) -> int:
+def cmd_toric(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(cfg.input_path.read_text())
+        data = json.loads(args.input.read_text())
         polytope = HPolytope.from_json_dict(data)
     except OSError as exc:
-        print(f"cannot read {cfg.input_path}: {exc}", file=sys.stderr)
+        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"bad polytope JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    method = cfg.method or ("exact2d" if polytope.dim == 2 else "mc")
+    method = args.method or ("exact2d" if polytope.dim == 2 else "mc")
     try:
-        profile = slice_profile(polytope, cfg.axis, cfg.bins, method=method,
-                                mc_n=cfg.samples, seed=cfg.seed)
-    except (UnboundedPolytopeError, EmptyPolytopeError) as exc:
+        profile = slice_profile(polytope, args.axis, args.bins, method=method,
+                                mc_n=args.samples, seed=args.seed)
+    except (UnboundedPolytopeError, EmptyPolytopeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:  # incompatible method/axis/bins for this input
@@ -274,14 +243,14 @@ def cmd_toric(cfg: RunConfig) -> int:
         return EXIT_FAILURE
 
     lines = [
-        f"# dhlab toric profile: axis={cfg.axis} bins={cfg.bins} method={method} "
-        f"mc_n={cfg.samples} seed={cfg.seed}",
+        f"# dhlab toric profile: axis={args.axis} bins={args.bins} method={method} "
+        f"mc_n={args.samples} seed={args.seed}",
         f"# polytope: dim={polytope.dim} halfspaces={len(polytope.halfspaces)}",
         "s,volume,stderr",
     ]
     lines += [f"{s!r},{v!r},{e!r}" for s, v, e in
               zip(profile.grid.tolist(), profile.volumes.tolist(), profile.stderrs.tolist())]
-    _emit(cfg.output_path, lines)
+    _emit(args.output, lines)
 
     trimmed = sum(result.trimmed)
     note = f" ({trimmed} empty end bins trimmed)" if trimmed else ""
@@ -296,22 +265,22 @@ def cmd_toric(cfg: RunConfig) -> int:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _construct_and_verify(cfg: RunConfig) -> tuple[Form, VerificationReport]:
+def _construct_and_verify(args: argparse.Namespace) -> tuple[Form, VerificationReport]:
     """The standard construction and its verify battery, with each failed
     identity named on stderr."""
-    _, _, omega = standard_construction(cfg.window, cfg.params)
-    report = verify_construction(omega, cfg.window, cfg.params)
+    _, _, omega = standard_construction(args.window, args.params)
+    report = verify_construction(omega, args.window, args.params)
     for name in report.failed_identities():
         print(f"verification failed: {name}", file=sys.stderr)
     return omega, report
 
 
-def _density_csv_lines(est, comp, sampler: SamplerConfig, cfg: RunConfig) -> list[str]:
+def _density_csv_lines(est, comp, sampler: SamplerConfig, args: argparse.Namespace) -> list[str]:
     lines = [
         f"# dhlab density: generator={GENERATOR_NAME} seed={sampler.seed} "
         f"samples={sampler.sample_count} bins={sampler.bins} "
-        f"window=[{cfg.window.lo!r},{cfg.window.hi!r}] "
-        f"params=[{cfg.params.c1},{cfg.params.c2}] flat={cfg.flat}",
+        f"window=[{args.window.lo!r},{args.window.hi!r}] "
+        f"params=[{args.params.c1},{args.params.c2}] flat={args.flat}",
         "bin_center,analytic_density,mc_density,stderr,z_score",
     ]
     for c, a, d, e, z in zip(est.bin_centers.tolist(), comp.reference.tolist(),

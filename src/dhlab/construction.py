@@ -29,12 +29,12 @@ only as a validity domain and never changes the polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import (
     Chart,
-    CoordVectorField,
     Form,
     Poly,
     UnsupportedIntegrandError,
@@ -42,8 +42,8 @@ from .exterior import (
     exterior_derivative,
     integrate_over_face,
     interior_product,
-    isolate_roots,
     poly_str,
+    positive_on,
     wedge,
 )
 
@@ -74,21 +74,18 @@ class DegenerateWindowError(ValueError):
 
 @dataclass(frozen=True)
 class CutWindow:
-    """A moment-map window [lo, hi] with 0 < lo < hi."""
+    """A moment-map window [lo, hi] with finite ends 0 < lo < hi."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise ValueError(f"cut window needs 0 < A < B, got ({self.lo}, {self.hi})")
+        if not 0 < self.lo < self.hi < math.inf:
+            raise ValueError(f"cut window needs finite 0 < A < B, got ({self.lo}, {self.hi})")
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, s: float) -> bool:
-        return self.lo <= s <= self.hi
 
 
 @dataclass(frozen=True)
@@ -101,18 +98,6 @@ class OmegaParams:
     def __post_init__(self):
         object.__setattr__(self, "c1", Fraction(self.c1))
         object.__setattr__(self, "c2", Fraction(self.c2))
-
-
-@dataclass(frozen=True)
-class GaugePotential:
-    """A candidate local potential a with Theta = dtheta + a.
-
-    Must be a 1-form in the base coordinates only, with coefficients
-    depending only on the base coordinates, and must satisfy
-    da = -dx1^dx4 - dx2^dx3 (checked by :func:`build_connection`).
-    """
-
-    a: Form
 
 
 def canonical_chart(window: CutWindow) -> Chart:
@@ -132,28 +117,26 @@ def curvature_form(chart: Chart) -> Form:
     return Form(chart, 2, {(0, 3): -1, (1, 2): -1})
 
 
-def canonical_gauge(chart: Chart) -> GaugePotential:
+def canonical_gauge(chart: Chart) -> Form:
     """The gauge a = x4 dx1 - x2 dx3, one valid potential for the curvature."""
-    return GaugePotential(Form(chart, 1, {
+    return Form(chart, 1, {
         (0,): Poly.variable(chart.dim, 3),
         (2,): -Poly.variable(chart.dim, 1),
-    }))
+    })
 
 
-def shifted_gauge(gauge: GaugePotential, coeffs) -> GaugePotential:
-    """Shift a gauge by the closed 1-form sum_i coeffs[i] dx_i."""
-    chart = gauge.a.chart
-    shift = Form(chart, 1, {(i,): Fraction(c) for i, c in zip(X_AXES, coeffs)})
-    return GaugePotential(gauge.a + shift)
+def shifted_gauge(a: Form, coeffs) -> Form:
+    """Shift a gauge potential by the closed 1-form sum_i coeffs[i] dx_i."""
+    return a + Form(a.chart, 1, {(i,): Fraction(c) for i, c in zip(X_AXES, coeffs)})
 
 
-def build_connection(gauge: GaugePotential) -> Form:
-    """Theta = dtheta + a, after checking the curvature of the gauge potential.
+def build_connection(a: Form) -> Form:
+    """Theta = dtheta + a for a gauge potential a, after checking it.
 
-    Rejects potentials of the wrong shape or with da != -dx1^dx4 - dx2^dx3,
-    naming the residual 2-form in the error.
+    The potential must be a 1-form in dx1..dx4 whose coefficients depend on
+    x1..x4 only, with da = -dx1^dx4 - dx2^dx3.  Anything else raises
+    GaugeError; a wrong curvature names the residual 2-form.
     """
-    a = gauge.a
     chart = a.chart
     if a.degree != 1:
         raise GaugeError(f"gauge potential must be a 1-form, got degree {a.degree}")
@@ -266,11 +249,12 @@ def verify_construction(omega: Form, window: CutWindow,
     chart = omega.chart
     closed = exterior_derivative(omega).is_zero()
     minus_dt = Form.basis(chart, T_AXIS, coeff=-1)
-    moment = interior_product(omega, CoordVectorField(THETA_AXIS)) == minus_dt
+    moment = interior_product(omega, THETA_AXIS) == minus_dt
     top = wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)
-    nondeg = _positive_on_window(top, window)
+    nondeg = top.uses_only([T_AXIS]) and positive_on(top.univariate(T_AXIS),
+                                                      (window.lo, window.hi))
 
-    theta = interior_product(omega, CoordVectorField(T_AXIS))
+    theta = interior_product(omega, T_AXIS)
     curvature = exterior_derivative(theta)
     names = chart.names
     chern = {}
@@ -295,20 +279,11 @@ def analytic_dh_density(report: VerificationReport, window: CutWindow) -> Poly:
         raise DegenerateWindowError(
             f"top power is not positive on [{report.window.lo}, {report.window.hi}]; "
             "Liouville measure degenerates there")
-    if window != report.window and not _positive_on_window(report.top_power_poly, window):
+    top = report.top_power_poly.univariate(T_AXIS)
+    if window != report.window and not positive_on(top, (window.lo, window.hi)):
         raise DegenerateWindowError(
             f"top power is not positive on the requested window [{window.lo}, {window.hi}]")
-    return report.top_power_poly.univariate(T_AXIS).primitive()
-
-
-def _positive_on_window(top: Poly, window: CutWindow) -> bool:
-    """Exact strict positivity of a t-only top coefficient on [lo, hi]."""
-    try:
-        uni = top.univariate(T_AXIS)
-    except ValueError:
-        return False
-    return (uni.evaluate_exact((window.lo,)) > 0
-            and not isolate_roots(uni, (window.lo, window.hi)))
+    return top.primitive()
 
 
 def _pretty_top(top: Poly) -> str:

@@ -77,9 +77,6 @@ class Chart:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def axis(self, name: str) -> int:
-        return self.names.index(name)
-
 
 # ---------------------------------------------------------------------------
 # Polynomials
@@ -126,10 +123,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
 
     @staticmethod
     def constant(nvars: int, value: Scalar) -> "Poly":
@@ -245,9 +238,6 @@ class Poly:
                 else:
                     acc.pop(ne, None)
         return _raw_poly(self.nvars, acc)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, axis: int) -> int:
         return max((e[axis] for e in self.terms), default=0)
@@ -444,6 +434,12 @@ def isolate_roots(p: Poly, interval: tuple[float, float], tol: float = 1e-9) -> 
     return [float((a + b) / 2) for a, b in root_brackets(p, interval, tol)]
 
 
+def positive_on(p: Poly, interval: tuple) -> bool:
+    """Exact strict positivity of a univariate polynomial on a closed
+    interval: p is positive at the lower end and has no root in it."""
+    return p.evaluate_exact((interval[0],)) > 0 and not isolate_roots(p, interval)
+
+
 def _narrow(q: list, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect the one simple root of q in (a, b] to a bracket as promised
     by root_brackets; a starts on a root of q only if it is the one before."""
@@ -491,13 +487,6 @@ def _divmod(n: list, d: list) -> tuple[list, list]:
 # Differential forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoordVectorField:
-    """The coordinate vector field along one chart axis."""
-
-    axis: int
-
-
 class Form:
     """A degree-graded differential form on a chart.
 
@@ -530,7 +519,7 @@ class Form:
                     coeff = Poly.constant(chart.dim, coeff)
                 elif coeff.nvars != chart.dim:
                     raise DimensionError("coefficient polynomial has wrong variable count")
-                term = acc.get(key, Poly.zero(chart.dim)) + coeff * sign
+                term = acc.get(key, Poly(chart.dim)) + coeff * sign
                 if term:
                     acc[key] = term
                 else:
@@ -543,10 +532,6 @@ class Form:
         raise AttributeError("Form is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(chart: Chart, degree: int) -> "Form":
-        return Form(chart, degree)
 
     @staticmethod
     def scalar(chart: Chart, value) -> "Form":
@@ -571,7 +556,7 @@ class Form:
             raise ValueError("cannot add forms of different degree")
         terms = dict(self.terms)
         for idx, p in other.terms.items():
-            s = terms.get(idx, Poly.zero(self.chart.dim)) + p
+            s = terms.get(idx, Poly(self.chart.dim)) + p
             if s:
                 terms[idx] = s
             else:
@@ -617,15 +602,9 @@ class Form:
 
     # -- exterior algebra ------------------------------------------------------
 
-    def wedge(self, other: "Form") -> "Form":
-        return wedge(self, other)
-
-    def d(self) -> "Form":
-        return exterior_derivative(self)
-
     def coefficient(self, *indices: int) -> Poly:
         """The Poly coefficient of an ascending index tuple (zero if absent)."""
-        return self.terms.get(tuple(indices), Poly.zero(self.chart.dim))
+        return self.terms.get(tuple(indices), Poly(self.chart.dim))
 
     # -- serialization -----------------------------------------------------------
 
@@ -683,30 +662,6 @@ def _normalize_indices(idx: tuple[int, ...]):
     return sign, tuple(lst)
 
 
-def _merge_ascending(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge two ascending tuples with the wedge permutation sign.
-
-    Returns (sign, merged) or None if the tuples share an index.
-    """
-    i = j = 0
-    sign = 1
-    out = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -716,10 +671,10 @@ def wedge(a: Form, b: Form) -> Form:
     a._check_chart(b)
     degree = a.degree + b.degree
     acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly.zero(a.chart.dim)
+    zero = Poly(a.chart.dim)
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
-            merged = _merge_ascending(ia, ib)
+            merged = _normalize_indices(ia + ib)
             if merged is None:
                 continue
             sign, key = merged
@@ -739,13 +694,13 @@ def exterior_derivative(a: Form) -> Form:
     """
     dim = a.chart.dim
     acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly.zero(dim)
+    zero = Poly(dim)
     for idx, p in a.terms.items():
         for v in range(dim):
             dp = p.partial(v)
             if not dp:
                 continue
-            merged = _merge_ascending((v,), idx)
+            merged = _normalize_indices((v,) + idx)
             if merged is None:
                 continue
             sign, key = merged
@@ -757,20 +712,20 @@ def exterior_derivative(a: Form) -> Form:
     return _raw_form(a.chart, a.degree + 1, acc)
 
 
-def interior_product(a: Form, v: CoordVectorField | int) -> Form:
-    """Contraction with a coordinate vector field, lowering the degree by one.
+def interior_product(a: Form, axis: int) -> Form:
+    """Contraction with the coordinate vector field of a chart axis,
+    lowering the degree by one.
 
     Sign convention: contracting the j-th index of an ascending tuple
     contributes (-1)^j, j counted from zero.  A 0-form contracts to the
     zero form (not an error).
     """
-    axis = v.axis if isinstance(v, CoordVectorField) else int(v)
     if not 0 <= axis < a.chart.dim:
         raise DimensionError(f"axis {axis} out of range for chart dim {a.chart.dim}")
     if a.degree == 0:
-        return Form.zero(a.chart, 0)
+        return Form(a.chart, 0)
     acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly.zero(a.chart.dim)
+    zero = Poly(a.chart.dim)
     for idx, p in a.terms.items():
         if axis not in idx:
             continue

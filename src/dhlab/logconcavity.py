@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exterior import DimensionError, Poly, isolate_roots, root_brackets
+from .exterior import DimensionError, Poly, positive_on, root_brackets
 
 
 class DomainError(ValueError):
@@ -82,9 +82,10 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
         raise ValueError(f"need at least 3 samples, got {len(pts)}")
     s = np.array([p[0] for p in pts])
     f = np.array([p[1] for p in pts])
-    if np.any(f <= 0):
-        bad = float(s[int(np.argmax(f <= 0))])
-        raise DomainError(f"nonpositive sample at s={bad}; log undefined")
+    bad = ~(np.isfinite(s) & np.isfinite(f) & (f > 0))
+    if np.any(bad):
+        at = float(s[int(np.argmax(bad))])
+        raise DomainError(f"nonpositive or non-finite sample at s={at}; log undefined")
     gaps = np.diff(s)
     h = gaps[0]
     if h <= 0 or np.any(np.abs(gaps - h) > 1e-9 * max(abs(h), 1.0)):
@@ -119,7 +120,7 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
         raise ValueError(f"empty interval ({lo}, {hi})")
     if f.nvars != 1:
         raise DimensionError("analytic log-concavity needs a univariate polynomial")
-    if f.evaluate_exact((lo,)) <= 0 or isolate_roots(f, (lo, hi)):
+    if not positive_on(f, (lo, hi)):
         raise DomainError(f"density is not strictly positive on [{lo}, {hi}]")
 
     g = concavity_discriminant(f)

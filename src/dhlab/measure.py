@@ -151,12 +151,10 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
 
     if threads is None:
         threads = int(os.environ.get("DH_LAB_THREADS", "1") or "1")
-    threads = max(1, min(threads, len(starts)))
-    if threads == 1:
-        partials = [one_chunk(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one_chunk, starts))
+    # a pool even for one thread: a worker's allocator reuses the chunk
+    # temporaries, where the calling thread page-faults them in afresh
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(starts)))) as pool:
+        partials = list(pool.map(one_chunk, starts))
 
     # merge in ascending chunk order, compensated per bin
     sums = np.zeros(cfg.bins)

@@ -135,7 +135,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
 
     ``method`` is "exact2d" (dim = 2 only) or "mc"; Monte-Carlo bins use
     independent streams derived from (seed, axis, bin), so the profile does
-    not depend on evaluation order.
+    not depend on evaluation order.  A polytope flat along the axis has no
+    profile to bin and raises InsufficientDataError.
     """
     if method not in ("exact2d", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -144,6 +145,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
     if bins < 1:
         raise ValueError("bins must be positive")
     lo, hi = projection_range(p, axis)
+    if not lo < hi:
+        raise InsufficientDataError(f"polytope is flat along axis {axis}: it projects to {lo}")
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     vols = np.zeros(bins)

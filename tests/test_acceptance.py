@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from dhlab import (
-    CoordVectorField,
     CutWindow,
     Form,
     OmegaParams,
@@ -76,8 +75,7 @@ def test_criterion_01_symbolic_closedness():
 def test_criterion_02_moment_map_identity():
     minus_dt = Form.basis(CHART, 4, coeff=-1)
     ok = all(
-        interior_product(build_omega(build_connection(g), OmegaParams()),
-                         CoordVectorField(5)) == minus_dt
+        interior_product(build_omega(build_connection(g), OmegaParams()), 5) == minus_dt
         for g in _gauge_family(100, seed=405)
     )
     _report(2, "moment identity i_dtheta omega = -dt", ok)
@@ -216,7 +214,7 @@ def test_criterion_10_property_suites():
         a = random_form(rng, CHART, max_degree=3)
         b = random_form(rng, CHART, degree=rng.randint(1, 2))
         c = random_form(rng, CHART, degree=rng.randint(1, 2))
-        v = CoordVectorField(rng.randrange(CHART.dim))
+        v = rng.randrange(CHART.dim)
         cases_ok = cases_ok and exterior_derivative(exterior_derivative(a)).is_zero()
         sign = (-1) ** (a.degree * b.degree)
         cases_ok = cases_ok and wedge(a, b) == sign * wedge(b, a)

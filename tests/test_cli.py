@@ -67,6 +67,15 @@ def test_verify_inverted_window_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "density"])
+@pytest.mark.parametrize("hi", ["inf", "1e400"])
+def test_nonfinite_window_is_usage_error(capsys, command, hi):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--window", "0.5", hi])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_verify_bad_params_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--params", "x", "3"])
@@ -186,6 +195,14 @@ def test_logconcavity_rejects_zero_sample(capsys, tmp_path):
     assert main(["logconcavity", "--input", str(path)]) == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_logconcavity_rejects_nonfinite_sample(capsys, tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,1\n1,{bad}\n2,1\n3,1\n")
+    assert main(["logconcavity", "--input", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_logconcavity_requires_a_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["logconcavity"])
@@ -234,6 +251,22 @@ def test_toric_unbounded_polytope(capsys, tmp_path):
     assert main(["toric", "--input", str(poly)]) == 1
 
 
+@pytest.mark.parametrize("dim, method", [(2, "exact2d"), (3, "mc")])
+def test_toric_flat_polytope_fails(capsys, tmp_path, dim, method):
+    # the projection onto axis 0 is the single point 0
+    halfspaces = [{"a": [1 if i == 0 else 0 for i in range(dim)], "b": 0},
+                  {"a": [-1 if i == 0 else 0 for i in range(dim)], "b": 0}]
+    for ax in range(1, dim):
+        halfspaces += [{"a": [1 if i == ax else 0 for i in range(dim)], "b": 1},
+                       {"a": [-1 if i == ax else 0 for i in range(dim)], "b": 0}]
+    poly = tmp_path / "flat.json"
+    poly.write_text(json.dumps({"dim": dim, "halfspaces": halfspaces}))
+    code = main(["toric", "--input", str(poly), "--axis", "0", "--method", method,
+                 "--samples", "1000"])
+    assert code == 1
+    assert "axis 0" in capsys.readouterr().err
+
+
 def test_toric_byte_identical_reruns(capsys, tmp_path):
     poly = tmp_path / "cube.json"
     poly.write_text(CUBE3_JSON)
@@ -262,6 +295,11 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
     # 20000 samples miss the 3% gate (exit 1) but still print the full CSV
     assert main(["density", "--samples", "20000", "--bins", "8"]) == 1
     assert capsys.readouterr().out.encode() == (GOLDEN / "density.stdout").read_bytes()
+
+    # 200000 samples span 4 chunks, so the chunk merge is pinned too
+    assert main(["density", "--samples", "200000", "--bins", "8"]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "density_chunks.stdout").read_bytes()
 
     assert main(["logconcavity", "--analytic"]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == \

@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from dhlab import (
-    CoordVectorField,
     CutWindow,
     DegenerateWindowError,
     Form,
     GaugeError,
-    GaugePotential,
     OmegaParams,
     Poly,
     analytic_dh_density,
@@ -51,7 +49,7 @@ def test_canonical_gauge_accepted():
 
 def test_zero_gauge_rejected_with_residual():
     with pytest.raises(GaugeError) as err:
-        build_connection(GaugePotential(Form.zero(CHART, 1)))
+        build_connection(Form(CHART, 1))
     assert err.value.residual == -curvature_form(CHART)
 
 
@@ -64,20 +62,20 @@ def test_constant_closed_shift_accepted():
 def test_sign_flipped_gauge_rejected():
     # x4 dx1 + x2 dx3 has curvature -dx1^dx4 + dx2^dx3: wrong sign on the
     # second face, so the residual is 2 dx2^dx3
-    bad = GaugePotential(Form(CHART, 1, {
+    bad = Form(CHART, 1, {
         (0,): Poly.variable(CHART.dim, 3),
         (2,): Poly.variable(CHART.dim, 1),
-    }))
+    })
     with pytest.raises(GaugeError) as err:
         build_connection(bad)
     assert err.value.residual == Form(CHART, 2, {(1, 2): 2})
 
 
 def test_gauge_outside_base_rejected():
-    t_coeff = GaugePotential(Form(CHART, 1, {(0,): Poly.variable(CHART.dim, 4)}))
+    t_coeff = Form(CHART, 1, {(0,): Poly.variable(CHART.dim, 4)})
     with pytest.raises(GaugeError):
         build_connection(t_coeff)
-    theta_slot = GaugePotential(Form(CHART, 1, {(5,): 1}))
+    theta_slot = Form(CHART, 1, {(5,): 1})
     with pytest.raises(GaugeError):
         build_connection(theta_slot)
 
@@ -108,7 +106,7 @@ def test_omega_sigma14_coefficient_vanishes_at_c1():
 
 def test_moment_map_identity():
     _, _, omega = standard_construction(WINDOW)
-    assert interior_product(omega, CoordVectorField(5)) == Form.basis(CHART, 4, coeff=-1)
+    assert interior_product(omega, 5) == Form.basis(CHART, 4, coeff=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +247,7 @@ def test_gauge_invariance_of_verified_quantities():
         if any(coeffs):
             assert omega != omega0
         assert exterior_derivative(omega).is_zero()
-        assert interior_product(omega, CoordVectorField(5)) == minus_dt
+        assert interior_product(omega, 5) == minus_dt
         report = verify_construction(omega, WINDOW)
         assert report.top_power_poly == top0
         assert report.all_passed

@@ -101,7 +101,7 @@ def test_isolate_roots_at_interval_ends():
     p = Poly(1, {(2,): 1, (1,): -5, (0,): 4})
     assert isolate_roots(p, (1.0, 4.0)) == [1.0, 4.0]
     with pytest.raises(ValueError):
-        isolate_roots(Poly.zero(1), (0.0, 1.0))
+        isolate_roots(Poly(1), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +143,17 @@ def test_discrete_rejects_nonpositive_samples():
     samples = [(0.0, 1.0), (0.1, 0.0), (0.2, 1.0)]
     with pytest.raises(DomainError):
         discrete_logconcavity(samples, tol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_discrete_rejects_nonfinite_samples(bad):
+    # NaN compares false with everything, and inf / inf is NaN: neither may
+    # slip through the positivity check or into the midpoint test
+    samples = [(0.0, 1.0), (0.1, 1.0), (0.2, bad), (0.3, 1.0)]
+    with pytest.raises(DomainError, match="s=0.2"):
+        discrete_logconcavity(samples, tol=1e-9)
+    with pytest.raises(DomainError, match="s=nan"):
+        discrete_logconcavity([(0.0, 1.0), (float("nan"), 1.0), (0.2, 1.0)], tol=1e-9)
 
 
 def test_discrete_rejects_nonuniform_grid():

@@ -209,6 +209,18 @@ def test_prekopa_needs_three_positive_bins():
         prekopa_check(f, tol=1e-9)
 
 
+@pytest.mark.parametrize("method", ["exact2d", "mc"])
+def test_flat_polytope_profile_is_insufficient_data(method):
+    # x pinned to 0: every bin centre would sit on the same point
+    dim = 2 if method == "exact2d" else 3
+    flat = HPolytope(dim, tuple(
+        (tuple(s * float(i == ax) for i in range(dim)), float(ax > 0 and s > 0))
+        for ax in range(dim) for s in (1.0, -1.0)
+    ))
+    with pytest.raises(InsufficientDataError, match="axis 0"):
+        slice_profile(flat, 0, 10, method=method, mc_n=1000)
+
+
 def test_prekopa_interior_zero_is_domain_error():
     f = SliceVolumeFn(0, np.linspace(0, 1, 5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
                       np.zeros(5))
