@@ -40,6 +40,7 @@ from .measure import (
     GENERATOR_NAME,
     SamplerConfig,
     compare,
+    env_threads,
     normalize,
     sample_pushforward,
 )
@@ -158,10 +159,11 @@ def cmd_density(args: argparse.Namespace) -> int:
 
     try:
         sampler = SamplerConfig(args.samples, args.bins, args.window, args.seed)
+        threads = env_threads()
     except ValueError as exc:
         print(f"bad sampling configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    est = normalize(sample_pushforward(top, sampler))
+    est = normalize(sample_pushforward(top, sampler, threads))
     comp = compare(est, analytic, args.window)
 
     _emit(args.output, _density_csv_lines(est, comp, sampler, args))

@@ -150,7 +150,7 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
         return ws, w2
 
     if threads is None:
-        threads = int(os.environ.get("DH_LAB_THREADS", "1") or "1")
+        threads = env_threads()
     # a pool even for one thread: a worker's allocator reuses the chunk
     # temporaries, where the calling thread page-faults them in afresh
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(starts)))) as pool:
@@ -168,6 +168,16 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
     edges = np.linspace(lo, hi, cfg.bins + 1)
     return Histogram(edges, sums, sq, float(np.sum(sums)), cfg.sample_count,
                      cfg.window, cfg.seed)
+
+
+def env_threads() -> int:
+    """Sampler threads from DH_LAB_THREADS (1 if unset or empty); a value
+    that is not an integer raises ValueError."""
+    raw = os.environ.get("DH_LAB_THREADS", "")
+    try:
+        return int(raw or "1")
+    except ValueError:
+        raise ValueError(f"DH_LAB_THREADS must be an integer, not {raw!r}") from None
 
 
 def normalize(h: Histogram) -> DensityEstimate:

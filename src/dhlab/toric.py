@@ -9,18 +9,23 @@ the pushforward density of the circle subaction for that axis.
 
 Polytopes are half-space systems {x : a.x <= b}.  Only coordinate-axis
 projections are implemented; for a general direction, rotate the polytope
-first.  Axis extremes (and with them boundedness, emptiness and slice
-bounding boxes) are computed with scipy's LP solver.
+first.  Linear programs (scipy's HiGHS) find axis extremes, and with them
+emptiness and boundedness.  Monte-Carlo slicing needs each slice's bounding
+box: the vertices are enumerated once per polytope (2*dim range LPs, one
+Chebyshev-centre LP, then Qhull's half-space intersection), and every bin
+takes its box from where segments between vertices cross the slicing
+hyperplane, so no LP runs per bin.  scipy is imported on first use, so
+code that never slices a polytope does not load it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .logconcavity import ViolationReport, discrete_logconcavity
 
@@ -48,11 +53,13 @@ class HPolytope:
         if self.dim < 1:
             raise ValueError("polytope dimension must be >= 1")
         hs = []
-        for normal, offset in self.halfspaces:
-            normal = tuple(float(v) for v in normal)
+        for k, (normal, offset) in enumerate(self.halfspaces):
+            normal, offset = tuple(float(v) for v in normal), float(offset)
             if len(normal) != self.dim:
                 raise ValueError(f"normal {normal} has length != dim {self.dim}")
-            hs.append((normal, float(offset)))
+            if not all(map(math.isfinite, (*normal, offset))):
+                raise ValueError(f"half-space {k} is not finite: a={list(normal)}, b={offset}")
+            hs.append((normal, offset))
         object.__setattr__(self, "halfspaces", tuple(hs))
 
     @cached_property
@@ -60,6 +67,27 @@ class HPolytope:
         a = np.array([h[0] for h in self.halfspaces], dtype=float).reshape(-1, self.dim)
         b = np.array([h[1] for h in self.halfspaces], dtype=float)
         return a, b
+
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        """The vertices, one per row (repeats possible), found once.
+
+        Raises like projection_range if the polytope is empty or unbounded;
+        has no rows if the polytope has no interior (dim >= 2 only).
+        """
+        for axis in range(self.dim):
+            projection_range(self, axis)
+        a, b = self._system
+        centre, radius = _chebyshev_centre(a, b)
+        if not radius > 0:
+            return np.empty((0, self.dim))
+        from scipy.spatial import HalfspaceIntersection
+
+        # a zero normal bounds nothing (its b >= 0, the polytope being
+        # nonempty), and Qhull cannot take it
+        rows = np.any(a != 0, axis=1)
+        return HalfspaceIntersection(np.column_stack([a[rows], -b[rows]]),
+                                     centre).intersections
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         a, b = self._system
@@ -98,7 +126,8 @@ class SliceVolumeFn:
 
 def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     """Min and max of the axis coordinate over the polytope (two LPs);
-    raises if the polytope is empty or unbounded along the axis."""
+    raises if the polytope is empty or unbounded along the axis.  Run on
+    every axis, it proves the polytope bounded and nonempty."""
     if not 0 <= axis < p.dim:
         raise ValueError(f"axis {axis} out of range for dim {p.dim}")
     a, b = p._system
@@ -207,6 +236,13 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _extreme(a: np.ndarray, b: np.ndarray, axis: int, sense: str) -> float:
     cost = np.zeros(a.shape[1])
     cost[axis] = 1.0 if sense == "min" else -1.0
@@ -221,11 +257,54 @@ def _extreme(a: np.ndarray, b: np.ndarray, axis: int, sense: str) -> float:
     return float(res.fun if sense == "min" else -res.fun)
 
 
+def _chebyshev_centre(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Centre and radius of the largest ball in a nonempty bounded
+    {x : a.x <= b}: maximize r subject to a_i.x + r |a_i| <= b_i, r >= 0."""
+    dim = a.shape[1]
+    cost = np.zeros(dim + 1)
+    cost[-1] = -1.0
+    res = linprog(cost, A_ub=np.column_stack([a, np.linalg.norm(a, axis=1)]), b_ub=b,
+                  bounds=[(None, None)] * dim + [(0, None)], method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return res.x[:-1], float(res.x[-1])
+
+
+_BOX_PAD = 64 * np.finfo(float).eps
+
+
+def _slice_box(vertices: np.ndarray, axis: int,
+               s: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bounding box, over the other axes, of the slice at axis = s; None if
+    no vertex reaches the hyperplane.
+
+    The box spans the vertices on the hyperplane and the points where the
+    segments between vertices on either side cross it.  Those points lie in
+    the polytope, and every vertex of the slice lies on an edge of the
+    polytope, so this is the slice's bounding box up to rounding.
+    """
+    t = vertices[:, axis]
+    rest = np.delete(vertices, axis, axis=1)
+    below, above = t < s, t > s
+    frac = (s - t[below])[:, None] / (t[above][None, :] - t[below][:, None])
+    lower, upper = rest[below][:, None, :], rest[above][None, :, :]
+    crossings = (lower + frac[:, :, None] * (upper - lower)).reshape(-1, rest.shape[1])
+    pts = np.concatenate([crossings, rest[t == s]])
+    if not len(pts):
+        return None
+    # widen by the rounding in the vertices: a box too small would bias the
+    # estimate, where one too large only adds variance
+    pad = _BOX_PAD * float(np.abs(vertices).max())
+    return pts.min(axis=0) - pad, pts.max(axis=0) + pad
+
+
 def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
                      rng: np.random.Generator) -> tuple[float, float]:
     """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s,
-    with its standard error, sampled uniformly in the slice's bounding box;
-    a degenerate (empty or measure-zero) box gives 0."""
+    with its standard error, sampled uniformly in the slice's bounding box.
+    The box comes from the polytope's vertices, enumerated on the first
+    call, so slicing solves no LP; an empty slice or a polytope without
+    interior gives 0."""
     if n < 1:
         raise ValueError("sample count must be positive")
     a, b = p._system
@@ -236,19 +315,13 @@ def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
     if not keep:  # slicing a segment: the slice is a point, counting measure
         return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
 
-    try:
-        box = [
-            (_extreme(a_slice, b_slice, k, "min"), _extreme(a_slice, b_slice, k, "max"))
-            for k in range(len(keep))
-        ]
-    except EmptyPolytopeError:
+    box = _slice_box(p._vertices, axis, s)
+    if box is None:
         return 0.0, 0.0
-    widths = np.array([hi - lo for lo, hi in box])
-    if np.any(widths <= 0):
-        return 0.0, 0.0
+    lows, highs = box
+    widths = highs - lows
     box_vol = float(np.prod(widths))
 
-    lows = np.array([lo for lo, _ in box])
     pts = lows + widths * rng.random((n, len(keep)))
     hits = int(np.count_nonzero(np.all(pts @ a_slice.T <= b_slice, axis=1)))
     phat = hits / n

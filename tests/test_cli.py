@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +147,14 @@ def test_density_flat_mode(capsys, tmp_path):
     assert np.allclose(rows[:, 2], 0.25, atol=0.01)
 
 
+@pytest.mark.parametrize("threads", ["two", "1.5"])
+def test_density_non_integer_threads_is_usage_error(capsys, monkeypatch, threads):
+    monkeypatch.setenv("DH_LAB_THREADS", threads)
+    assert main(["density", "--samples", "20000", "--bins", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "DH_LAB_THREADS" in err and repr(threads) in err
+
+
 def test_density_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["density", "--samples", "100000", "--bins", "10", "--seed", "11"]
@@ -251,6 +262,28 @@ def test_toric_unbounded_polytope(capsys, tmp_path):
     assert main(["toric", "--input", str(poly)]) == 1
 
 
+def test_toric_unbounded_mc_slice_names_the_axis(capsys, tmp_path):
+    # bounded along axes 0 and 1, so only the last axis can be named
+    poly = tmp_path / "prism.json"
+    poly.write_text(json.dumps({"dim": 3, "halfspaces": [
+        {"a": [1, 0, 0], "b": 1}, {"a": [-1, 0, 0], "b": 0},
+        {"a": [0, 1, 0], "b": 1}, {"a": [0, -1, 0], "b": 0}]}))
+    assert main(["toric", "--input", str(poly), "--bins", "8", "--samples", "1000"]) == 1
+    assert "unbounded along axis 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_toric_nonfinite_polytope_json(capsys, tmp_path, field, value):
+    halfspaces = [{"a": [-1, 0], "b": 0}, {"a": [0, -1], "b": 0}, {"a": [1, 1], "b": 1}]
+    text = json.dumps({"dim": 2, "halfspaces": halfspaces})
+    bad = '"b": 1}' if field == "b" else '"a": [1, 1]'
+    poly = tmp_path / "nonfinite.json"
+    poly.write_text(text.replace(bad, bad.replace("1", value, 1)))
+    assert main(["toric", "--input", str(poly)]) == 2
+    assert "bad polytope JSON: half-space 2 is not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim, method", [(2, "exact2d"), (3, "mc")])
 def test_toric_flat_polytope_fails(capsys, tmp_path, dim, method):
     # the projection onto axis 0 is the single point 0
@@ -276,6 +309,25 @@ def test_toric_byte_identical_reruns(capsys, tmp_path):
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_commands_without_lp_do_not_import_scipy():
+    # only toric solves LPs, so only toric may pay for loading scipy
+    script = """
+import contextlib, io, sys
+import dhlab
+from dhlab.cli import main
+for argv in (["verify"], ["logconcavity", "--analytic"],
+             ["density", "--samples", "20000", "--bins", "8"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

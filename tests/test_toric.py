@@ -1,9 +1,13 @@
 """Polytope slice volumes and the Prekopa log-concavity baseline."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+import scipy.spatial
+
+import dhlab.toric
 
 from dhlab import (
     DomainError,
@@ -118,6 +122,88 @@ def test_mc_slice_deterministic():
     a = slice_volume_mc(SIMPLEX3, 0, 0.25, n=20_000, seed=9)
     b = slice_volume_mc(SIMPLEX3, 0, 0.25, n=20_000, seed=9)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# vertices: the Monte-Carlo slice boxes come from them
+# ---------------------------------------------------------------------------
+
+def _box(lower, upper, scale=1.0):
+    """An axis box with every half-space multiplied through by ``scale``."""
+    dim = len(lower)
+    halfspaces = []
+    for i in range(dim):
+        e = tuple(scale * float(k == i) for k in range(dim))
+        halfspaces += [(e, scale * upper[i]), (tuple(-v for v in e), -scale * lower[i])]
+    return HPolytope(dim, tuple(halfspaces))
+
+
+def _vertex_set(p: HPolytope) -> set:
+    return {tuple(v) for v in np.round(p._vertices, 9) + 0.0}
+
+
+def test_octahedron_vertices_despite_degeneracy():
+    # four facets meet at each vertex of |x| + |y| + |z| <= 1
+    octahedron = HPolytope(3, tuple(
+        (signs, 1.0) for signs in itertools.product((1.0, -1.0), repeat=3)))
+    assert _vertex_set(octahedron) == {
+        tuple(s * float(k == i) for k in range(3)) for i in range(3) for s in (1.0, -1.0)}
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_box_mc_slices_are_exact(scale):
+    # every sample in the slice's bounding box hits, so the estimate is the
+    # box area, whatever the scale of the normals
+    lower, upper = (0.0, -1.0, 2.0), (1.0, 1.0, 5.0)
+    box = _box(lower, upper, scale)
+    assert _vertex_set(box) == set(itertools.product(*zip(lower, upper)))
+    widths = np.subtract(upper, lower)
+    for axis in range(3):
+        profile = slice_profile(box, axis, bins=8, method="mc", mc_n=2000, seed=axis)
+        area = np.prod(widths) / widths[axis]
+        assert np.allclose(profile.volumes, area, rtol=1e-12, atol=0)
+        assert np.all(profile.stderrs == 0)
+
+
+@pytest.mark.parametrize("extra", [CUBE3.halfspaces, (((0.0, 0.0, 0.0), 1.0),)],
+                         ids=["duplicated", "zero-normal"])
+def test_redundant_halfspaces_keep_the_cube(extra):
+    cube = HPolytope(3, CUBE3.halfspaces + extra)
+    assert _vertex_set(cube) == set(itertools.product((0.0, 1.0), repeat=3))
+    profile = slice_profile(cube, 1, bins=8, method="mc", mc_n=2000)
+    assert np.allclose(profile.volumes, 1.0, rtol=1e-12, atol=0)
+
+
+def test_polytope_without_interior_has_zero_profile(monkeypatch):
+    # the unit cube cut to the plane x + y = 1: nonempty and bounded, not
+    # flat along axis 0, but every slice is a segment of area 0
+    plane = HPolytope(3, CUBE3.halfspaces + (((1.0, 1.0, 0.0), 1.0),
+                                             ((-1.0, -1.0, 0.0), -1.0)))
+
+    def no_qhull(*args, **kwargs):
+        raise AssertionError("Qhull called for a polytope without interior")
+
+    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", no_qhull)
+    profile = slice_profile(plane, 0, bins=8, method="mc", mc_n=2000)
+    assert plane._vertices.shape == (0, 3)
+    assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
+
+
+def test_mc_profile_lp_count_does_not_grow_with_bins(monkeypatch):
+    solve = dhlab.toric.linprog
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dhlab.toric, "linprog", counted)
+    counts = []
+    for bins in (4, 64):
+        calls.clear()
+        slice_profile(HPolytope(3, SIMPLEX3.halfspaces), 0, bins, method="mc", mc_n=1000)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 3 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +342,14 @@ def test_polytope_json_round_trip():
     assert HPolytope.from_json_dict(doc) == SIMPLEX3
     text = json.dumps(doc)
     assert HPolytope.from_json(text) == SIMPLEX3
+
+
+@pytest.mark.parametrize("normal, offset", [
+    ((np.nan, 0.0), 1.0), ((0.0, np.inf), 1.0), ((1.0, 0.0), np.nan), ((1.0, 0.0), -np.inf),
+])
+def test_nonfinite_halfspace_rejected(normal, offset):
+    with pytest.raises(ValueError, match="half-space 1 is not finite"):
+        HPolytope(2, (((-1.0, 0.0), 0.0), (normal, offset)))
 
 
 def test_polytope_validation():
