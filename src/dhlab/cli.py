@@ -285,7 +285,9 @@ def _density_csv_lines(est, comp, sampler: SamplerConfig, args: argparse.Namespa
         f"params=[{args.params.c1},{args.params.c2}] flat={args.flat}",
         "bin_center,analytic_density,mc_density,stderr,z_score",
     ]
-    for c, a, d, e, z in zip(est.bin_centers.tolist(), comp.reference.tolist(),
+    # analytic_density is the density at the bin centre; z_score measures the
+    # bin against the density's exact average over the bin
+    for c, a, d, e, z in zip(est.bin_centers.tolist(), comp.centre_values.tolist(),
                              est.density.tolist(), est.stderr.tolist(),
                              comp.per_bin_z.tolist()):
         lines.append(f"{c!r},{a!r},{d!r},{e!r},{z!r}")

@@ -9,13 +9,14 @@ the pushforward density of the circle subaction for that axis.
 
 Polytopes are half-space systems {x : a.x <= b}.  Only coordinate-axis
 projections are implemented; for a general direction, rotate the polytope
-first.  Linear programs (scipy's HiGHS) find axis extremes, and with them
-emptiness and boundedness.  Monte-Carlo slicing needs each slice's bounding
-box: the vertices are enumerated once per polytope (2*dim range LPs, one
-Chebyshev-centre LP, then Qhull's half-space intersection), and every bin
-takes its box from where segments between vertices cross the slicing
-hyperplane, so no LP runs per bin.  scipy is imported on first use, so
-code that never slices a polytope does not load it.
+first.  Every float is a dyadic rational, so each half-space is an exact
+integer row, and the vertices, recession rays and lines are enumerated once
+per polytope in Python integers by the double-description method (Motzkin
+et al. 1953; Fukuda & Prodon 1996).  Emptiness, boundedness along each
+axis, axis ranges and whether the polytope has interior are all read from
+that enumeration, so no float solver decides them.  Monte-Carlo slicing
+takes each bin's bounding box from where segments between vertices cross
+the slicing hyperplane, so no bin solves anything.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -69,25 +71,26 @@ class HPolytope:
         return a, b
 
     @cached_property
+    def _vrep(self) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
+        """The exact vertices, and the recession rays and lines, found once;
+        raises EmptyPolytopeError if there is no vertex."""
+        return _enumerate(self.dim, self.halfspaces)
+
+    @cached_property
     def _vertices(self) -> np.ndarray:
-        """The vertices, one per row (repeats possible), found once.
+        """The vertices, one per row, rounded to floats.
 
-        Raises like projection_range if the polytope is empty or unbounded;
-        has no rows if the polytope has no interior (dim >= 2 only).
+        Raises like projection_range, naming the first unbounded axis, if
+        the polytope is empty or unbounded; has no rows if the polytope has
+        no interior (the vertices' exact affine rank is below dim).
         """
+        vertices, directions = self._vrep
         for axis in range(self.dim):
-            projection_range(self, axis)
-        a, b = self._system
-        centre, radius = _chebyshev_centre(a, b)
-        if not radius > 0:
+            _check_bounded(directions, axis)
+        pivots, _ = _rref([(*v, 1) for v in vertices], self.dim + 1)
+        if len(pivots) <= self.dim:
             return np.empty((0, self.dim))
-        from scipy.spatial import HalfspaceIntersection
-
-        # a zero normal bounds nothing (its b >= 0, the polytope being
-        # nonempty), and Qhull cannot take it
-        rows = np.any(a != 0, axis=1)
-        return HalfspaceIntersection(np.column_stack([a[rows], -b[rows]]),
-                                     centre).intersections
+        return np.array(vertices, dtype=float)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         a, b = self._system
@@ -125,13 +128,17 @@ class SliceVolumeFn:
 
 
 def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
-    """Min and max of the axis coordinate over the polytope (two LPs);
-    raises if the polytope is empty or unbounded along the axis.  Run on
-    every axis, it proves the polytope bounded and nonempty."""
+    """Min and max of the axis coordinate over the polytope, the floats
+    nearest the exact extremes over its vertices.  Raises
+    EmptyPolytopeError if the polytope is empty, and UnboundedPolytopeError
+    if a recession ray or line moves along the axis; the other axes may
+    still be unbounded."""
     if not 0 <= axis < p.dim:
         raise ValueError(f"axis {axis} out of range for dim {p.dim}")
-    a, b = p._system
-    return _extreme(a, b, axis, "min"), _extreme(a, b, axis, "max")
+    vertices, directions = p._vrep
+    _check_bounded(directions, axis)
+    coords = [v[axis] for v in vertices]
+    return float(min(coords)), float(max(coords))
 
 
 def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
@@ -237,37 +244,149 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy.optimize import linprog as solve
+    """Not called by dhlab, which solves no linear program.
 
-    return solve(*args, **kwargs)
+    perfbench's ``instrument_toric`` wraps this attribute to count LP solves
+    (it reads 0 now), so the name stays until perfbench reads counters from
+    the opt-in run trace (ROADMAP.md, item 5) instead of wrapping module
+    attributes; then it goes.  For an LP, call scipy.optimize.linprog.
+    """
+    raise NotImplementedError("dhlab.toric solves no linear programs")
 
 
-def _extreme(a: np.ndarray, b: np.ndarray, axis: int, sense: str) -> float:
-    cost = np.zeros(a.shape[1])
-    cost[axis] = 1.0 if sense == "min" else -1.0
-    res = linprog(cost, A_ub=a, b_ub=b, bounds=[(None, None)] * a.shape[1],
-                  method="highs")
-    if res.status == 2:
-        raise EmptyPolytopeError("half-space system is infeasible")
-    if res.status == 3:
+def _check_bounded(directions: list[tuple[int, ...]], axis: int) -> None:
+    if any(d[axis] for d in directions):
         raise UnboundedPolytopeError(f"polytope is unbounded along axis {axis}")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return float(res.fun if sense == "min" else -res.fun)
 
 
-def _chebyshev_centre(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Centre and radius of the largest ball in a nonempty bounded
-    {x : a.x <= b}: maximize r subject to a_i.x + r |a_i| <= b_i, r >= 0."""
-    dim = a.shape[1]
-    cost = np.zeros(dim + 1)
-    cost[-1] = -1.0
-    res = linprog(cost, A_ub=np.column_stack([a, np.linalg.norm(a, axis=1)]), b_ub=b,
-                  bounds=[(None, None)] * dim + [(0, None)], method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return res.x[:-1], float(res.x[-1])
+def _enumerate(dim: int, halfspaces) -> tuple[list[tuple[Fraction, ...]],
+                                              list[tuple[int, ...]]]:
+    """Exact vertices, and recession rays and lines, of {x : a.x <= b}.
+
+    Each half-space becomes the primitive integer row (a, -b) of the cone
+    {(x, l) : a.x <= b l, l >= 0}, whose extreme rays with l > 0 are the
+    vertices and with l = 0 the recession rays.  If the normals do not span
+    R^dim, the lines are a basis of their null space; the polytope is cut
+    to the normals' span (x orthogonal to each line) so the cone is pointed.
+    """
+    rows = [_integer_row([*map(Fraction, normal), -Fraction(offset)])
+            for normal, offset in halfspaces]
+    rows = [row for row in rows if any(row)]
+    lines = _null_space([row[:dim] for row in rows], dim)
+    rows += [(*sign, 0) for n in lines for sign in (n, tuple(-v for v in n))]
+    rows.append((0,) * dim + (-1,))
+    rays = _double_description(rows, dim + 1)
+    vertices = [tuple(Fraction(v, y[-1]) for v in y[:-1]) for y in rays if y[-1]]
+    if not vertices:
+        raise EmptyPolytopeError("half-space system is infeasible")
+    return vertices, lines + [y[:-1] for y in rays if not y[-1]]
+
+
+def _double_description(rows: list[tuple[int, ...]], width: int) -> list[tuple[int, ...]]:
+    """Extreme rays, as primitive integer vectors, of the pointed cone
+    {y : r.y <= 0 for each row r}; the rows must span R^width.
+
+    Starts from the simplicial cone of width independent rows and adds the
+    other rows one at a time.  Rays in a new half-space stay (those on its
+    hyperplane gain it as a tight row), rays outside go, and each pair of
+    adjacent rays on opposite sides gives the ray where their 2-face
+    crosses the new hyperplane.  Two rays are
+    adjacent when their common tight rows number at least width - 2 and
+    no third ray is tight on all of them (the combinatorial test of Fukuda
+    & Prodon); tight sets are bitsets over the row indices.
+    """
+    basis, _ = _rref(rows, width)
+    tight_all = sum(1 << i for i in basis)
+    rays = []
+    for i in basis:
+        (y,) = _null_space([rows[k] for k in basis if k != i], width)
+        if _dot(rows[i], y) > 0:
+            y = tuple(-v for v in y)
+        rays.append((y, tight_all & ~(1 << i)))
+    for i, row in enumerate(rows):
+        if i in basis:
+            continue
+        bit = 1 << i
+        signs = [_dot(row, y) for y, _ in rays]
+        kept = [(y, t | bit if s == 0 else t) for (y, t), s in zip(rays, signs) if s <= 0]
+        tights = [t for _, t in rays]
+        negative = [k for k, s in enumerate(signs) if s < 0]
+        for p, sp in enumerate(signs):
+            if sp <= 0:
+                continue
+            yp, tp = rays[p]
+            for n in negative:
+                yn, tn = rays[n]
+                common = tp & tn
+                if common.bit_count() < width - 2 or any(
+                        t & common == common for k, t in enumerate(tights)
+                        if k != p and k != n):
+                    continue
+                sn = signs[n]
+                kept.append((_primitive([sp * b - sn * a for a, b in zip(yp, yn)]),
+                             common | bit))
+        rays = kept
+    return [y for y, _ in rays]
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
+
+
+def _integer_row(values: list[Fraction]) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational vector."""
+    den = math.lcm(*(v.denominator for v in values))
+    return _primitive([v.numerator * (den // v.denominator) for v in values])
+
+
+def _rref(rows, width: int) -> tuple[dict[int, int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination over the rationals, row by row in order.
+
+    Returns {index of each row independent of the rows before it: its pivot
+    column}, stopping at rank ``width``, and the reduced rows in the same
+    order, each 1 at its own pivot and 0 at the others.
+    """
+    reduced: list[list[Fraction]] = []
+    pivots: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        v = [Fraction(x) for x in row]
+        for c, r in zip(pivots.values(), reduced):
+            if v[c]:
+                f = v[c]
+                v = [x - f * y for x, y in zip(v, r)]
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        v = [x / v[c] for x in v]
+        for r in reduced:
+            if r[c]:
+                f = r[c]
+                r[:] = [x - f * y for x, y in zip(r, v)]
+        reduced.append(v)
+        pivots[i] = c
+    return pivots, reduced
+
+
+def _null_space(rows, width: int) -> list[tuple[int, ...]]:
+    """A basis of {y : r.y = 0 for each row r}, as primitive integer vectors,
+    one per column without a pivot."""
+    pivots, reduced = _rref(rows, width)
+    basis = []
+    for free in range(width):
+        if free in pivots.values():
+            continue
+        y = [Fraction(int(k == free)) for k in range(width)]
+        for c, r in zip(pivots.values(), reduced):
+            y[c] = -r[free]
+        basis.append(_integer_row(y))
+    return basis
 
 
 _BOX_PAD = 64 * np.finfo(float).eps
@@ -302,9 +421,9 @@ def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
                      rng: np.random.Generator) -> tuple[float, float]:
     """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s,
     with its standard error, sampled uniformly in the slice's bounding box.
-    The box comes from the polytope's vertices, enumerated on the first
-    call, so slicing solves no LP; an empty slice or a polytope without
-    interior gives 0."""
+    The box comes from the polytope's exact vertices, enumerated on the
+    first call and rounded to floats; an empty slice or a polytope without
+    interior (decided exactly) gives 0."""
     if n < 1:
         raise ValueError("sample count must be positive")
     a, b = p._system

@@ -272,3 +272,65 @@ def test_report_json_shape():
     assert doc["log_concave"] is False
     assert len(doc["intervals"]) == 1
     assert doc["witnesses"][0][1] > 0
+
+
+# ---------------------------------------------------------------------------
+# the parametric family f = 1 + (c1 - t)(c2 - t), against its closed form
+# ---------------------------------------------------------------------------
+
+def _family(c1: Fraction, c2: Fraction) -> Poly:
+    return Poly(1, {(2,): 1, (1,): -(c1 + c2), (0,): 1 + c1 * c2})
+
+
+def _family_violation(c1: Fraction, c2: Fraction, lo: Fraction, hi: Fraction):
+    """(log f)'' > 0 exactly where g = 2(1 - (c1-c2)^2/4) - 2(t - s/2)^2 > 0:
+    the interval s/2 -/+ sqrt(1 - (c1-c2)^2/4), clipped to the window, and
+    nowhere when |c1 - c2| >= 2."""
+    rest = 1 - (c1 - c2) ** 2 / 4
+    if rest <= 0:
+        return []
+    mid, r = float(c1 + c2) / 2, math.sqrt(rest)
+    a, b = max(float(lo), mid - r), min(float(hi), mid + r)
+    return [(a, b)] if a < b else []
+
+
+def test_family_violation_set_matches_closed_form():
+    rng = random.Random(1996)
+    checked = 0
+    for _ in range(300):
+        c1, c2 = (Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(2))
+        mid = (c1 + c2) / 2
+        lo = mid + Fraction(rng.randint(-24, 24), rng.randint(1, 8))
+        hi = lo + Fraction(rng.randint(1, 32), rng.randint(1, 8))
+        f = _family(c1, c2)
+        # f is a convex quadratic: its minimum on [lo, hi] is at the clamped vertex
+        if f.evaluate_exact((min(max(mid, lo), hi),)) <= 0:
+            with pytest.raises(DomainError):
+                analytic_logconcavity(f, (lo, hi))
+            continue
+        report = analytic_logconcavity(f, (lo, hi))
+        want = _family_violation(c1, c2, lo, hi)
+        assert len(report.violation_intervals) == len(want), (c1, c2, lo, hi)
+        for got, expected in zip(report.violation_intervals, want):
+            assert got == pytest.approx(expected, abs=1e-9), (c1, c2, lo, hi)
+        assert report.log_concave == (not want)
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("c1, c2", [(Fraction(1), Fraction(3)),
+                                    (Fraction(1, 3), Fraction(7, 3))])
+def test_family_boundary_double_root(c1, c2):
+    # |c1 - c2| = 2: f = (t - s/2)^2, so g = -2 (t - s/2)^2 <= 0 off the root
+    mid = (c1 + c2) / 2
+    f = _family(c1, c2)
+    assert f == Poly(1, {(2,): 1, (1,): -2 * mid, (0,): mid ** 2})
+    for window in ((mid + Fraction(1, 2), mid + 2), (mid - 2, mid - Fraction(1, 10**9))):
+        report = analytic_logconcavity(f, window)
+        assert report.log_concave and report.violation_intervals == ()
+    # window ends are read as floats, so a window may end on the root only
+    # where s/2 is one
+    touching = ((mid, mid + 1), (mid - 1, mid)) if float(mid) == mid else ()
+    for window in ((mid - 1, mid + 1), *touching):
+        with pytest.raises(DomainError):
+            analytic_logconcavity(f, window)

@@ -2,9 +2,11 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.spatial
 
 import dhlab.toric
@@ -138,8 +140,12 @@ def _box(lower, upper, scale=1.0):
     return HPolytope(dim, tuple(halfspaces))
 
 
+def _rounded(points) -> set:
+    return {tuple(v) for v in np.round(np.asarray(points, dtype=float), 9) + 0.0}
+
+
 def _vertex_set(p: HPolytope) -> set:
-    return {tuple(v) for v in np.round(p._vertices, 9) + 0.0}
+    return _rounded(p._vertices)
 
 
 def test_octahedron_vertices_despite_degeneracy():
@@ -174,22 +180,21 @@ def test_redundant_halfspaces_keep_the_cube(extra):
     assert np.allclose(profile.volumes, 1.0, rtol=1e-12, atol=0)
 
 
-def test_polytope_without_interior_has_zero_profile(monkeypatch):
+def test_polytope_without_interior_has_zero_profile():
     # the unit cube cut to the plane x + y = 1: nonempty and bounded, not
     # flat along axis 0, but every slice is a segment of area 0
     plane = HPolytope(3, CUBE3.halfspaces + (((1.0, 1.0, 0.0), 1.0),
                                              ((-1.0, -1.0, 0.0), -1.0)))
-
-    def no_qhull(*args, **kwargs):
-        raise AssertionError("Qhull called for a polytope without interior")
-
-    monkeypatch.setattr(scipy.spatial, "HalfspaceIntersection", no_qhull)
+    vertices, directions = plane._vrep
+    assert set(vertices) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
+    assert directions == []
     profile = slice_profile(plane, 0, bins=8, method="mc", mc_n=2000)
     assert plane._vertices.shape == (0, 3)
     assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
 
 
 def test_mc_profile_lp_count_does_not_grow_with_bins(monkeypatch):
+    # the vertices come from exact enumeration, so no profile solves an LP
     solve = dhlab.toric.linprog
     calls = []
 
@@ -203,7 +208,106 @@ def test_mc_profile_lp_count_does_not_grow_with_bins(monkeypatch):
         calls.clear()
         slice_profile(HPolytope(3, SIMPLEX3.halfspaces), 0, bins, method="mc", mc_n=1000)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2 * 3 + 3
+    assert counts == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# exact vertex enumeration
+# ---------------------------------------------------------------------------
+
+def _qhull_vertices(p: HPolytope) -> np.ndarray:
+    """Qhull's vertices, from an interior point: the Chebyshev centre."""
+    a, b = p._system
+    norms = np.linalg.norm(a, axis=1)
+    ball = scipy.optimize.linprog(np.r_[np.zeros(p.dim), -1.0], A_ub=np.c_[a, norms],
+                                  b_ub=b, bounds=[(None, None)] * p.dim + [(0, None)])
+    return scipy.spatial.HalfspaceIntersection(np.c_[a, -b], ball.x[:-1]).intersections
+
+
+def _tangent_polytope(rng: np.random.Generator, dim: int, count: int) -> HPolytope:
+    """``count`` half-spaces tangent to the unit sphere, random normals."""
+    normals = rng.normal(size=(count, dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    return HPolytope(dim, tuple((tuple(n), 1.0) for n in normals))
+
+
+def test_vertices_match_qhull_on_random_polytopes():
+    rng = np.random.default_rng(1953)
+    for _ in range(50):
+        p = random_polytope(rng, int(rng.integers(2, 5)))
+        vertices, directions = p._vrep
+        assert directions == []
+        assert len(set(vertices)) == len(vertices)
+        assert _rounded(vertices) == _rounded(_qhull_vertices(p))
+
+
+@pytest.mark.parametrize("dim, count", [(3, 200), (4, 60)])
+def test_vertex_count_matches_qhull_at_stress_size(dim, count):
+    p = _tangent_polytope(np.random.default_rng(count), dim, count)
+    vertices, directions = p._vrep
+    assert directions == []
+    assert len(vertices) == len(_rounded(_qhull_vertices(p))) > count
+
+
+def test_vertices_are_exact_rationals():
+    # x + 2y <= 1 and 2x + y <= 1 meet at (1/3, 1/3), which no float is
+    kite = HPolytope(2, (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
+                         ((1.0, 2.0), 1.0), ((2.0, 1.0), 1.0)))
+    vertices, _ = kite._vrep
+    assert set(vertices) == {(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
+                             (Fraction(1, 3), Fraction(1, 3))}
+    assert all(isinstance(x, Fraction) for v in vertices for x in v)
+
+
+def test_segment_has_two_vertices():
+    segment = HPolytope(1, (((2.0,), 1.0), ((-4.0,), 1.0)))  # -1/4 <= x <= 1/2
+    assert sorted(segment._vrep[0]) == [(Fraction(-1, 4),), (Fraction(1, 2),)]
+    assert projection_range(segment, 0) == (-0.25, 0.5)
+    assert segment._vertices.shape == (2, 1)
+
+
+def test_slab_is_unbounded_only_along_its_line():
+    slab = HPolytope(2, (((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0)))  # 0 <= x <= 1
+    assert slab._vrep[1] == [(0, 1)]
+    assert projection_range(slab, 0) == (0.0, 1.0)
+    with pytest.raises(UnboundedPolytopeError, match="axis 1"):
+        projection_range(slab, 1)
+    with pytest.raises(UnboundedPolytopeError, match="axis 1"):
+        slab._vertices
+
+
+def test_recession_ray_names_its_axis():
+    # a quadrant corner: bounded below on both axes, unbounded above
+    corner = HPolytope(2, (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0), ((1.0, -1.0), 0.0)))
+    vertices, directions = corner._vrep
+    assert vertices == [(0, 0)]
+    assert sorted(directions) == [(0, 1), (1, 1)]
+    with pytest.raises(UnboundedPolytopeError, match="axis 0"):
+        projection_range(corner, 0)
+
+
+def test_no_halfspaces_is_unbounded_along_axis_0():
+    space = HPolytope(3, ())
+    with pytest.raises(UnboundedPolytopeError, match="axis 0"):
+        projection_range(space, 0)
+    with pytest.raises(UnboundedPolytopeError, match="axis 0"):
+        space._vertices
+
+
+def test_emptiness_takes_precedence_over_unboundedness():
+    # x <= 0 and x >= 1, with y free
+    empty = HPolytope(2, (((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)))
+    for axis in (0, 1):
+        with pytest.raises(EmptyPolytopeError):
+            projection_range(empty, axis)
+    with pytest.raises(EmptyPolytopeError):
+        empty._vertices
+
+
+def test_zero_normal_with_negative_offset_is_empty():
+    # 0.x <= -1 holds nowhere, however bounded the rest
+    with pytest.raises(EmptyPolytopeError):
+        projection_range(HPolytope(2, SQUARE.halfspaces + (((0.0, 0.0), -1.0),)), 0)
 
 
 # ---------------------------------------------------------------------------
