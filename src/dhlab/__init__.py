@@ -1,6 +1,15 @@
 """Exact exterior calculus and Monte-Carlo machinery for moment-map
 pushforward (Duistermaat-Heckman) densities of circle actions, plus
-log-concavity analysis and the toric slice-volume baseline."""
+log-concavity analysis and the toric slice-volume baseline.
+
+The exact modules (``construction``, ``exterior``, ``logconcavity``) are
+imported with the package.  The names from ``measure`` and ``toric`` are
+resolved on first access through a module ``__getattr__``, because those
+modules import numpy: ``import dhlab``, ``dhlab verify`` and ``dhlab
+logconcavity`` run without loading it, while ``from dhlab import
+HPolytope`` and ``from dhlab import *`` work as before."""
+
+from importlib import import_module
 
 from .construction import (
     CutWindow,
@@ -40,28 +49,35 @@ from .logconcavity import (
     concavity_discriminant,
     discrete_logconcavity,
 )
-from .measure import (
-    ComparisonReport,
-    DensityEstimate,
-    EmptyMeasureError,
-    Histogram,
-    SamplerConfig,
-    compare,
-    normalize,
-    sample_pushforward,
-)
-from .toric import (
-    EmptyPolytopeError,
-    HPolytope,
-    InsufficientDataError,
-    SliceVolumeFn,
-    UnboundedPolytopeError,
-    prekopa_check,
-    projection_range,
-    slice_profile,
-    slice_volume_exact_2d,
-    suggested_tolerance,
-)
+
+# public name -> the numpy-backed submodule that defines it
+_LAZY = {
+    name: module
+    for module, names in (
+        ("measure", ("ComparisonReport", "DensityEstimate", "EmptyMeasureError",
+                     "Histogram", "SamplerConfig", "compare", "normalize",
+                     "sample_pushforward")),
+        ("toric", ("EmptyPolytopeError", "HPolytope", "InsufficientDataError",
+                   "SliceVolumeFn", "UnboundedPolytopeError", "prekopa_check",
+                   "projection_range", "slice_profile", "slice_volume_exact_2d",
+                   "suggested_tolerance")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

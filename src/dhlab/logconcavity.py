@@ -15,13 +15,16 @@ when the report carries no violation intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .exterior import DimensionError, Poly, positive_on, root_brackets
+
+# The samples discrete_logconcavity accepts: within this range the products
+# f(s-h) f(s+h) and f(s)^2 are finite normal floats.
+SAMPLE_MIN, SAMPLE_MAX = 2.0 ** -511, 2.0 ** 511
 
 
 class DomainError(ValueError):
@@ -73,35 +76,41 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
     Index i is flagged when f(s_i)^2 < f(s_{i-1}) f(s_{i+1}) (1 - tol); runs
     of adjacent flagged indices merge into violation intervals.  ``tol`` is
     a relative (multiplicative) slack, so the verdict is invariant under
-    positive rescaling of f.
+    positive rescaling of f that keeps every sample in [2**-511, 2**511],
+    where every product of two samples is a finite normal float.  A sample
+    outside that range, nonpositive or non-finite raises DomainError naming
+    its s.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     pts = [(float(s), float(v)) for s, v in samples]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 samples, got {len(pts)}")
-    s = np.array([p[0] for p in pts])
-    f = np.array([p[1] for p in pts])
-    bad = ~(np.isfinite(s) & np.isfinite(f) & (f > 0))
-    if np.any(bad):
-        at = float(s[int(np.argmax(bad))])
-        raise DomainError(f"nonpositive or non-finite sample at s={at}; log undefined")
-    gaps = np.diff(s)
-    h = gaps[0]
-    if h <= 0 or np.any(np.abs(gaps - h) > 1e-9 * max(abs(h), 1.0)):
+    for x, fx in pts:
+        if not (math.isfinite(x) and math.isfinite(fx) and fx > 0):
+            raise DomainError(f"nonpositive or non-finite sample at s={x}; log undefined")
+        if not SAMPLE_MIN <= fx <= SAMPLE_MAX:
+            raise DomainError(f"sample f={fx!r} at s={x} lies outside [2**-511, 2**511], "
+                              f"where the midpoint products overflow or underflow")
+    s = [p[0] for p in pts]
+    f = [p[1] for p in pts]
+    h = s[1] - s[0]
+    if h <= 0 or any(abs(b - a - h) > 1e-9 * max(abs(h), 1.0) for a, b in zip(s, s[1:])):
         raise ValueError("samples must sit on an ascending uniform grid")
 
-    surplus = f[:-2] * f[2:] * (1.0 - tol) - f[1:-1] ** 2
-    flagged = np.flatnonzero(surplus > 0) + 1
+    flagged = [i for i in range(1, len(f) - 1)
+               if f[i - 1] * f[i + 1] * (1.0 - tol) - f[i] * f[i] > 0]
 
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[float, float]] = []
     for run in _runs(flagged):
-        intervals.append((float(s[run[0]]), float(s[run[-1]])))
-        # strongest violation in the run, on the scale-free surplus
-        ratios = [(f[i - 1] * f[i + 1] - f[i] ** 2) / f[i] ** 2 for i in run]
-        i = run[int(np.argmax(ratios))]
-        witnesses.append((float(s[i]), float(f[i - 1] * f[i + 1] - f[i] ** 2)))
+        intervals.append((s[run[0]], s[run[-1]]))
+        # strongest violation in the run, on the scale-free surplus.  Here f**2
+        # is libm's pow, which can differ from the flag test's f*f in the last
+        # bit; tests/golden pins the witness bits.
+        surplus = {i: f[i - 1] * f[i + 1] - f[i] ** 2 for i in run}
+        i = max(run, key=lambda i: surplus[i] / f[i] ** 2)
+        witnesses.append((s[i], surplus[i]))
     return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
 
 
@@ -151,11 +160,11 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
 # helpers
 # ---------------------------------------------------------------------------
 
-def _runs(indices: np.ndarray) -> list[list[int]]:
+def _runs(indices: list[int]) -> list[list[int]]:
     runs: list[list[int]] = []
     for i in indices:
         if runs and i == runs[-1][-1] + 1:
-            runs[-1].append(int(i))
+            runs[-1].append(i)
         else:
-            runs.append([int(i)])
+            runs.append([i])
     return runs

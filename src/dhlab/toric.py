@@ -56,7 +56,10 @@ class HPolytope:
             raise ValueError("polytope dimension must be >= 1")
         hs = []
         for k, (normal, offset) in enumerate(self.halfspaces):
-            normal, offset = tuple(float(v) for v in normal), float(offset)
+            try:
+                normal, offset = tuple(float(v) for v in normal), float(offset)
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"half-space {k} has a number beyond the float range") from None
             if len(normal) != self.dim:
                 raise ValueError(f"normal {normal} has length != dim {self.dim}")
             if not all(map(math.isfinite, (*normal, offset))):
@@ -105,8 +108,25 @@ class HPolytope:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HPolytope":
-        return HPolytope(int(data["dim"]),
-                         tuple((tuple(h["a"]), h["b"]) for h in data["halfspaces"]))
+        """The polytope of a ``{"dim": d, "halfspaces": [{"a": [...], "b": v},
+        ...]}`` document; raises ValueError naming the first field that is
+        missing or of the wrong type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        dim, halfspaces = data.get("dim"), data.get("halfspaces")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f'"dim" must be an integer, got {dim!r}')
+        if not isinstance(halfspaces, list):
+            raise ValueError(f'"halfspaces" must be a list, got {halfspaces!r}')
+        for k, h in enumerate(halfspaces):
+            if not isinstance(h, dict):
+                raise ValueError(f"half-space {k} must be an object, got {h!r}")
+            a, b = h.get("a"), h.get("b")
+            if not (isinstance(a, list) and all(map(_is_number, a))):
+                raise ValueError(f'"a" of half-space {k} must be a list of numbers, got {a!r}')
+            if not _is_number(b):
+                raise ValueError(f'"b" of half-space {k} must be a number, got {b!r}')
+        return HPolytope(dim, tuple((tuple(h["a"]), h["b"]) for h in halfspaces))
 
     @staticmethod
     def from_json(text: str) -> "HPolytope":
@@ -180,6 +200,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
         raise ValueError("method exact2d requires a 2-dimensional polytope")
     if bins < 1:
         raise ValueError("bins must be positive")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     lo, hi = projection_range(p, axis)
     if not lo < hi:
         raise InsufficientDataError(f"polytope is flat along axis {axis}: it projects to {lo}")
@@ -236,6 +258,10 @@ def suggested_tolerance(f: SliceVolumeFn, sigmas: float = 4.0) -> float:
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed),

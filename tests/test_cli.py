@@ -228,6 +228,19 @@ def test_logconcavity_rejects_nonfinite_sample(capsys, tmp_path, bad):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "0,2e-200\n1,1e-200\n2,2e-200\n",  # the products underflow to 0 and hide the dip
+    "0,1e300\n1,1\n2,1e300\n",  # the surplus overflows to inf, which JSON cannot hold
+])
+def test_logconcavity_rejects_samples_outside_float_range(capsys, tmp_path, text):
+    path = tmp_path / "scaled.csv"
+    path.write_text(text)
+    assert main(["logconcavity", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "s=0.0 lies outside [2**-511, 2**511]" in captured.err
+    assert captured.out == ""
+
+
 def test_logconcavity_requires_a_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["logconcavity"])
@@ -268,6 +281,39 @@ def test_toric_malformed_json(capsys, tmp_path):
     poly = tmp_path / "bad.json"
     poly.write_text("{not json")
     assert main(["toric", "--input", str(poly)]) == 2
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([], "JSON object"),
+    ({"dim": 2.5, "halfspaces": []}, '"dim"'),
+    ({"dim": "2", "halfspaces": []}, '"dim"'),
+    ({"dim": True, "halfspaces": []}, '"dim"'),
+    ({"dim": 2}, '"halfspaces"'),
+    ({"dim": 2, "halfspaces": {"a": [1, 1], "b": 1}}, '"halfspaces"'),
+    ({"dim": 2, "halfspaces": [[1, 1, 1]]}, "half-space 0"),
+    ({"dim": 2, "halfspaces": [{"b": 1}]}, '"a" of half-space 0'),
+    ({"dim": 2, "halfspaces": [{"a": [1, "1"], "b": 1}]}, '"a" of half-space 0'),
+    ({"dim": 2, "halfspaces": [{"a": [1, False], "b": 1}]}, '"a" of half-space 0'),
+    ({"dim": 2, "halfspaces": [{"a": [1, 1]}]}, '"b" of half-space 0'),
+    ({"dim": 2, "halfspaces": [{"a": [1, 1], "b": None}]}, '"b" of half-space 0'),
+    ({"dim": 2, "halfspaces": [{"a": [1, 1], "b": 10 ** 400}]}, "half-space 0"),
+])
+def test_toric_malformed_polytope_json_names_the_field(capsys, tmp_path, doc, field):
+    poly = tmp_path / "bad.json"
+    poly.write_text(json.dumps(doc))
+    assert main(["toric", "--input", str(poly)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad polytope JSON: ") and field in err
+
+
+@pytest.mark.parametrize("method", ["exact2d", "mc"])
+def test_toric_negative_seed_is_usage_error(capsys, method):
+    code = main(["toric", "--input", str(GOLDEN / "polygon.json"), "--method", method,
+                 "--seed", "-1", "--bins", "4", "--samples", "100"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "seed must be a nonnegative integer" in captured.err
+    assert captured.out == ""
 
 
 def test_toric_unbounded_polytope(capsys, tmp_path):
@@ -354,6 +400,47 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert done.stdout.strip() == "[]"
 
 
+def test_certify_commands_run_without_numpy(tmp_path):
+    # a None entry in sys.modules makes every "import numpy" raise
+    samples = tmp_path / "samples.csv"
+    samples.write_text("0,1\n1,2\n2,1\n")
+    script = f"""
+import contextlib, io, sys
+sys.modules["numpy"] = None
+import dhlab
+from dhlab.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["verify"]) == 0
+verify_stdout = out.getvalue()
+for argv, want in ((["logconcavity", "--analytic"], 3),
+                  (["logconcavity", "--input", {str(samples)!r}], 0)):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == want, argv
+sys.stdout.write(verify_stdout)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.encode() == (GOLDEN / "verify.stdout").read_bytes()
+
+
+def test_lazy_package_names():
+    import dhlab
+    import dhlab.toric
+
+    for name in dhlab.__all__:
+        assert getattr(dhlab, name) is not None, name
+    namespace: dict = {}
+    exec("from dhlab import *", namespace)
+    assert set(dhlab.__all__) <= set(namespace)
+    assert set(dhlab.__all__) <= set(dir(dhlab))
+    assert dhlab.HPolytope is dhlab.toric.HPolytope
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dhlab.no_such_name
+
+
 # ---------------------------------------------------------------------------
 # pinned output bytes
 # ---------------------------------------------------------------------------
@@ -380,3 +467,9 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
     assert main(["logconcavity", "--analytic"]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == \
         "log-concave: NO; violations on (1.633974596, 3.366025404)"
+
+    # the discrete route on a grid whose witness surplus f(s-h) f(s+h) - f(s)**2
+    # differs in its last bit from the one computed with f(s)*f(s)
+    assert main(["logconcavity", "--input", str(GOLDEN / "karshon_grid.csv")]) == 3
+    assert capsys.readouterr().out.encode() == \
+        (GOLDEN / "logconcavity_input.stdout").read_bytes()

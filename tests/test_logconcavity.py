@@ -156,6 +156,25 @@ def test_discrete_rejects_nonfinite_samples(bad):
         discrete_logconcavity([(0.0, 1.0), (float("nan"), 1.0), (0.2, 1.0)], tol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -511, 2.0 ** 510])
+def test_discrete_verdict_is_scale_invariant_in_float_range(scale):
+    samples = [(0.0, 2.0), (1.0, 1.0), (2.0, 2.0)]
+    want = discrete_logconcavity(samples, tol=1e-9)
+    got = discrete_logconcavity([(s, f * scale) for s, f in samples], tol=1e-9)
+    assert not want.log_concave
+    assert got.violation_intervals == want.violation_intervals
+
+
+@pytest.mark.parametrize("samples, at", [
+    ([(0.0, 2e-200), (1.0, 1e-200), (2.0, 2e-200)], "s=0.0"),  # products underflow to 0
+    ([(0.0, 1.0), (1.0, 1e300), (2.0, 1.0)], "s=1.0"),  # f**2 overflows
+    ([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0 ** -512)], "s=2.0"),
+])
+def test_discrete_rejects_samples_outside_float_range(samples, at):
+    with pytest.raises(DomainError, match=at):
+        discrete_logconcavity(samples, tol=1e-9)
+
+
 def test_discrete_rejects_nonuniform_grid():
     samples = [(0.0, 1.0), (0.1, 1.0), (0.35, 1.0)]
     with pytest.raises(ValueError):
