@@ -190,9 +190,12 @@ def cmd_logconcavity(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         try:
             result = discrete_logconcavity(samples, DISCRETE_TOL)
-        except (DomainError, ValueError) as exc:
+        except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAILURE
+        except ValueError as exc:  # not an ascending uniform grid
+            print(f"bad samples file: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     print(payload)

@@ -83,10 +83,6 @@ class CutWindow:
         if not 0 < self.lo < self.hi < math.inf:
             raise ValueError(f"cut window needs finite 0 < A < B, got ({self.lo}, {self.hi})")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class OmegaParams:

@@ -86,8 +86,9 @@ class Poly:
     """Multivariate polynomial with exact rational coefficients.
 
     Terms are a map from exponent vectors (one nonnegative integer per chart
-    variable) to nonzero ``Fraction`` coefficients; the zero polynomial is
-    the empty map.  For example, with three variables::
+    variable) to nonzero ``Fraction`` coefficients, built by :func:`_collect`,
+    the one place where zero terms are dropped; the zero polynomial is the
+    empty map.  For example, with three variables::
 
         {(2, 0, 1): Fraction(1), (0, 0, 0): Fraction(-5, 2)}
 
@@ -100,7 +101,7 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping | Iterable | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exps, coeff in items:
@@ -109,15 +110,9 @@ class Poly:
                     raise DimensionError(f"exponent vector {exps} has length != {nvars}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = Fraction(coeff)
-                if coeff:
-                    s = acc.get(exps, _ZERO) + coeff
-                    if s:
-                        acc[exps] = s
-                    else:
-                        acc.pop(exps, None)
+                pairs.append((exps, Fraction(coeff)))
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "terms", _collect(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -150,14 +145,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, _ZERO) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return _raw_poly(self.nvars, terms)
+        return _raw_poly(self.nvars, _collect([*self.terms.items(), *other.terms.items()]))
 
     __radd__ = __add__
 
@@ -177,25 +165,14 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            c = Fraction(other)
-            if not c:
-                return Poly(self.nvars)
-            return _raw_poly(self.nvars, {e: k * c for e, k in self.terms.items()})
-        if other.nvars != self.nvars:
-            raise DimensionError("polynomials over different variable counts")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        pairs = []
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, _ZERO) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return _raw_poly(self.nvars, acc)
+                pairs.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
+        return _raw_poly(self.nvars, _collect(pairs))
 
     __rmul__ = __mul__
 
@@ -227,17 +204,12 @@ class Poly:
         """Exact partial derivative with respect to the given variable."""
         if not 0 <= axis < self.nvars:
             raise DimensionError(f"axis {axis} out of range")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for exps, c in self.terms.items():
             e = exps[axis]
             if e:
-                ne = exps[:axis] + (e - 1,) + exps[axis + 1:]
-                s = acc.get(ne, _ZERO) + c * e
-                if s:
-                    acc[ne] = s
-                else:
-                    acc.pop(ne, None)
-        return _raw_poly(self.nvars, acc)
+                pairs.append((exps[:axis] + (e - 1,) + exps[axis + 1:], c * e))
+        return _raw_poly(self.nvars, _collect(pairs))
 
     def degree_in(self, axis: int) -> int:
         return max((e[axis] for e in self.terms), default=0)
@@ -326,6 +298,25 @@ class Poly:
 
 
 _ZERO = Fraction(0)
+
+
+def _collect(pairs: Iterable[tuple]) -> dict:
+    """Sum (key, coefficient) pairs by key into a term map without zeros.
+
+    A key whose sum cancels leaves the map and re-enters at the end if a
+    later pair brings it back; a first value is stored as it is.
+    """
+    acc: dict = {}
+    for k, v in pairs:
+        if k in acc:
+            v = acc[k] + v
+            if not v:
+                del acc[k]
+                continue
+        elif not v:
+            continue
+        acc[k] = v
+    return acc
 
 
 def _raw_poly(nvars: int, terms: dict) -> Poly:
@@ -491,7 +482,8 @@ class Form:
     """A degree-graded differential form on a chart.
 
     ``terms`` maps strictly ascending index tuples of length ``degree`` to
-    ``Poly`` coefficients; entries with zero coefficient are never stored.
+    nonzero ``Poly`` coefficients; :func:`_collect` builds every such map
+    and is the one place where zero terms are dropped.
     Equality is structural equality of the normalized term maps, which is
     exact because the canonical representation is unique.
     """
@@ -502,7 +494,7 @@ class Form:
                  terms: Mapping | Iterable | None = None):
         if degree < 0:
             raise ValueError("form degree must be nonnegative")
-        acc: dict[tuple[int, ...], Poly] = {}
+        pairs = []
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for idx, coeff in items:
@@ -519,14 +511,10 @@ class Form:
                     coeff = Poly.constant(chart.dim, coeff)
                 elif coeff.nvars != chart.dim:
                     raise DimensionError("coefficient polynomial has wrong variable count")
-                term = acc.get(key, Poly(chart.dim)) + coeff * sign
-                if term:
-                    acc[key] = term
-                else:
-                    acc.pop(key, None)
+                pairs.append((key, coeff if sign > 0 else -coeff))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "terms", _collect(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
@@ -554,14 +542,8 @@ class Form:
         self._check_chart(other)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for idx, p in other.terms.items():
-            s = terms.get(idx, Poly(self.chart.dim)) + p
-            if s:
-                terms[idx] = s
-            else:
-                terms.pop(idx, None)
-        return _raw_form(self.chart, self.degree, terms)
+        return _raw_form(self.chart, self.degree,
+                         _collect([*self.terms.items(), *other.terms.items()]))
 
     def __neg__(self) -> "Form":
         return _raw_form(self.chart, self.degree,
@@ -576,12 +558,8 @@ class Form:
             raise TypeError("use wedge() for products of forms")
         if not isinstance(scalar, Poly):
             scalar = Poly.constant(self.chart.dim, scalar)
-        terms = {}
-        for idx, p in self.terms.items():
-            q = p * scalar
-            if q:
-                terms[idx] = q
-        return _raw_form(self.chart, self.degree, terms)
+        return _raw_form(self.chart, self.degree,
+                         _collect((idx, p * scalar) for idx, p in self.terms.items()))
 
     __rmul__ = __mul__
 
@@ -670,20 +648,15 @@ def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Bilinear, associative, graded-commutative."""
     a._check_chart(b)
     degree = a.degree + b.degree
-    acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly(a.chart.dim)
+    pairs = []
     for ia, pa in a.terms.items():
         for ib, pb in b.terms.items():
             merged = _normalize_indices(ia + ib)
-            if merged is None:
-                continue
-            sign, key = merged
-            term = acc.get(key, zero) + pa * pb * sign
-            if term:
-                acc[key] = term
-            else:
-                acc.pop(key, None)
-    return _raw_form(a.chart, degree, acc)
+            if merged is not None:
+                sign, key = merged
+                p = pa * pb
+                pairs.append((key, p if sign > 0 else -p))
+    return _raw_form(a.chart, degree, _collect(pairs))
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -692,24 +665,15 @@ def exterior_derivative(a: Form) -> Form:
     Computed term-wise via exact partial differentiation of the coefficient
     polynomials; the derivative of a top-degree form is the zero form.
     """
-    dim = a.chart.dim
-    acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly(dim)
+    pairs = []
     for idx, p in a.terms.items():
-        for v in range(dim):
-            dp = p.partial(v)
-            if not dp:
-                continue
+        for v in range(a.chart.dim):
             merged = _normalize_indices((v,) + idx)
-            if merged is None:
-                continue
-            sign, key = merged
-            term = acc.get(key, zero) + dp * sign
-            if term:
-                acc[key] = term
-            else:
-                acc.pop(key, None)
-    return _raw_form(a.chart, a.degree + 1, acc)
+            if merged is not None:
+                sign, key = merged
+                dp = p.partial(v)
+                pairs.append((key, dp if sign > 0 else -dp))
+    return _raw_form(a.chart, a.degree + 1, _collect(pairs))
 
 
 def interior_product(a: Form, axis: int) -> Form:
@@ -724,19 +688,12 @@ def interior_product(a: Form, axis: int) -> Form:
         raise DimensionError(f"axis {axis} out of range for chart dim {a.chart.dim}")
     if a.degree == 0:
         return Form(a.chart, 0)
-    acc: dict[tuple[int, ...], Poly] = {}
-    zero = Poly(a.chart.dim)
+    pairs = []
     for idx, p in a.terms.items():
-        if axis not in idx:
-            continue
-        j = idx.index(axis)
-        key = idx[:j] + idx[j + 1:]
-        term = acc.get(key, zero) + (p if j % 2 == 0 else -p)
-        if term:
-            acc[key] = term
-        else:
-            acc.pop(key, None)
-    return _raw_form(a.chart, a.degree - 1, acc)
+        if axis in idx:
+            j = idx.index(axis)
+            pairs.append((idx[:j] + idx[j + 1:], p if j % 2 == 0 else -p))
+    return _raw_form(a.chart, a.degree - 1, _collect(pairs))
 
 
 def integrate_over_face(a: Form, axes: tuple[int, int]) -> Fraction:
@@ -758,9 +715,7 @@ def integrate_over_face(a: Form, axes: tuple[int, int]) -> Fraction:
             raise ValueError(f"axis {a.chart.names[ax]} is not periodic; not a closed face")
     key = (min(i, j), max(i, j))
     sign = 1 if i < j else -1
-    coeff = a.terms.get(key)
-    if coeff is None:
-        return Fraction(0)
+    coeff = a.coefficient(*key)
     if not coeff.is_constant():
         raise UnsupportedIntegrandError(
             f"coefficient of face {a.chart.names[i]}^{a.chart.names[j]} is not constant: {coeff}")

@@ -105,11 +105,9 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
     witnesses: list[tuple[float, float]] = []
     for run in _runs(flagged):
         intervals.append((s[run[0]], s[run[-1]]))
-        # strongest violation in the run, on the scale-free surplus.  Here f**2
-        # is libm's pow, which can differ from the flag test's f*f in the last
-        # bit; tests/golden pins the witness bits.
-        surplus = {i: f[i - 1] * f[i + 1] - f[i] ** 2 for i in run}
-        i = max(run, key=lambda i: surplus[i] / f[i] ** 2)
+        # strongest violation in the run, on the scale-free surplus
+        surplus = {i: f[i - 1] * f[i + 1] - f[i] * f[i] for i in run}
+        i = max(run, key=lambda i: surplus[i] / (f[i] * f[i]))
         witnesses.append((s[i], surplus[i]))
     return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
 

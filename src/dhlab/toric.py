@@ -95,11 +95,6 @@ class HPolytope:
             return np.empty((0, self.dim))
         return np.array(vertices, dtype=float)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        a, b = self._system
-        pts = np.atleast_2d(points)
-        return np.all(pts @ a.T <= b, axis=1)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

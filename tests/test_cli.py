@@ -241,6 +241,19 @@ def test_logconcavity_rejects_samples_outside_float_range(capsys, tmp_path, text
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", [
+    "0,1\n1,2\n3,3\n",  # uneven steps
+    "0,1\n0,2\n0,3\n",  # every row at s = 0
+])
+def test_logconcavity_malformed_grid_is_input_error(capsys, tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    assert main(["logconcavity", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "bad samples file: samples must sit on an ascending uniform grid\n"
+    assert captured.out == ""
+
+
 def test_logconcavity_requires_a_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["logconcavity"])
@@ -468,8 +481,8 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == \
         "log-concave: NO; violations on (1.633974596, 3.366025404)"
 
-    # the discrete route on a grid whose witness surplus f(s-h) f(s+h) - f(s)**2
-    # differs in its last bit from the one computed with f(s)*f(s)
+    # the discrete route on a grid whose witness surplus f(s-h) f(s+h) - f(s)*f(s)
+    # differs in its last bit from the one computed with libm's f(s)**2
     assert main(["logconcavity", "--input", str(GOLDEN / "karshon_grid.csv")]) == 3
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / "logconcavity_input.stdout").read_bytes()

@@ -303,3 +303,47 @@ def test_evaluate_exact_is_rational():
     val = RHO.evaluate_exact((Fraction(5, 2),))
     assert val == Fraction(3, 4)
     assert math.isclose(float(val), 0.75)
+
+
+# ---------------------------------------------------------------------------
+# zero coefficients are never stored
+# ---------------------------------------------------------------------------
+
+def _assert_no_zero_terms(x):
+    if isinstance(x, Form):
+        for p in x.terms.values():
+            assert p, f"zero coefficient stored in {x!r}"
+            _assert_no_zero_terms(p)
+    else:
+        assert all(isinstance(c, Fraction) and c for c in x.terms.values()), x.terms
+
+
+def test_operations_store_no_zero_coefficient():
+    rng = random.Random(8)
+    for _ in range(60):
+        # two variables and low degrees make cancelling sums and products common
+        p, q = random_poly(rng, 2), random_poly(rng, 2)
+        for r in (p + q, p - q, p - p, p + q - q, p * q, p * 0, 0 * p, p * (q - q),
+                  -p, p ** 2, p.partial(0), p.partial(1)):
+            _assert_no_zero_terms(r)
+        a, c = random_form(rng, CHART), random_form(rng, CHART)
+        b = random_form(rng, CHART, degree=a.degree)
+        f = random_poly(rng, CHART.dim)
+        for r in (a + b, a - b, a - a, a + (b - a), a * f, a * 0, a * (f - f), -a,
+                  wedge(a, c), wedge(a, a), wedge(c, a), exterior_derivative(a),
+                  exterior_derivative(exterior_derivative(a)),
+                  *(interior_product(a, i) for i in range(CHART.dim))):
+            _assert_no_zero_terms(r)
+
+
+def test_constructors_sum_a_key_that_cancels_and_returns():
+    p = Poly(1, [((1,), 1), ((1,), -1), ((1,), 2)])
+    assert p.terms == {(1,): Fraction(2)}
+    assert p == 2 * Poly.variable(1, 0)
+    assert Poly(1, [((1,), 1), ((1,), -1)]).terms == {}
+    assert Poly(2, [((0, 1), 0), ((1, 0), 3), ((0, 1), 0)]).terms == {(1, 0): Fraction(3)}
+
+    assert Form(CHART, 2, [((0, 1), 1), ((1, 0), 1)]).is_zero()
+    back = Form(CHART, 2, [((0, 1), 1), ((1, 0), 1), ((1, 0), -3)])
+    assert back == Form.basis(CHART, 0, 1, coeff=3)
+    _assert_no_zero_terms(back)

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,44 @@ def test_discrete_witnesses_are_sound():
     for witness_s, surplus in rep.witness_points:
         assert surplus > 0
         assert G_RHO.evaluate((witness_s,)) > 0
+
+
+def _profiles():
+    """(s, f) grids with violations: the golden Karshon grid, RHO on two
+    pitches, and seeded bumpy positive profiles."""
+    from dhlab.cli import _read_samples_csv
+    yield _read_samples_csv(Path(__file__).parent / "golden" / "karshon_grid.csv")
+    for h in (0.02, 0.01):
+        yield [(x, RHO.evaluate((x,))) for x in _grid(0.5, 4.5, h)]
+    rng = random.Random(8)
+    for _ in range(20):
+        yield [(k / 8, rng.uniform(0.1, 10.0)) for k in range(rng.randint(3, 40))]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_discrete_witness_is_the_surplus_that_flagged_it(tol):
+    # the witness surplus is f(s-h) f(s+h) - f(s)*f(s), the very products
+    # the flag test forms, so a reported witness is bit-identical to it
+    for samples in _profiles():
+        rep = discrete_logconcavity(samples, tol)
+        s = [x for x, _ in samples]
+        f = [v for _, v in samples]
+        assert len(rep.witness_points) == len(rep.violation_intervals)
+        for (ws, wg), (lo, hi) in zip(rep.witness_points, rep.violation_intervals):
+            i = s.index(ws)
+            assert lo <= ws <= hi
+            assert f[i - 1] * f[i + 1] * (1.0 - tol) - f[i] * f[i] > 0  # flagged
+            assert wg == f[i - 1] * f[i + 1] - f[i] * f[i]
+
+
+def test_karshon_grid_witness_uses_the_flag_square():
+    samples = list(_profiles())[0]
+    (ws, wg), = discrete_logconcavity(samples, 1e-9).witness_points
+    s = [x for x, _ in samples]
+    f = [v for _, v in samples]
+    i = s.index(ws)
+    assert wg == f[i - 1] * f[i + 1] - f[i] * f[i] == 0.002220351178180091
+    assert wg != f[i - 1] * f[i + 1] - f[i] ** 2  # libm pow differs in the last bit
 
 
 # ---------------------------------------------------------------------------

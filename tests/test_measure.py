@@ -23,6 +23,7 @@ from dhlab import (
 from helpers import iter_sample_chunks
 
 WINDOW = CutWindow(0.5, 4.5)
+WIDTH = WINDOW.hi - WINDOW.lo
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})
 FLAT_TOP = Poly.constant(6, 6)
 
@@ -68,7 +69,7 @@ def test_weight_ignores_fiber_coordinates():
 def test_flat_pushforward_is_uniform():
     cfg = SamplerConfig(1_000_000, 10, WINDOW, seed=7)
     est = normalize(sample_pushforward(FLAT_TOP, cfg))
-    target = 1.0 / WINDOW.width
+    target = 1.0 / WIDTH
     assert np.all(np.abs(est.density - target) <= 3 * est.stderr)
 
 
@@ -155,7 +156,7 @@ def test_fiber_coordinate_independence():
         kept = 0
         for pts, wts in iter_sample_chunks(VERIFIED_TOP, cfg):
             mask = (pts[:, cond_axis] >= lo) & (pts[:, cond_axis] < hi)
-            idx = ((pts[mask, 4] - WINDOW.lo) * (cfg.bins / WINDOW.width)).astype(int)
+            idx = ((pts[mask, 4] - WINDOW.lo) * (cfg.bins / WIDTH)).astype(int)
             np.clip(idx, 0, cfg.bins - 1, out=idx)
             ws += np.bincount(idx, weights=wts[mask], minlength=cfg.bins)
             w2 += np.bincount(idx, weights=wts[mask] ** 2, minlength=cfg.bins)
@@ -172,13 +173,13 @@ def test_fiber_coordinate_independence():
 
 def test_normalize_flat_weights():
     est = normalize(_manual_histogram([5.0] * 8))
-    assert np.allclose(est.density, 1.0 / WINDOW.width, atol=1e-15)
-    assert abs(np.sum(est.density) * (WINDOW.width / 8) - 1.0) <= 1e-12
+    assert np.allclose(est.density, 1.0 / WIDTH, atol=1e-15)
+    assert abs(np.sum(est.density) * (WIDTH / 8) - 1.0) <= 1e-12
 
 
 def test_normalize_single_spike():
     est = normalize(_manual_histogram([0, 0, 7.5, 0, 0]))
-    width = WINDOW.width / 5
+    width = WIDTH / 5
     assert est.density[2] == pytest.approx(1.0 / width)
     assert np.all(est.density[[0, 1, 3, 4]] == 0)
 
@@ -191,7 +192,7 @@ def test_normalize_rejects_empty_measure():
 def test_density_integrates_to_one():
     cfg = SamplerConfig(100_000, 40, WINDOW, seed=23)
     est = normalize(sample_pushforward(VERIFIED_TOP, cfg))
-    assert abs(float(np.sum(est.density)) * (WINDOW.width / 40) - 1.0) <= 1e-12
+    assert abs(float(np.sum(est.density)) * (WIDTH / 40) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
