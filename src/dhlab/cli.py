@@ -9,7 +9,10 @@ Exit codes are stable and distinct:
 * 3 - mathematical negative finding: log-concavity is violated
 
 Code 3 is deliberately separate from 1: a violated inequality is a finding,
-not a malfunction, and scripts need to tell them apart.  All randomized
+not a malfunction, and scripts need to tell them apart.  Only ``main`` turns
+an exception into a code: a DomainError (input with no result) gives 1, and
+input a command cannot use (an OSError on a named path, or another
+ValueError raised while reading user input) gives 2.  All randomized
 outputs embed their provenance (seed, sample count, window, parameters,
 generator name) in header comments, and identical configurations produce
 byte-identical files.
@@ -19,14 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .construction import (
     CutWindow,
-    DegenerateWindowError,
     OmegaParams,
     VerificationReport,
     analytic_dh_density,
@@ -35,11 +38,6 @@ from .construction import (
 )
 from .exterior import Form, Poly
 from .logconcavity import DomainError, analytic_logconcavity, discrete_logconcavity
-
-# .measure and .toric import numpy, so only the commands that sample or slice
-# (density and toric) import them, and verify and logconcavity start without it
-if TYPE_CHECKING:
-    from .measure import SamplerConfig
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -63,6 +61,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"cannot parse --params {' '.join(args.params)} as rationals")
     try:
         return args.run(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_FAILURE
 
@@ -76,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser):
+        # every option is long, so "-1/3" or "-1e3" is a value, never an option
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--window", nargs=2, type=float, default=[0.5, 4.5],
                        metavar=("A", "B"), help="moment-map cut window (default 0.5 4.5)")
         p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
@@ -129,12 +135,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.output is not None:
         doc = report.to_json_dict()
         doc["omega"] = omega.to_json()
-        args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report.all_passed else EXIT_FAILURE
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    from .measure import SamplerConfig, compare, env_threads, normalize, sample_pushforward
+    # .measure and .toric import numpy, so only density and toric import them,
+    # and verify and logconcavity start without it
+    from .measure import (GENERATOR_NAME, SamplerConfig, compare, env_threads, normalize,
+                          sample_pushforward)
 
     _, report = _construct_and_verify(args)
     if not report.all_passed:
@@ -146,16 +155,25 @@ def cmd_density(args: argparse.Namespace) -> int:
         top = report.top_power_poly
         analytic = analytic_dh_density(report, args.window)
 
-    try:
+    with _input("bad sampling configuration"):
         sampler = SamplerConfig(args.samples, args.bins, args.window, args.seed)
         threads = env_threads()
-    except ValueError as exc:
-        print(f"bad sampling configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     est = normalize(sample_pushforward(top, sampler, threads))
     comp = compare(est, analytic, args.window)
 
-    _emit(args.output, _density_csv_lines(est, comp, sampler, args))
+    lines = [
+        f"# dhlab density: generator={GENERATOR_NAME} seed={args.seed} "
+        f"samples={args.samples} bins={args.bins} "
+        f"window=[{args.window.lo!r},{args.window.hi!r}] "
+        f"params=[{args.params.c1},{args.params.c2}] flat={args.flat}",
+        "bin_center,analytic_density,mc_density,stderr,z_score",
+    ]
+    # analytic_density is the density at the bin centre; z_score measures the
+    # bin against the density's exact average over the bin
+    lines += [f"{c!r},{a!r},{d!r},{e!r},{z!r}" for c, a, d, e, z in
+              zip(est.bin_centers.tolist(), comp.centre_values.tolist(),
+                  est.density.tolist(), est.stderr.tolist(), comp.per_bin_z.tolist())]
+    _emit(args.output, lines)
     n_extreme = sum(abs(z) > 3 for z in comp.per_bin_z.tolist())
     print(f"max relative error {comp.max_rel_error:.4f} "
           f"(worst bin {comp.worst_bin} at t={est.bin_centers[comp.worst_bin]:.4g}); "
@@ -173,34 +191,16 @@ def cmd_logconcavity(args: argparse.Namespace) -> int:
         _, report = _construct_and_verify(args)
         if not report.all_passed:
             return EXIT_FAILURE
-        try:
-            density = analytic_dh_density(report, args.window)
-            result = analytic_logconcavity(density, (args.window.lo, args.window.hi))
-        except (DegenerateWindowError, DomainError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
+        density = analytic_dh_density(report, args.window)
+        result = analytic_logconcavity(density, (args.window.lo, args.window.hi))
     else:
-        try:
-            samples = _read_samples_csv(args.input)
-        except OSError as exc:
-            print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ValueError as exc:
-            print(f"bad samples file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            result = discrete_logconcavity(samples, DISCRETE_TOL)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        except ValueError as exc:  # not an ascending uniform grid
-            print(f"bad samples file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with _input("bad samples file"):  # unparsable rows, or not a uniform grid
+            result = discrete_logconcavity(_read_samples_csv(args.input), DISCRETE_TOL)
 
     payload = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.output is not None:
-        args.output.write_text(payload + "\n")
+        _write(args.output, payload + "\n")
     if result.log_concave:
         print("log-concave: yes")
         return EXIT_OK
@@ -210,35 +210,15 @@ def cmd_logconcavity(args: argparse.Namespace) -> int:
 
 
 def cmd_toric(args: argparse.Namespace) -> int:
-    from .toric import (EmptyPolytopeError, HPolytope, InsufficientDataError,
-                        UnboundedPolytopeError, prekopa_check, slice_profile,
-                        suggested_tolerance)
+    from .toric import HPolytope, prekopa_check, slice_profile, suggested_tolerance
 
-    try:
-        data = json.loads(args.input.read_text())
-        polytope = HPolytope.from_json_dict(data)
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:  # json.JSONDecodeError is one
-        print(f"bad polytope JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    with _input("bad polytope JSON"):  # json.JSONDecodeError is a ValueError
+        polytope = HPolytope.from_json(_read(args.input))
     method = args.method or ("exact2d" if polytope.dim == 2 else "mc")
-    try:
+    with _input("usage error"):  # incompatible method/axis/bins for this input
         profile = slice_profile(polytope, args.axis, args.bins, method=method,
                                 mc_n=args.samples, seed=args.seed)
-    except (UnboundedPolytopeError, EmptyPolytopeError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except ValueError as exc:  # incompatible method/axis/bins for this input
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = prekopa_check(profile, suggested_tolerance(profile))
-    except (InsufficientDataError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    result = prekopa_check(profile, suggested_tolerance(profile))
 
     lines = [
         f"# dhlab toric profile: axis={args.axis} bins={args.bins} method={method} "
@@ -263,6 +243,36 @@ def cmd_toric(args: argparse.Namespace) -> int:
 # helpers
 # ---------------------------------------------------------------------------
 
+class _InputError(Exception):
+    """Input a command cannot use: main prints the message and exits 2."""
+
+
+@contextmanager
+def _input(prefix: str):
+    """Raise a ValueError from the block as an _InputError reading
+    ``prefix: message``; a DomainError passes through to main."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise _InputError(f"{prefix}: {exc}") from exc
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _construct_and_verify(args: argparse.Namespace) -> tuple[Form, VerificationReport]:
     """The standard construction and its verify battery, with each failed
     identity named on stderr."""
@@ -273,36 +283,17 @@ def _construct_and_verify(args: argparse.Namespace) -> tuple[Form, VerificationR
     return omega, report
 
 
-def _density_csv_lines(est, comp, sampler: SamplerConfig, args: argparse.Namespace) -> list[str]:
-    from .measure import GENERATOR_NAME
-
-    lines = [
-        f"# dhlab density: generator={GENERATOR_NAME} seed={sampler.seed} "
-        f"samples={sampler.sample_count} bins={sampler.bins} "
-        f"window=[{args.window.lo!r},{args.window.hi!r}] "
-        f"params=[{args.params.c1},{args.params.c2}] flat={args.flat}",
-        "bin_center,analytic_density,mc_density,stderr,z_score",
-    ]
-    # analytic_density is the density at the bin centre; z_score measures the
-    # bin against the density's exact average over the bin
-    for c, a, d, e, z in zip(est.bin_centers.tolist(), comp.centre_values.tolist(),
-                             est.density.tolist(), est.stderr.tolist(),
-                             comp.per_bin_z.tolist()):
-        lines.append(f"{c!r},{a!r},{d!r},{e!r},{z!r}")
-    return lines
-
-
 def _emit(output: Path | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
-        output.write_text(text)
+        _write(output, text)
 
 
 def _read_samples_csv(path: Path) -> list[tuple[float, float]]:
     samples: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

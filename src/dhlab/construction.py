@@ -46,6 +46,7 @@ from .exterior import (
     positive_on,
     wedge,
 )
+from .logconcavity import DomainError
 
 # Canonical chart layout: four periodic base coordinates, then the moment
 # map value t, then the fibre angle.
@@ -68,7 +69,7 @@ class GaugeError(ValueError):
         self.residual = residual
 
 
-class DegenerateWindowError(ValueError):
+class DegenerateWindowError(DomainError):
     """Raised when a density is requested on a window where the form degenerates."""
 
 

@@ -28,7 +28,9 @@ SAMPLE_MIN, SAMPLE_MAX = 2.0 ** -511, 2.0 ** 511
 
 
 class DomainError(ValueError):
-    """Raised when a density is not strictly positive where it must be."""
+    """Raised when well-formed input has no result: a density not strictly
+    positive where it must be, a degenerate window, an empty or unbounded
+    polytope, too few bins.  dhlab raises no other class for that."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,8 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
     s = [p[0] for p in pts]
     f = [p[1] for p in pts]
     h = s[1] - s[0]
-    if h <= 0 or any(abs(b - a - h) > 1e-9 * max(abs(h), 1.0) for a, b in zip(s, s[1:])):
+    slack = 1e-9 * h + 8 * math.ulp(max(map(abs, s)))  # plus the rounding of s
+    if h <= 0 or any(abs(b - a - h) > slack for a, b in zip(s, s[1:])):
         raise ValueError("samples must sit on an ascending uniform grid")
 
     flagged = [i for i in range(1, len(f) - 1)

@@ -30,13 +30,14 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .construction import CutWindow, DegenerateWindowError
 from .exterior import Poly
+from .logconcavity import DomainError
 
 GENERATOR_NAME = "philox4x64-10(8 words/sample)"
 _WORDS_PER_SAMPLE = 8
 _TICKS_PER_SAMPLE = 2  # 8 words = 2 philox counter blocks of 4
 
 
-class EmptyMeasureError(ValueError):
+class EmptyMeasureError(DomainError):
     """Raised when a histogram carries no positive weight to normalize."""
 
 
@@ -154,9 +155,11 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
 
     if threads is None:
         threads = env_threads()
+    elif threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     # a pool even for one thread: a worker's allocator reuses the chunk
     # temporaries, where the calling thread page-faults them in afresh
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(starts)))) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         partials = list(pool.map(one_chunk, starts))
 
     # merge in ascending chunk order, compensated per bin
@@ -175,12 +178,15 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
 
 def env_threads() -> int:
     """Sampler threads from DH_LAB_THREADS (1 if unset or empty); a value
-    that is not an integer raises ValueError."""
+    that is not a positive integer raises ValueError."""
     raw = os.environ.get("DH_LAB_THREADS", "")
     try:
-        return int(raw or "1")
+        threads = int(raw or "1")
     except ValueError:
         raise ValueError(f"DH_LAB_THREADS must be an integer, not {raw!r}") from None
+    if threads < 1:
+        raise ValueError(f"DH_LAB_THREADS must be a positive integer, not {raw!r}")
+    return threads
 
 
 def normalize(h: Histogram) -> DensityEstimate:

@@ -29,18 +29,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .logconcavity import ViolationReport, discrete_logconcavity
+from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
 
 
-class UnboundedPolytopeError(ValueError):
+class UnboundedPolytopeError(DomainError):
     """Raised when an operation needs a bounded polytope."""
 
 
-class EmptyPolytopeError(ValueError):
+class EmptyPolytopeError(DomainError):
     """Raised when the half-space system has no solution."""
 
 
-class InsufficientDataError(ValueError):
+class InsufficientDataError(DomainError):
     """Raised when a profile has too few positive bins to test."""
 
 
@@ -160,11 +160,12 @@ def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
     """Length of the slice of a planar polytope at a fixed axis value.
 
     Each half-space restricts the free coordinate to a half-line; the slice
-    is their intersection interval (empty slices have length 0).
-    """
+    is their intersection interval (empty slices have length 0).  Raises
+    UnboundedPolytopeError if the polytope is unbounded along the free axis."""
     if p.dim != 2:
         raise ValueError("exact slicing is implemented for dim = 2 only")
     other = 1 - axis
+    _check_bounded(p._vrep[1], other)
     lo, hi = -np.inf, np.inf
     for normal, offset in p.halfspaces:
         c = offset - normal[axis] * s
@@ -175,8 +176,6 @@ def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
             lo = max(lo, c / a)
         elif c < 0:
             return 0.0
-    if not np.isfinite(hi - lo):
-        raise UnboundedPolytopeError("slice is unbounded; polytope is not bounded")
     return float(max(hi - lo, 0.0))
 
 

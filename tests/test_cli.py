@@ -85,6 +85,19 @@ def test_verify_bad_params_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_params_take_negative_rationals(capsys):
+    # argparse read "-1/3" as an option; (c1, c2) = (-1/3, 9/4) is
+    # nondegenerate on [2, 4.5]
+    argv = ["--window", "2", "4.5", "--samples", "200000", "--bins", "8"]
+    assert main(["verify", *argv[:3], "--params", "-1/3", "9/4"]) == 0
+    capsys.readouterr()
+    assert main(["density", *argv, "--params", "-1/3", "9/4"]) == 0
+    minus = capsys.readouterr().out
+    assert main(["density", *argv, "--params", " -1/3", "9/4"]) == 0
+    assert minus == capsys.readouterr().out
+    assert "params=[-1/3,9/4]" in minus
+
+
 def test_verify_degenerate_params_fail(capsys):
     # (c1, c2) = (0, 5) degenerates inside (0.1, 1.0)
     code = main(["verify", "--params", "0", "5", "--window", "0.1", "1.0"])
@@ -159,7 +172,7 @@ def test_density_flat_mode(capsys, tmp_path):
     assert np.allclose(rows[:, 2], 0.25, atol=0.01)
 
 
-@pytest.mark.parametrize("threads", ["two", "1.5"])
+@pytest.mark.parametrize("threads", ["two", "1.5", "0", "-3"])
 def test_density_non_integer_threads_is_usage_error(capsys, monkeypatch, threads):
     monkeypatch.setenv("DH_LAB_THREADS", threads)
     assert main(["density", "--samples", "20000", "--bins", "8"]) == 2
@@ -244,6 +257,7 @@ def test_logconcavity_rejects_samples_outside_float_range(capsys, tmp_path, text
 @pytest.mark.parametrize("text", [
     "0,1\n1,2\n3,3\n",  # uneven steps
     "0,1\n0,2\n0,3\n",  # every row at s = 0
+    "0,1\n1e-12,1\n6e-10,1\n9e-10,5\n9.5e-10,1\n",  # uneven steps all below 1e-9
 ])
 def test_logconcavity_malformed_grid_is_input_error(capsys, tmp_path, text):
     path = tmp_path / "grid.csv"
@@ -411,6 +425,82 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_no_result_errors_are_domain_errors():
+    import dhlab
+
+    for name in ("DegenerateWindowError", "EmptyMeasureError", "EmptyPolytopeError",
+                 "InsufficientDataError", "UnboundedPolytopeError"):
+        assert issubclass(getattr(dhlab, name), dhlab.DomainError), name
+    assert issubclass(dhlab.DomainError, ValueError)
+
+
+# one input per documented error: (argv, DH_LAB_THREADS, exit code, stderr start);
+# {tmp} is a directory holding the files that _BAD_INPUT_FILES names
+_POLYGON = str(GOLDEN / "polygon.json")
+_NO_DIR = "{tmp}/no_such_dir/out"
+_BAD_INPUTS = {
+    "nonfinite window": (["verify", "--window", "0.5", "inf"], None, 2, "usage: dhlab"),
+    "unparsable params": (["verify", "--params", "1/0", "3"], None, 2, "usage: dhlab"),
+    "verify output": (["verify", "--output", _NO_DIR], None, 2, f"cannot write {_NO_DIR}: "),
+    "density output": (["density", "--samples", "20000", "--bins", "8", "--output", _NO_DIR],
+                       None, 2, f"cannot write {_NO_DIR}: "),
+    "logconcavity output": (["logconcavity", "--analytic", "--output", _NO_DIR], None, 2,
+                            f"cannot write {_NO_DIR}: "),
+    "toric output": (["toric", "--input", _POLYGON, "--output", _NO_DIR], None, 2,
+                     f"cannot write {_NO_DIR}: "),
+    "missing samples": (["logconcavity", "--input", "{tmp}/missing.csv"], None, 2,
+                        "cannot read {tmp}/missing.csv: "),
+    "undecodable samples": (["logconcavity", "--input", "{tmp}/latin1.csv"], None, 2,
+                            "bad samples file: 'utf-8' codec can't decode"),
+    "malformed samples": (["logconcavity", "--input", "{tmp}/short.csv"], None, 2,
+                          "bad samples file: line 2: expected 's,f' columns"),
+    "off-grid samples": (["logconcavity", "--input", "{tmp}/offgrid.csv"], None, 2,
+                         "bad samples file: samples must sit on an ascending uniform grid"),
+    "malformed polytope": (["toric", "--input", "{tmp}/bad.json"], None, 2,
+                           "bad polytope JSON: "),
+    "nonfinite polytope": (["toric", "--input", "{tmp}/nan.json"], None, 2,
+                           "bad polytope JSON: half-space 0 is not finite"),
+    "unbounded polytope": (["toric", "--input", "{tmp}/slab.json"], None, 1,
+                           "error: polytope is unbounded along axis 1"),
+    "flat polytope": (["toric", "--input", "{tmp}/flat.json"], None, 1,
+                      "error: polytope is flat along axis 0"),
+    "zero threads": (["density", "--samples", "20000", "--bins", "8"], "0", 2,
+                     "bad sampling configuration: DH_LAB_THREADS must be a positive "
+                     "integer, not '0'"),
+    "negative density seed": (["density", "--seed", "-1"], None, 2,
+                              "bad sampling configuration: seed must be a nonnegative"),
+    "negative toric seed": (["toric", "--input", _POLYGON, "--seed", "-1"], None, 2,
+                            "usage error: seed must be a nonnegative"),
+}
+_BAD_INPUT_FILES = {
+    "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),
+    "short.csv": b"0,1\n1\n2,1\n",
+    "offgrid.csv": b"0,1\n1e-12,1\n6e-10,1\n9e-10,5\n9.5e-10,1\n",
+    "bad.json": b"{not json",
+    "nan.json": b'{"dim": 1, "halfspaces": [{"a": [NaN], "b": 1}]}',
+    "slab.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0}]}',
+    "flat.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 0}, {"a": [-1, 0], "b": 0},'
+                 b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS)
+def test_documented_bad_input_exits_without_traceback(tmp_path, case):
+    argv, threads, code, err = _BAD_INPUTS[case]
+    for name, data in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("DH_LAB_THREADS", None)
+    if threads is not None:
+        env["DH_LAB_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-m", "dhlab.cli",
+                           *(a.format(tmp=tmp_path) for a in argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(err.format(tmp=tmp_path)), done.stderr
 
 
 def test_certify_commands_run_without_numpy(tmp_path):

@@ -182,6 +182,25 @@ def test_discrete_rejects_nonuniform_grid():
         discrete_logconcavity(samples, tol=1e-9)
 
 
+def test_discrete_grid_check_is_relative_to_the_step():
+    # steps of 1e-12, 6e-10, 3e-10 and 5e-11 are no uniform grid at any scale;
+    # a bound of 1e-9 absolute let them through where s is below 1
+    s = [0.0, 1e-12, 6e-10, 9e-10, 9.5e-10]
+    f = [1.0, 1.0, 1.0, 5.0, 1.0]
+    for scale in (1.0, 1e12):
+        with pytest.raises(ValueError, match="uniform grid"):
+            discrete_logconcavity([(x * scale, v) for x, v in zip(s, f)], tol=1e-9)
+
+
+@pytest.mark.parametrize("lo", [1e6, 2.0 ** 40])
+def test_discrete_accepts_offset_bin_centres(lo):
+    # slice_profile's centres of 40 bins on [lo, lo + 1] round by up to 2 ulps
+    # of lo: at 1e6 their steps differ by 2.3e-10, 9.3e-9 of the step
+    edges = np.linspace(lo, lo + 1, 41)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    assert discrete_logconcavity([(c, 1.0) for c in centres], tol=1e-9).log_concave
+
+
 def test_discrete_needs_three_samples():
     with pytest.raises(ValueError):
         discrete_logconcavity([(0.0, 1.0), (0.1, 1.0)], tol=1e-9)

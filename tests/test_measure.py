@@ -93,6 +93,16 @@ def test_sampler_preconditions():
         SamplerConfig(5, 10, WINDOW, seed=1)  # fewer samples than bins
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sampler_rejects_fewer_than_one_thread(threads, monkeypatch):
+    cfg = SamplerConfig(1_000, 10, WINDOW, seed=1)
+    with pytest.raises(ValueError, match="threads must be positive"):
+        sample_pushforward(VERIFIED_TOP, cfg, threads=threads)
+    monkeypatch.setenv("DH_LAB_THREADS", str(threads))
+    with pytest.raises(ValueError, match=f"positive integer, not '{threads}'"):
+        sample_pushforward(VERIFIED_TOP, cfg)
+
+
 def test_sampler_refuses_negative_weights():
     # t - 3 is negative on part of the window: not a verified Liouville density
     bad_top = Poly(6, {(0, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 0): -3})

@@ -87,6 +87,15 @@ def test_slice_outside_is_zero():
     assert slice_volume_exact_2d(SIMPLEX2, 0, -0.5) == 0.0
 
 
+def test_exact_slice_of_slab_names_the_unbounded_axis():
+    slab = HPolytope(2, (((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0)))  # 0 <= x <= 1
+    with pytest.raises(UnboundedPolytopeError, match="axis 1"):
+        slice_volume_exact_2d(slab, 0, 0.5)
+    for method in ("exact2d", "mc"):
+        with pytest.raises(UnboundedPolytopeError, match="axis 1"):
+            slice_profile(slab, 0, 8, method=method, mc_n=100)
+
+
 def test_exact_slice_requires_dim_2():
     with pytest.raises(ValueError):
         slice_volume_exact_2d(CUBE3, 0, 0.5)
