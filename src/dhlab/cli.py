@@ -12,16 +12,17 @@ Code 3 is deliberately separate from 1: a violated inequality is a finding,
 not a malfunction, and scripts need to tell them apart.  Only ``main`` turns
 an exception into a code: a DomainError (input with no result) gives 1, and
 input a command cannot use (an OSError on a named path, or another
-ValueError raised while reading user input) gives 2.  All randomized
-outputs embed their provenance (seed, sample count, window, parameters,
-generator name) in header comments, and identical configurations produce
-byte-identical files.
+ValueError raised while reading user input) gives 2.  This module alone reads
+argv and the environment.  All randomized outputs embed their provenance
+(seed, sample count, window, parameters, generator name) in header comments,
+and identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -51,15 +52,18 @@ DENSITY_GATE = 0.03
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if "window" in vars(args):
+        try:
+            args.window = CutWindow(*args.window)
+        except ValueError as exc:
+            parser.error(str(exc))  # exits 2
+        try:
+            args.params = OmegaParams(*map(Fraction, args.params))
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"cannot parse --params {' '.join(args.params)} as rationals")
     try:
-        args.window = CutWindow(*args.window)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        args.params = OmegaParams(*map(Fraction, args.params))
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"cannot parse --params {' '.join(args.params)} as rationals")
-    try:
+        if args.output is not None:
+            _write(args.output, "", "a")  # fail before the work; "a" truncates nothing
         return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -79,41 +83,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "slice-volume baselines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def command(name: str, run, help: str, window=False, seed=False):
+        # a subcommand has only the options its handler reads
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         # every option is long, so "-1/3" or "-1e3" is a value, never an option
         p._negative_number_matcher = re.compile(r"^-\.?\d")
-        p.add_argument("--window", nargs=2, type=float, default=[0.5, 4.5],
-                       metavar=("A", "B"), help="moment-map cut window (default 0.5 4.5)")
-        p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-        p.add_argument("--params", nargs=2, default=["2", "3"], metavar=("C1", "C2"),
-                       help="constants of the symplectic form, as rationals (default 2 3)")
+        if window:
+            p.add_argument("--window", nargs=2, type=float, default=[0.5, 4.5],
+                           metavar=("A", "B"), help="moment-map cut window (default 0.5 4.5)")
+            p.add_argument("--params", nargs=2, default=["2", "3"], metavar=("C1", "C2"),
+                           help="constants of the symplectic form, as rationals (default 2 3)")
+        if seed:
+            p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
         p.add_argument("--output", type=Path, default=None, help="write the report/CSV here")
+        return p
 
-    p_verify = sub.add_parser("verify", help="run the exact symbolic verification battery")
-    common(p_verify)
-    p_verify.set_defaults(run=cmd_verify)
+    command("verify", cmd_verify, "run the exact symbolic verification battery", window=True)
 
-    p_density = sub.add_parser("density", help="Monte-Carlo pushforward density vs analytic")
-    common(p_density)
-    p_density.set_defaults(run=cmd_density)
+    p_density = command("density", cmd_density, "Monte-Carlo pushforward density vs analytic",
+                        window=True, seed=True)
     p_density.add_argument("--samples", type=int, default=2_000_000,
                            help="number of Monte-Carlo samples (default 2000000)")
     p_density.add_argument("--bins", type=int, default=40, help="histogram bins (default 40)")
     p_density.add_argument("--flat", action="store_true",
                            help="synthetic constant-density mode (flat pushforward)")
 
-    p_logc = sub.add_parser("logconcavity", help="log-concavity analysis of a density")
-    common(p_logc)
-    p_logc.set_defaults(run=cmd_logconcavity)
+    p_logc = command("logconcavity", cmd_logconcavity, "log-concavity analysis of a density",
+                     window=True)
     mode = p_logc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--analytic", action="store_true",
                       help="analyze the exact pushforward density of the construction")
     mode.add_argument("--input", type=Path, default=None,
-                      help="CSV of s,f(s) samples on a uniform grid")
+                      help="CSV of s,f(s) samples on a uniform grid; ignores --window, --params")
 
-    p_toric = sub.add_parser("toric", help="slice-volume profile of a convex polytope")
-    common(p_toric)
-    p_toric.set_defaults(run=cmd_toric)
+    p_toric = command("toric", cmd_toric, "slice-volume profile of a convex polytope", seed=True)
     p_toric.add_argument("--input", type=Path, required=True,
                          help='polytope JSON: {"dim": d, "halfspaces": [{"a": [...], "b": v}, ...]}')
     p_toric.add_argument("--axis", type=int, default=0, help="projection axis (default 0)")
@@ -142,14 +146,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     # .measure and .toric import numpy, so only density and toric import them,
     # and verify and logconcavity start without it
-    from .measure import (GENERATOR_NAME, SamplerConfig, compare, env_threads, normalize,
-                          sample_pushforward)
+    from .measure import GENERATOR_NAME, SamplerConfig, compare, normalize, sample_pushforward
 
     _, report = _construct_and_verify(args)
     if not report.all_passed:
         return EXIT_FAILURE
     if args.flat:
-        top = Poly.constant(6, 6)
+        top = Poly.constant(report.top_power_poly.nvars, 6)
         analytic = Poly.constant(1, 1)
     else:
         top = report.top_power_poly
@@ -157,7 +160,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
     with _input("bad sampling configuration"):
         sampler = SamplerConfig(args.samples, args.bins, args.window, args.seed)
-        threads = env_threads()
+        threads = _env_threads()
     est = normalize(sample_pushforward(top, sampler, threads))
     comp = compare(est, analytic, args.window)
 
@@ -266,11 +269,24 @@ def _read(path: Path) -> str:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, text: str, mode: str = "w") -> None:
     try:
-        path.write_text(text)
+        with path.open(mode) as f:
+            f.write(text)
     except OSError as exc:
         raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _env_threads() -> int:
+    """Sampler threads from DH_LAB_THREADS: 1 if unset or empty, else a positive integer."""
+    raw = os.environ.get("DH_LAB_THREADS", "")
+    try:
+        threads = int(raw or "1")
+    except ValueError:
+        raise ValueError(f"DH_LAB_THREADS must be an integer, not {raw!r}") from None
+    if threads < 1:
+        raise ValueError(f"DH_LAB_THREADS must be a positive integer, not {raw!r}")
+    return threads
 
 
 def _construct_and_verify(args: argparse.Namespace) -> tuple[Form, VerificationReport]:

@@ -248,8 +248,8 @@ def verify_construction(omega: Form, window: CutWindow,
     minus_dt = Form.basis(chart, T_AXIS, coeff=-1)
     moment = interior_product(omega, THETA_AXIS) == minus_dt
     top = wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)
-    nondeg = top.uses_only([T_AXIS]) and positive_on(top.univariate(T_AXIS),
-                                                      (window.lo, window.hi))
+    nondeg = (bool(top) and top.uses_only([T_AXIS])
+              and positive_on(top.univariate(T_AXIS), (window.lo, window.hi)))
 
     theta = interior_product(omega, T_AXIS)
     curvature = exterior_derivative(theta)

@@ -384,28 +384,8 @@ def root_brackets(p: Poly, interval: tuple, tol: float) -> list[tuple[Fraction, 
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if p.nvars != 1:
-        raise DimensionError("root isolation needs a univariate polynomial")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({float(lo)}, {float(hi)})")
-    if not p:
-        raise ValueError("the zero polynomial vanishes everywhere")
     tol = Fraction(tol)
-    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
-    g, r = dense, _deriv(dense)
-    while r:
-        g, r = r, _divmod(g, r)[1]
-    q = _divmod(dense, g)[0]
-    chain = [q, _deriv(q)]
-    while chain[-1]:
-        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
-    chain.pop()
-
-    def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (_eval_dense(s, x) for s in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
+    lo, hi, q, variations = _sturm(p, interval)
     out = [(lo, lo)] if not _eval_dense(q, lo) else []
     pending = [(lo, hi, variations(lo), variations(hi))]  # roots in (a, b]: va - vb
     while pending:
@@ -426,9 +406,35 @@ def isolate_roots(p: Poly, interval: tuple[float, float], tol: float = 1e-9) -> 
 
 
 def positive_on(p: Poly, interval: tuple) -> bool:
-    """Exact strict positivity of a univariate polynomial on a closed
-    interval: p is positive at the lower end and has no root in it."""
-    return p.evaluate_exact((interval[0],)) > 0 and not isolate_roots(p, interval)
+    """Exact strict positivity on [lo, hi]: p(lo) > 0 and no root in (lo, hi] (Sturm count)."""
+    lo, hi, _, variations = _sturm(p, interval)
+    return p.evaluate_exact((lo,)) > 0 and variations(lo) == variations(hi)
+
+
+def _sturm(p: Poly, interval: tuple):
+    """Validated lo, hi; the square-free part q of p; v with v(a) - v(b) roots of q in (a, b]."""
+    if p.nvars != 1:
+        raise DimensionError("root isolation needs a univariate polynomial")
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if not lo < hi:
+        raise ValueError(f"empty interval ({float(lo)}, {float(hi)})")
+    if not p:
+        raise ValueError("the zero polynomial vanishes everywhere")
+    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
+    g, r = dense, _deriv(dense)
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    q = _divmod(dense, g)[0]
+    chain = [q, _deriv(q)]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (_eval_dense(s, x) for s in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return lo, hi, q, variations
 
 
 def _narrow(q: list, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:

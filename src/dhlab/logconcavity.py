@@ -126,11 +126,7 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
     and the sampled point of largest g as witness.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    if f.nvars != 1:
-        raise DimensionError("analytic log-concavity needs a univariate polynomial")
-    if not positive_on(f, (lo, hi)):
+    if not f or not positive_on(f, (lo, hi)):  # positive_on checks f and the interval
         raise DomainError(f"density is not strictly positive on [{lo}, {hi}]")
 
     g = concavity_discriminant(f)

@@ -15,20 +15,17 @@ single-shot run would produce, so the merged histogram is bit-identical for
 any chunk size and any worker count; per-bin accumulation across chunks is
 compensated (Kahan), keeping totals reproducible to well below 1e-10
 relative even though chunk boundaries regroup the floating-point sums.
-
-Set DH_LAB_THREADS to parallelize chunks; results do not depend on it.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .construction import CutWindow, DegenerateWindowError
+from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
 from .exterior import Poly
 from .logconcavity import DomainError
 
@@ -127,8 +124,7 @@ class ComparisonReport:
     centre_values: np.ndarray
 
 
-def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
-                       threads: int | None = None) -> Histogram:
+def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> Histogram:
     """Weighted uniform sampling of the moment-map pushforward.
 
     Deterministic for fixed (top_poly, cfg): see the module docstring for
@@ -145,17 +141,15 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
         if np.any(w < 0):
             bad = pts[int(np.argmin(w))]
             raise DegenerateWindowError(
-                f"negative Liouville weight at t={bad[4]:.6g}; verify the construction "
+                f"negative Liouville weight at t={bad[T_AXIS]:.6g}; verify the construction "
                 "and window before sampling")
-        idx = ((pts[:, 4] - lo) * (cfg.bins / (hi - lo))).astype(np.int64)
+        idx = ((pts[:, T_AXIS] - lo) * (cfg.bins / (hi - lo))).astype(np.int64)
         np.clip(idx, 0, cfg.bins - 1, out=idx)
         ws = np.bincount(idx, weights=w, minlength=cfg.bins)
         w2 = np.bincount(idx, weights=w * w, minlength=cfg.bins)
         return ws, w2
 
-    if threads is None:
-        threads = env_threads()
-    elif threads < 1:
+    if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     # a pool even for one thread: a worker's allocator reuses the chunk
     # temporaries, where the calling thread page-faults them in afresh
@@ -174,19 +168,6 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig,
     edges = np.linspace(lo, hi, cfg.bins + 1)
     return Histogram(edges, sums, sq, float(np.sum(sums)), cfg.sample_count,
                      cfg.window, cfg.seed)
-
-
-def env_threads() -> int:
-    """Sampler threads from DH_LAB_THREADS (1 if unset or empty); a value
-    that is not a positive integer raises ValueError."""
-    raw = os.environ.get("DH_LAB_THREADS", "")
-    try:
-        threads = int(raw or "1")
-    except ValueError:
-        raise ValueError(f"DH_LAB_THREADS must be an integer, not {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"DH_LAB_THREADS must be a positive integer, not {raw!r}")
-    return threads
 
 
 def normalize(h: Histogram) -> DensityEstimate:
@@ -255,8 +236,8 @@ def _chunk_points(top_poly: Poly, cfg: SamplerConfig, key: np.ndarray,
     n = min(cfg.chunk_size, cfg.sample_count - start)
     bg = Philox(key=key, counter=_TICKS_PER_SAMPLE * start)
     u = Generator(bg).random((n, _WORDS_PER_SAMPLE))
-    pts = np.ascontiguousarray(u[:, :6])
-    pts[:, 4] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * pts[:, 4]
+    pts = np.ascontiguousarray(u[:, :DIM])
+    pts[:, T_AXIS] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * pts[:, T_AXIS]
     return pts, _eval_on_points(top_poly, pts)
 
 

@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: exit codes, file formats, reproducibility."""
 
+import ast
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dhlab.cli
 from dhlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -501,6 +505,100 @@ def test_documented_bad_input_exits_without_traceback(tmp_path, case):
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(err.format(tmp=tmp_path)), done.stderr
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["density"], "dhlab.measure.sample_pushforward"),
+    (["toric", "--input", _POLYGON], "dhlab.toric.slice_profile"),
+])
+def test_output_is_checked_before_the_work(capsys, monkeypatch, tmp_path, argv, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --output was checked")
+
+    monkeypatch.setattr(work, fail)
+    out = tmp_path / "no_such_dir" / "out.csv"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+    # the check truncates nothing: a run that then fails keeps an existing
+    # file as it was, and leaves a new path empty
+    monkeypatch.undo()
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("keep\n")
+    for path in (kept, new):
+        assert main([*argv, "--seed", "-1", "--output", str(path)]) == 2
+    assert kept.read_text() == "keep\n" and new.read_text() == ""
+
+
+# the options each subcommand's handler reads (through the helpers it passes
+# args to), with their defaults
+_HANDLER_OPTIONS = {
+    "verify": {"window": [0.5, 4.5], "params": ["2", "3"], "output": None},
+    "density": {"window": [0.5, 4.5], "params": ["2", "3"], "seed": 42, "output": None,
+                "samples": 2_000_000, "bins": 40, "flat": False},
+    "logconcavity": {"window": [0.5, 4.5], "params": ["2", "3"], "output": None,
+                     "analytic": False, "input": None},
+    "toric": {"seed": 42, "output": None, "input": None, "axis": 0, "bins": 40,
+              "method": None, "samples": 100_000},
+}
+
+
+def _args_read(tree: ast.Module, name: str) -> set:
+    """The ``args.X`` names a cli function reads, itself or through a
+    module function it passes ``args`` to."""
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            read |= _args_read(tree, node.func.id)
+    return read
+
+
+@pytest.mark.parametrize("command", _HANDLER_OPTIONS)
+def test_each_subcommand_has_the_options_its_handler_reads(command):
+    subparsers = dhlab.cli._build_parser()._subparsers._group_actions[0].choices
+    sub = subparsers[command]
+    options = _HANDLER_OPTIONS[command]
+    listed = {m.group(1).replace("-", "_") for m in
+              re.finditer(r"^  (?:-h, )?--([a-z-]+)", sub.format_help(), re.MULTILINE)}
+    assert listed == {"help", *options}
+    handler = sub.get_default("run")
+    assert _args_read(ast.parse(inspect.getsource(dhlab.cli)), handler.__name__) == set(options)
+    assert {dest: sub.get_default(dest) for dest in options} == options
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "5"],
+    ["logconcavity", "--analytic", "--seed", "5"],
+    ["toric", "--input", _POLYGON, "--window", "1", "2"],
+    ["toric", "--input", _POLYGON, "--params", "1", "3"],
+])
+def test_options_a_handler_does_not_read_are_unrecognized(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "dhlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "unrecognized arguments" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_only_the_cli_reads_the_environment():
+    src = Path(dhlab.cli.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and getattr(node.value, "id", None) == "os"):
+                readers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno}" for a in node.names
+                            if a.name in ("environ", "getenv")]
+    assert readers == []
 
 
 def test_certify_commands_run_without_numpy(tmp_path):

@@ -195,6 +195,19 @@ def test_density_is_primitive_rho():
         == Fraction(9, 100)
 
 
+def test_density_on_a_window_other_than_the_report():
+    # with (c1, c2) = (1, 3) the top power is 6 (t - 2)^2: positive on the
+    # report's window, degenerate on one that holds t = 2
+    params = OmegaParams(1, 3)
+    window = CutWindow(2.5, 4.5)
+    _, _, omega = standard_construction(window, params)
+    report = verify_construction(omega, window, params)
+    assert report.all_passed
+    with pytest.raises(DegenerateWindowError, match="requested window"):
+        analytic_dh_density(report, CutWindow(0.5, 4.4))
+    assert analytic_dh_density(report, CutWindow(3, 4)) == Poly(1, {(2,): 1, (1,): -4, (0,): 4})
+
+
 def test_density_cut_window_invariance():
     polys = []
     for window in [CutWindow(0.5, 4.5), CutWindow(1.0, 4.0), CutWindow(2.0, 3.0)]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dhlab.exterior
 from dhlab import (
     DomainError,
     Poly,
@@ -16,6 +17,7 @@ from dhlab import (
     discrete_logconcavity,
     isolate_roots,
 )
+from dhlab.exterior import positive_on, root_brackets
 
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})       # t^2 - 5 t + 7
 G_RHO = Poly(1, {(2,): -2, (1,): 10, (0,): -11})  # rho rho'' - (rho')^2
@@ -103,6 +105,50 @@ def test_isolate_roots_at_interval_ends():
     assert isolate_roots(p, (1.0, 4.0)) == [1.0, 4.0]
     with pytest.raises(ValueError):
         isolate_roots(Poly(1), (0.0, 1.0))
+
+
+def _random_product(rng):
+    """A polynomial with known rational roots of multiplicity 1-3, and an
+    interval that sometimes ends on a double root."""
+    t = Poly.variable(1, 0)
+    roots = [Fraction(rng.randint(-40, 40), rng.choice([1, 3, 8, 10 ** 6]))
+             for _ in range(rng.randint(0, 3))]
+    p = rng.choice([-3, 1, Fraction(2, 5)]) * (t * t + 1) ** rng.randint(0, 1)
+    for r in roots:
+        p = p * (t - r) ** rng.randint(1, 3)
+    lo = Fraction(rng.randint(-50, 0), 7)
+    hi = lo + rng.randint(1, 60)
+    end = rng.random()
+    if end < 0.2:
+        p = p * (t - lo) ** 2
+    elif end < 0.4:
+        p = p * (t - hi) ** 2
+    return p, (lo, hi)
+
+
+def test_positive_on_agrees_with_root_brackets():
+    rng = random.Random(10)
+    verdicts = []
+    for _ in range(300):
+        p, (lo, hi) = _random_product(rng)
+        want = p.evaluate_exact((lo,)) > 0 and not root_brackets(p, (lo, hi), 1e-9)
+        assert positive_on(p, (lo, hi)) == want, (p, lo, hi)
+        verdicts.append(want)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_positive_on_narrows_no_bracket(monkeypatch):
+    # a verdict needs only the root count, not roots bisected to a tolerance
+    def narrow(*args):
+        raise AssertionError("positive_on narrowed a root bracket")
+
+    monkeypatch.setattr(dhlab.exterior, "_narrow", narrow)
+    rng = random.Random(11)
+    for _ in range(100):
+        p, interval = _random_product(rng)
+        positive_on(p, interval)
+    with pytest.raises(AssertionError, match="narrowed"):
+        root_brackets(RHO * (Poly.variable(1, 0) - 1), (0, 5), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +350,16 @@ def test_analytic_violation_touching_endpoint():
     (lo, hi), = report.violation_intervals
     assert lo == 0.0
     assert hi == pytest.approx(1.0, abs=1e-9)
+
+
+def test_analytic_merges_across_a_double_root_of_g():
+    # 1 + t^4 on (-1, 1): g = 4 t^2 (3 - t^4) is positive on both sides of
+    # its double root at 0, so the two sides are one violation interval
+    f = Poly(1, {(4,): 1, (0,): 1})
+    assert concavity_discriminant(f) == Poly(1, {(6,): -4, (2,): 12})
+    report = analytic_logconcavity(f, (-1.0, 1.0))
+    assert report.violation_intervals == ((-1.0, 1.0),)
+    assert len(report.witness_points) == 1
 
 
 def test_analytic_constant_is_log_concave():
