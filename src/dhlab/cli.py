@@ -51,7 +51,10 @@ DENSITY_GATE = 0.03
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # report them with the usage of the subcommand that refused them
+        parser._subparsers._group_actions[0].choices[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}")  # exits 2
     if "window" in vars(args):
         try:
             args.window = CutWindow(*args.window)

@@ -2,14 +2,15 @@
 
 The sampler draws chart points uniformly from [0,1)^4 x [A,B] x [0,1),
 weights each by the Liouville density (the verified top-power coefficient,
-evaluated at the full 6-dimensional point, so nothing here assumes the
-density depends on t alone) and bins by the moment-map value t.
+evaluated on whichever chart columns the polynomial reads, so nothing here
+assumes the density depends on t alone) and bins by the moment-map value t.
 
 Reproducibility contract
 ------------------------
 The random stream is Philox (counter-based), indexed per sample: sample s
-owns the 8 consecutive 64-bit draws starting at counter block 2*s (six are
-used for the coordinates, two are discarded to keep blocks aligned).  A
+owns the 8 consecutive 64-bit draws starting at counter block 2*s (the
+first six are the chart coordinates, two are discarded to keep blocks
+aligned; only the words the weight reads, and t, are converted).  A
 chunk covering samples [s0, s1) therefore regenerates exactly the draws a
 single-shot run would produce, so the merged histogram is bit-identical for
 any chunk size and any worker count; per-bin accumulation across chunks is
@@ -23,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Philox, SeedSequence
 
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
 from .exterior import Poly
@@ -135,15 +136,17 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     lo, hi = cfg.window.lo, cfg.window.hi
     starts = list(range(0, cfg.sample_count, cfg.chunk_size))
     key = _philox_key(cfg.seed)
+    axes = {T_AXIS, *(ax for exps in top_poly.terms for ax, e in enumerate(exps) if e)}
+    if max(axes) >= DIM:
+        raise ValueError(f"top_poly reads axis {max(axes)}; the chart has {DIM}")
 
     def one_chunk(start: int):
-        pts, w = _chunk_points(top_poly, cfg, key, start)
+        t, w = _chunk_points(top_poly, axes, cfg, key, start)
         if np.any(w < 0):
-            bad = pts[int(np.argmin(w))]
             raise DegenerateWindowError(
-                f"negative Liouville weight at t={bad[T_AXIS]:.6g}; verify the construction "
-                "and window before sampling")
-        idx = ((pts[:, T_AXIS] - lo) * (cfg.bins / (hi - lo))).astype(np.int64)
+                f"negative Liouville weight at t={t[int(np.argmin(w))]:.6g}; verify the "
+                "construction and window before sampling")
+        idx = ((t - lo) * (cfg.bins / (hi - lo))).astype(np.int64)
         np.clip(idx, 0, cfg.bins - 1, out=idx)
         ws = np.bincount(idx, weights=w, minlength=cfg.bins)
         w2 = np.bincount(idx, weights=w * w, minlength=cfg.bins)
@@ -223,34 +226,38 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
 
 
 # ---------------------------------------------------------------------------
-# sampling internals (shared with the conditioning property tests)
+# sampling internals
 # ---------------------------------------------------------------------------
 
 def _philox_key(seed: int) -> np.ndarray:
     return SeedSequence(int(seed)).generate_state(2, np.uint64)
 
 
-def _chunk_points(top_poly: Poly, cfg: SamplerConfig, key: np.ndarray,
+def _chunk_points(top_poly: Poly, axes: set[int], cfg: SamplerConfig, key: np.ndarray,
                   start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and weights for the chunk of samples [start, start+chunk)."""
+    """The t column and the weights of the samples [start, start+chunk).
+
+    Only the words of ``axes`` (every chart axis top_poly reads, and T_AXIS)
+    become doubles, by Generator.random's rule: the top 53 bits times 2**-53.
+    """
     n = min(cfg.chunk_size, cfg.sample_count - start)
     bg = Philox(key=key, counter=_TICKS_PER_SAMPLE * start)
-    u = Generator(bg).random((n, _WORDS_PER_SAMPLE))
-    pts = np.ascontiguousarray(u[:, :DIM])
-    pts[:, T_AXIS] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * pts[:, T_AXIS]
-    return pts, _eval_on_points(top_poly, pts)
+    words = bg.random_raw(_WORDS_PER_SAMPLE * n).reshape(n, _WORDS_PER_SAMPLE)
+    cols = {ax: (words[:, ax] >> 11) * 2.0 ** -53 for ax in axes}
+    cols[T_AXIS] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * cols[T_AXIS]
+    return cols[T_AXIS], _eval_on_points(top_poly, cols, n)
 
 
-def _eval_on_points(p: Poly, pts: np.ndarray) -> np.ndarray:
-    """Vectorized polynomial evaluation at rows of a point matrix."""
-    out = np.zeros(len(pts))
+def _eval_on_points(p: Poly, cols: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Vectorized polynomial evaluation at n points, given by their columns."""
+    out = np.zeros(n)
     for exps, c in p.terms.items():
-        term = np.full(len(pts), float(c))
+        term = np.full(n, float(c))
         for ax, e in enumerate(exps):
             if e == 1:
-                term *= pts[:, ax]
+                term *= cols[ax]
             elif e > 1:
-                term *= pts[:, ax] ** e
+                term *= cols[ax] ** e
         out += term
     return out
 

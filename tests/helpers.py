@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from dhlab import Chart, CutWindow, Form, HPolytope, Poly, SamplerConfig, canonical_chart
-from dhlab.measure import _chunk_points, _philox_key
+from dhlab.construction import DIM, T_AXIS
 from dhlab.toric import _rng, _slice_volume_mc
 
 WINDOW = CutWindow(0.5, 4.5)
@@ -57,10 +57,27 @@ def abs_eval(p: Poly, point) -> float:
 
 
 def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
-    """Yield (points, weights) chunk by chunk, exactly as the sampler sees them."""
-    key = _philox_key(cfg.seed)
+    """Yield (points, weights) chunk by chunk, rebuilt from the documented
+    stream alone: sample s owns the 8 doubles that Philox draws from counter
+    block 2*s, the first six are its chart point, and t is rescaled to the
+    window.  Shares no code with the sampler, so tests can use it as an oracle."""
+    key = np.random.SeedSequence(cfg.seed).generate_state(2, np.uint64)
+    lo, hi = cfg.window.lo, cfg.window.hi
     for start in range(0, cfg.sample_count, cfg.chunk_size):
-        yield _chunk_points(top_poly, cfg, key, start)
+        n = min(cfg.chunk_size, cfg.sample_count - start)
+        bg = np.random.Philox(key=key, counter=2 * start)
+        pts = np.random.Generator(bg).random((n, 8))[:, :DIM]
+        pts[:, T_AXIS] = lo + (hi - lo) * pts[:, T_AXIS]
+        weights = np.zeros(n)
+        for exps, c in top_poly.terms.items():
+            term = np.full(n, float(c))
+            for ax, e in enumerate(exps):
+                if e == 1:
+                    term *= pts[:, ax]
+                elif e > 1:
+                    term *= pts[:, ax] ** e
+            weights += term
+        yield pts, weights
 
 
 def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:

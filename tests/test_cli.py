@@ -585,6 +585,18 @@ def test_options_a_handler_does_not_read_are_unrecognized(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_unrecognized_option_shows_the_subcommand_usage():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "dhlab.cli", "toric", "--input", _POLYGON,
+                           "--window", "1", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: dhlab toric ")
+    assert "--input INPUT" in done.stderr
+    assert done.stderr.endswith("dhlab toric: error: unrecognized arguments: --window 1 2\n")
+    assert "Traceback" not in done.stderr
+
+
 def test_only_the_cli_reads_the_environment():
     src = Path(dhlab.cli.__file__).parent
     readers = []

@@ -1,5 +1,6 @@
 """Monte-Carlo pushforward sampler: correctness, determinism, error bars."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -100,11 +101,20 @@ def test_sampler_rejects_fewer_than_one_thread(threads):
         sample_pushforward(VERIFIED_TOP, cfg, threads=threads)
 
 
+def test_sampler_rejects_a_weight_beyond_the_chart():
+    # axes 6 and 7 would read the two alignment words of each sample
+    beyond = Poly(7, {(0, 0, 0, 0, 0, 0, 1): 1})
+    with pytest.raises(ValueError, match="reads axis 6; the chart has 6"):
+        sample_pushforward(beyond, SamplerConfig(1_000, 10, WINDOW, seed=1))
+
+
 def test_sampler_refuses_negative_weights():
     # t - 3 is negative on part of the window: not a verified Liouville density
     bad_top = Poly(6, {(0, 0, 0, 0, 1, 0): 1, (0, 0, 0, 0, 0, 0): -3})
-    with pytest.raises(DegenerateWindowError):
+    with pytest.raises(DegenerateWindowError, match="negative Liouville weight at t=") as info:
         sample_pushforward(bad_top, SamplerConfig(10_000, 10, WINDOW, seed=1))
+    t = float(re.search(r"at t=([^;]+);", str(info.value)).group(1))
+    assert WINDOW.lo <= t < 3
 
 
 def test_histogram_total_weight_consistency():
@@ -172,6 +182,35 @@ def test_fiber_coordinate_independence():
         cond = normalize(Histogram(edges, ws, w2, float(ws.sum()), kept,
                                    WINDOW, cfg.seed))
         assert np.all(np.abs(cond.density - full.density) <= 3 * cond.stderr)
+
+
+def _oracle_sums(top_poly: Poly, cfg: SamplerConfig):
+    """Per-bin weight sums of the oracle chunks, merged in chunk order with
+    compensated (Kahan) addition, as the reproducibility contract states."""
+    sums, sums_c, sq, sq_c = (np.zeros(cfg.bins) for _ in range(4))
+    for pts, wts in iter_sample_chunks(top_poly, cfg):
+        idx = ((pts[:, 4] - WINDOW.lo) * (cfg.bins / WIDTH)).astype(np.int64)
+        np.clip(idx, 0, cfg.bins - 1, out=idx)
+        for total, comp, w in ((sums, sums_c, wts), (sq, sq_c, wts * wts)):
+            y = np.bincount(idx, weights=w, minlength=cfg.bins) - comp
+            t = total + y
+            comp[:] = (t - total) - y
+            total[:] = t
+    return sums, sq
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("chunk_size", [1 << 13, 77_777])
+@pytest.mark.parametrize("top", ["verified", "flat", "fiber"])
+def test_sampler_matches_the_stream_oracle(top, chunk_size, threads):
+    top_poly = {"verified": VERIFIED_TOP, "flat": FLAT_TOP,
+                "fiber": (Poly.constant(6, 1) + Poly.variable(6, 0)) * VERIFIED_TOP}[top]
+    cfg = SamplerConfig(250_000, 20, WINDOW, seed=29, chunk_size=chunk_size)
+    h = sample_pushforward(top_poly, cfg, threads=threads)
+    sums, sq = _oracle_sums(top_poly, cfg)
+    assert h.weight_sums.tobytes() == sums.tobytes()
+    assert h.weight_sq_sums.tobytes() == sq.tobytes()
+    assert h.total_weight == float(np.sum(sums))
 
 
 # ---------------------------------------------------------------------------
