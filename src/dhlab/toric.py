@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -196,6 +197,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
         raise ValueError("bins must be positive")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
+    if mc_n < 1:
+        raise ValueError("sample count must be positive")
     lo, hi = projection_range(p, axis)
     if not lo < hi:
         raise InsufficientDataError(f"polytope is flat along axis {axis}: it projects to {lo}")
@@ -409,7 +412,8 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     return basis
 
 
-_BOX_PAD = 64 * np.finfo(float).eps
+_BOX_PAD = 64 * sys.float_info.epsilon
+_MC_BLOCK = 4096  # points per block of the hit test
 
 
 def _slice_box(vertices: np.ndarray, axis: int,
@@ -440,12 +444,11 @@ def _slice_box(vertices: np.ndarray, axis: int,
 def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
                      rng: np.random.Generator) -> tuple[float, float]:
     """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s,
-    with its standard error, sampled uniformly in the slice's bounding box.
-    The box comes from the polytope's exact vertices, enumerated on the
-    first call and rounded to floats; an empty slice or a polytope without
-    interior (decided exactly) gives 0."""
-    if n < 1:
-        raise ValueError("sample count must be positive")
+    with its standard error, from n points uniform in the slice's bounding
+    box, whose coordinates are rng's next n * (dim-1) doubles in row-major
+    order whatever the block size.  The box comes from the polytope's exact
+    vertices, enumerated on the first call and rounded to floats; an empty
+    slice or a polytope without interior (decided exactly) gives 0."""
     a, b = p._system
     keep = [i for i in range(p.dim) if i != axis]
     a_slice = a[:, keep]
@@ -454,14 +457,26 @@ def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
     if not keep:  # slicing a segment: the slice is a point, counting measure
         return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
 
+    # a half-space normal to the axis is +-0.0 at every point: it passes all or none
+    normal = ~a_slice.any(axis=1)
     box = _slice_box(p._vertices, axis, s)
-    if box is None:
+    if box is None or np.any(b_slice[normal] < 0):
         return 0.0, 0.0
     lows, highs = box
     widths = highs - lows
     box_vol = float(np.prod(widths))
 
-    pts = lows + widths * rng.random((n, len(keep)))
-    hits = int(np.count_nonzero(np.all(pts @ a_slice.T <= b_slice, axis=1)))
+    a_slice, b_slice = a_slice[~normal], b_slice[~normal]  # bounded, so not empty
+    u = np.empty((min(n, _MC_BLOCK), len(keep)))
+    hit, hits = np.empty(len(u), dtype=bool), 0
+    for start in range(0, n, len(u)):
+        pts = rng.random(out=u[:n - start])
+        pts *= widths
+        pts += lows
+        d = a_slice @ pts.T  # one contiguous row per half-space
+        inside = np.less_equal(d[0], b_slice[0], out=hit[:len(pts)])
+        for row, bound in zip(d[1:], b_slice[1:]):
+            inside &= row <= bound
+        hits += np.count_nonzero(inside)
     phat = hits / n
     return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))

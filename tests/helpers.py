@@ -10,7 +10,7 @@ import numpy as np
 
 from dhlab import Chart, CutWindow, Form, HPolytope, Poly, SamplerConfig, canonical_chart
 from dhlab.construction import DIM, T_AXIS
-from dhlab.toric import _rng, _slice_volume_mc
+from dhlab.toric import _rng, _slice_box, _slice_volume_mc
 
 WINDOW = CutWindow(0.5, 4.5)
 
@@ -83,6 +83,29 @@ def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
 def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:
     """Hit-or-miss slice volume from the single stream of ``seed``."""
     return _slice_volume_mc(p, axis, float(s), int(n), _rng(seed))[0]
+
+
+def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
+                              rng: np.random.Generator) -> tuple[float, float]:
+    """The hit-or-miss slice estimate in one shot: all ``n`` points at once,
+    then every half-space tested on every point.  Shares only the bounding
+    box with _slice_volume_mc, so tests can use it as an oracle for how the
+    kernel blocks its draws and tests."""
+    a, b = p._system
+    keep = [i for i in range(p.dim) if i != axis]
+    a_slice, b_slice = a[:, keep], b - a[:, axis] * s
+    if not keep:
+        return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
+    box = _slice_box(p._vertices, axis, s)
+    if box is None:
+        return 0.0, 0.0
+    lows, highs = box
+    widths = highs - lows
+    box_vol = float(np.prod(widths))
+    pts = lows + widths * rng.random((n, len(keep)))
+    hits = int(np.count_nonzero(np.all(pts @ a_slice.T <= b_slice, axis=1)))
+    phat = hits / n
+    return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
 
 
 def random_polytope(rng: np.random.Generator, dim: int) -> HPolytope:

@@ -477,6 +477,10 @@ _BAD_INPUTS = {
                               "bad sampling configuration: seed must be a nonnegative"),
     "negative toric seed": (["toric", "--input", _POLYGON, "--seed", "-1"], None, 2,
                             "usage error: seed must be a nonnegative"),
+    "zero toric samples": (["toric", "--input", "{tmp}/flat.json", "--samples", "0"], None, 2,
+                           "usage error: sample count must be positive"),
+    "negative toric samples": (["toric", "--input", _POLYGON, "--samples", "-3"], None, 2,
+                               "usage error: sample count must be positive"),
 }
 _BAD_INPUT_FILES = {
     "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),
@@ -686,3 +690,10 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
     assert main(["logconcavity", "--input", str(GOLDEN / "karshon_grid.csv")]) == 3
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / "logconcavity_input.stdout").read_bytes()
+
+
+def test_toric_mc_output_byte_identical(capsys):
+    # the hit-or-miss path: each bin's 5000 samples span a full block and a part
+    assert main(["toric", "--input", str(GOLDEN / "simplex3.json"), "--bins", "12",
+                 "--samples", "5000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "toric_mc.stdout").read_bytes()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,8 @@ from dhlab import (
     slice_volume_exact_2d,
     suggested_tolerance,
 )
-from helpers import random_polytope, slice_volume_mc
+from dhlab.toric import _BOX_PAD, _MC_BLOCK, _rng, _slice_volume_mc
+from helpers import random_polytope, slice_volume_mc, slice_volume_mc_reference
 
 SQUARE = HPolytope(2, (
     ((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
@@ -133,6 +135,53 @@ def test_mc_slice_deterministic():
     a = slice_volume_mc(SIMPLEX3, 0, 0.25, n=20_000, seed=9)
     b = slice_volume_mc(SIMPLEX3, 0, 0.25, n=20_000, seed=9)
     assert a == b
+
+
+# x >= 1/49 in the unit cube: 49 * float(1/49) rounds below 1, so at the
+# projection's lower end the half-space normal to axis 0 rejects every point
+ROUNDED_END = HPolytope(3, CUBE3.halfspaces + (((-49.0, 0.0, 0.0), -1.0),))
+
+
+def _kernel_cases():
+    """(polytope, axis, s): every axis of each body, sliced at both ends of
+    its projection, within _BOX_PAD of them, and inside."""
+    rng = np.random.default_rng(49)
+    bodies = [SIMPLEX3, SHIFTED_CUBE, ROUNDED_END, *(random_polytope(rng, d) for d in (3, 4, 5))]
+    for p in bodies:
+        pad = _BOX_PAD * float(np.abs(p._vertices).max())
+        for axis in range(p.dim):
+            lo, hi = projection_range(p, axis)
+            for s in (lo, lo + 0.5 * pad, 0.3 * lo + 0.7 * hi, np.nextafter(hi, lo), hi):
+                yield p, axis, float(s)
+
+
+@pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                               3 * _MC_BLOCK + 7, 100_000])
+def test_mc_slice_matches_the_one_shot_reference_bit_for_bit(n):
+    # blocking the draws and the hit test must not move a single bit
+    for k, (p, axis, s) in enumerate(_kernel_cases()):
+        got = _slice_volume_mc(p, axis, s, n, _rng(7, axis, k))
+        want = slice_volume_mc_reference(p, axis, s, n, _rng(7, axis, k))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, s, got, want)
+
+
+def test_mc_slice_at_a_rounded_end_is_empty():
+    lo, _ = projection_range(ROUNDED_END, 0)
+    assert -1.0 + 49.0 * lo < 0
+    assert _slice_volume_mc(ROUNDED_END, 0, lo, 1000, _rng(1)) == (0.0, 0.0)
+    vol, err = _slice_volume_mc(ROUNDED_END, 0, 0.5, 1000, _rng(1))
+    assert vol == pytest.approx(1.0, rel=1e-12) and err == 0.0
+
+
+def test_mc_slice_memory_does_not_grow_with_samples():
+    _slice_volume_mc(SIMPLEX3, 0, 0.3, 1, _rng(0))  # the vertices are cached
+    tracemalloc.start()
+    try:
+        _slice_volume_mc(SIMPLEX3, 0, 0.3, 2_000_000, _rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +467,20 @@ def test_flat_polytope_profile_is_insufficient_data(method):
     ))
     with pytest.raises(InsufficientDataError, match="axis 0"):
         slice_profile(flat, 0, 10, method=method, mc_n=1000)
+
+
+@pytest.mark.parametrize("method", ["exact2d", "mc"])
+@pytest.mark.parametrize("mc_n", [0, -3])
+def test_sample_count_is_checked_before_any_work(method, mc_n):
+    # whatever the method, and before a flat polytope is found flat
+    dim = 2 if method == "exact2d" else 3
+    flat = HPolytope(dim, tuple(
+        (tuple(s * float(i == ax) for i in range(dim)), float(ax > 0 and s > 0))
+        for ax in range(dim) for s in (1.0, -1.0)
+    ))
+    for p in (SQUARE if dim == 2 else CUBE3, flat):
+        with pytest.raises(ValueError, match="sample count must be positive"):
+            slice_profile(p, 0, 10, method=method, mc_n=mc_n)
 
 
 def test_prekopa_interior_zero_is_domain_error():
