@@ -16,7 +16,8 @@ et al. 1953; Fukuda & Prodon 1996).  Emptiness, boundedness along each
 axis, axis ranges and whether the polytope has interior are all read from
 that enumeration, so no float solver decides them.  Monte-Carlo slicing
 takes each bin's bounding box from where segments between vertices cross
-the slicing hyperplane, so no bin solves anything.
+the slicing hyperplane, so no bin solves anything, and builds what does not
+depend on the bin (rows, vertex columns, buffers) once per profile.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
 
     Each half-space restricts the free coordinate to a half-line; the slice
     is their intersection interval (empty slices have length 0).  Raises
-    UnboundedPolytopeError if the polytope is unbounded along the free axis."""
+    UnboundedPolytopeError if the polytope is unbounded along the free axis,
+    and DomainError naming s if the length is beyond the float range."""
     if p.dim != 2:
         raise ValueError("exact slicing is implemented for dim = 2 only")
     other = 1 - axis
@@ -177,7 +179,10 @@ def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
             lo = max(lo, c / a)
         elif c < 0:
             return 0.0
-    return float(max(hi - lo, 0.0))
+    chord = float(max(hi - lo, 0.0))
+    if not math.isfinite(chord):
+        raise DomainError(f"the slice at s={s} has length {chord}, outside the float range")
+    return chord
 
 
 def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
@@ -202,16 +207,20 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
     lo, hi = projection_range(p, axis)
     if not lo < hi:
         raise InsufficientDataError(f"polytope is flat along axis {axis}: it projects to {lo}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"polytope's projection along axis {axis} is wider than the "
+                          f"float range: [{lo}, {hi}]")
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     vols = np.zeros(bins)
     errs = np.zeros(bins)
+    if method == "mc":
+        estimate = _mc_slicer(p, axis, mc_n)
     for i, s in enumerate(centers):
         if method == "exact2d":
             vols[i] = slice_volume_exact_2d(p, axis, float(s))
         else:
-            vols[i], errs[i] = _slice_volume_mc(p, axis, float(s), mc_n,
-                                                _rng(seed, axis, i))
+            vols[i], errs[i] = estimate(float(s), _rng(seed, axis, i))
     return SliceVolumeFn(axis, centers, vols, errs)
 
 
@@ -271,7 +280,7 @@ def linprog(*args, **kwargs):
 
     perfbench's ``instrument_toric`` wraps this attribute to count LP solves
     (it reads 0 now), so the name stays until perfbench reads counters from
-    the opt-in run trace (ROADMAP.md, item 5) instead of wrapping module
+    the opt-in run trace (ROADMAP.md, items 3-4) instead of wrapping module
     attributes; then it goes.  For an LP, call scipy.optimize.linprog.
     """
     raise NotImplementedError("dhlab.toric solves no linear programs")
@@ -416,18 +425,17 @@ _BOX_PAD = 64 * sys.float_info.epsilon
 _MC_BLOCK = 4096  # points per block of the hit test
 
 
-def _slice_box(vertices: np.ndarray, axis: int,
-               s: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bounding box, over the other axes, of the slice at axis = s; None if
-    no vertex reaches the hyperplane.
+def _slice_extent(t: np.ndarray, rest: np.ndarray,
+                  s: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Least and greatest coordinates of the slice at axis = s, for the
+    vertices' coordinates ``t`` along the axis and ``rest`` along the others;
+    None if no vertex reaches the hyperplane.
 
-    The box spans the vertices on the hyperplane and the points where the
-    segments between vertices on either side cross it.  Those points lie in
-    the polytope, and every vertex of the slice lies on an edge of the
+    They are taken over the vertices on the hyperplane and the points where
+    the segments between vertices on either side cross it.  Those points lie
+    in the polytope, and every vertex of the slice lies on an edge of the
     polytope, so this is the slice's bounding box up to rounding.
     """
-    t = vertices[:, axis]
-    rest = np.delete(vertices, axis, axis=1)
     below, above = t < s, t > s
     frac = (s - t[below])[:, None] / (t[above][None, :] - t[below][:, None])
     lower, upper = rest[below][:, None, :], rest[above][None, :, :]
@@ -435,48 +443,93 @@ def _slice_box(vertices: np.ndarray, axis: int,
     pts = np.concatenate([crossings, rest[t == s]])
     if not len(pts):
         return None
-    # widen by the rounding in the vertices: a box too small would bias the
-    # estimate, where one too large only adds variance
-    pad = _BOX_PAD * float(np.abs(vertices).max())
-    return pts.min(axis=0) - pad, pts.max(axis=0) + pad
+    return pts.min(axis=0), pts.max(axis=0)
 
 
-def _slice_volume_mc(p: HPolytope, axis: int, s: float, n: int,
-                     rng: np.random.Generator) -> tuple[float, float]:
-    """Hit-or-miss estimate of the (dim-1)-volume of the slice at axis = s,
-    with its standard error, from n points uniform in the slice's bounding
-    box, whose coordinates are rng's next n * (dim-1) doubles in row-major
-    order whatever the block size.  The box comes from the polytope's exact
-    vertices, enumerated on the first call and rounded to floats; an empty
-    slice or a polytope without interior (decided exactly) gives 0."""
+def _tile(out: np.ndarray, row: np.ndarray) -> None:
+    """Fill the flat ``out`` with copies of ``row`` end to end by doubling
+    the filled prefix: a dozen copies, where broadcasting a row of two or
+    three would run one short inner loop per copy."""
+    out[:len(row)] = row
+    filled = len(row)
+    while filled < len(out):
+        step = min(filled, len(out) - filled)
+        out[filled:filled + step] = out[:step]
+        filled += step
+
+
+def _mc_slicer(p: HPolytope, axis: int, n: int):
+    """The hit-or-miss estimator of the (dim-1)-volumes of the slices of
+    ``p`` at axis = s, each from n points: a function of ``(s, rng)`` giving
+    the volume and its standard error.
+
+    What does not depend on s is built here, once per profile: the rows of
+    the half-spaces without the axis, the mask of those normal to it, the
+    vertices (enumerated exactly on first use, rounded to floats) split into
+    the axis column and the others, the box pad, and the point, product and
+    hit buffers of one block of min(n, _MC_BLOCK) points.  Each call takes
+    the slice's bounding box from the vertices, widened by the pad, and
+    fills the point buffer, block by block, with rng's next n * (dim-1)
+    doubles in row-major order.  It scales them into the box by one flat
+    multiply and add over rows that repeat the box's widths and lows, which
+    are the same IEEE operations as broadcasting, so the estimate is the
+    one-shot estimate bit for bit, whatever the block size.  An empty slice
+    or a polytope without interior (decided exactly) gives 0; a slice whose
+    box volume is not finite, or whose extents are positive but multiply to
+    0, raises DomainError naming s.
+    """
     a, b = p._system
-    keep = [i for i in range(p.dim) if i != axis]
-    a_slice = a[:, keep]
-    b_slice = b - a[:, axis] * s
+    along = a[:, axis]
+    k = p.dim - 1
+    if not k:  # slicing a segment: the slice is a point, counting measure
+        return lambda s, rng: (1.0, 0.0) if np.all(b - along * s >= 0) else (0.0, 0.0)
 
-    if not keep:  # slicing a segment: the slice is a point, counting measure
-        return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
-
+    rest = np.delete(a, axis, axis=1)
     # a half-space normal to the axis is +-0.0 at every point: it passes all or none
-    normal = ~a_slice.any(axis=1)
-    box = _slice_box(p._vertices, axis, s)
-    if box is None or np.any(b_slice[normal] < 0):
-        return 0.0, 0.0
-    lows, highs = box
-    widths = highs - lows
-    box_vol = float(np.prod(widths))
+    normal = ~rest.any(axis=1)
+    rows = rest[~normal]  # bounded, so not empty
+    vertices = p._vertices
+    t, others = vertices[:, axis], np.delete(vertices, axis, axis=1)
+    # widen each box by the rounding in the vertices: a box too small would
+    # bias the estimate, where one too large only adds variance
+    pad = _BOX_PAD * float(np.abs(vertices).max(initial=0.0))
+    block = min(n, _MC_BLOCK)
+    u = np.empty((block, k))
+    flat = u.reshape(-1)
+    scale, shift = np.empty(block * k), np.empty(block * k)
+    d = np.empty((len(rows), block))  # one contiguous row per half-space
+    hit = np.empty(block, dtype=bool)
 
-    a_slice, b_slice = a_slice[~normal], b_slice[~normal]  # bounded, so not empty
-    u = np.empty((min(n, _MC_BLOCK), len(keep)))
-    hit, hits = np.empty(len(u), dtype=bool), 0
-    for start in range(0, n, len(u)):
-        pts = rng.random(out=u[:n - start])
-        pts *= widths
-        pts += lows
-        d = a_slice @ pts.T  # one contiguous row per half-space
-        inside = np.less_equal(d[0], b_slice[0], out=hit[:len(pts)])
-        for row, bound in zip(d[1:], b_slice[1:]):
-            inside &= row <= bound
-        hits += np.count_nonzero(inside)
-    phat = hits / n
-    return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
+    def estimate(s: float, rng: np.random.Generator) -> tuple[float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds = b - along * s
+            extent = _slice_extent(t, others, s)
+            if extent is None or np.any(bounds[normal] < 0):
+                return 0.0, 0.0
+            least, greatest = extent
+            lows, highs = least - pad, greatest + pad
+            widths = highs - lows
+            box_vol = float(np.prod(widths))
+            spans = greatest - least
+            if not math.isfinite(box_vol) or (np.prod(spans) == 0 and np.all(spans > 0)):
+                raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
+                                  "its volume is outside the float range")
+        _tile(scale, widths)
+        _tile(shift, lows)
+        bounds = bounds[~normal]
+        hits = 0
+        for start in range(0, n, block):
+            m = min(block, n - start)
+            pts = rng.random(out=u[:m])
+            f = flat[:m * k]
+            f *= scale[:m * k]
+            f += shift[:m * k]
+            prod = np.matmul(rows, pts.T, out=d[:, :m])
+            inside = np.less_equal(prod[0], bounds[0], out=hit[:m])
+            for row, bound in zip(prod[1:], bounds[1:]):
+                inside &= row <= bound
+            hits += np.count_nonzero(inside)
+        phat = hits / n
+        return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
+
+    return estimate

@@ -10,7 +10,7 @@ import numpy as np
 
 from dhlab import Chart, CutWindow, Form, HPolytope, Poly, SamplerConfig, canonical_chart
 from dhlab.construction import DIM, T_AXIS
-from dhlab.toric import _rng, _slice_box, _slice_volume_mc
+from dhlab.toric import _BOX_PAD, _mc_slicer, _rng, _slice_extent
 
 WINDOW = CutWindow(0.5, 4.5)
 
@@ -82,24 +82,28 @@ def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
 
 def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:
     """Hit-or-miss slice volume from the single stream of ``seed``."""
-    return _slice_volume_mc(p, axis, float(s), int(n), _rng(seed))[0]
+    return _mc_slicer(p, axis, int(n))(float(s), _rng(seed))[0]
 
 
 def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                               rng: np.random.Generator) -> tuple[float, float]:
     """The hit-or-miss slice estimate in one shot: all ``n`` points at once,
-    then every half-space tested on every point.  Shares only the bounding
-    box with _slice_volume_mc, so tests can use it as an oracle for how the
-    kernel blocks its draws and tests."""
+    then every half-space tested on every point, in a box padded by
+    ``_BOX_PAD`` times the largest vertex coordinate.  Shares only the
+    slice's extent with _mc_slicer, so tests can use it as an oracle for how
+    the kernel pads, blocks, scales and tests its draws and for what it
+    reuses across slices."""
     a, b = p._system
     keep = [i for i in range(p.dim) if i != axis]
     a_slice, b_slice = a[:, keep], b - a[:, axis] * s
     if not keep:
         return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
-    box = _slice_box(p._vertices, axis, s)
-    if box is None:
+    vertices = p._vertices
+    extent = _slice_extent(vertices[:, axis], vertices[:, keep], s)
+    if extent is None:
         return 0.0, 0.0
-    lows, highs = box
+    pad = _BOX_PAD * float(np.abs(vertices).max())
+    lows, highs = extent[0] - pad, extent[1] + pad
     widths = highs - lows
     box_vol = float(np.prod(widths))
     pts = lows + widths * rng.random((n, len(keep)))

@@ -481,6 +481,14 @@ _BAD_INPUTS = {
                            "usage error: sample count must be positive"),
     "negative toric samples": (["toric", "--input", _POLYGON, "--samples", "-3"], None, 2,
                                "usage error: sample count must be positive"),
+    "overflowing slice box": (["toric", "--input", "{tmp}/huge.json", "--bins", "8",
+                               "--samples", "1000"], None, 1, "error: the slice at s=0.0625 "),
+    "underflowing slice box": (["toric", "--input", "{tmp}/tiny.json", "--bins", "8",
+                                "--samples", "1000"], None, 1, "error: the slice at s=0.0625 "),
+    "overflowing chord": (["toric", "--input", "{tmp}/wide.json", "--axis", "1", "--bins", "8"],
+                          None, 1, "error: the slice at s=0.0625 "),
+    "overflowing range": (["toric", "--input", "{tmp}/wide.json", "--bins", "8"], None, 1,
+                          "error: polytope's projection along axis 0 is wider than the float"),
 }
 _BAD_INPUT_FILES = {
     "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),
@@ -490,6 +498,16 @@ _BAD_INPUT_FILES = {
     "nan.json": b'{"dim": 1, "halfspaces": [{"a": [NaN], "b": 1}]}',
     "slab.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0}]}',
     "flat.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 0}, {"a": [-1, 0], "b": 0},'
+                 b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    # [0, 1] x [0, 1e200]^2 and [0, 1] x [0, 1e-200]^2: slice areas beyond the float range
+    "huge.json": b'{"dim": 3, "halfspaces": [{"a": [1, 0, 0], "b": 1}, {"a": [-1, 0, 0], "b": 0},'
+                 b' {"a": [0, 1, 0], "b": 1e200}, {"a": [0, -1, 0], "b": 0},'
+                 b' {"a": [0, 0, 1], "b": 1e200}, {"a": [0, 0, -1], "b": 0}]}',
+    "tiny.json": b'{"dim": 3, "halfspaces": [{"a": [1, 0, 0], "b": 1}, {"a": [-1, 0, 0], "b": 0},'
+                 b' {"a": [0, 1, 0], "b": 1e-200}, {"a": [0, -1, 0], "b": 0},'
+                 b' {"a": [0, 0, 1], "b": 1e-200}, {"a": [0, 0, -1], "b": 0}]}',
+    # [-1e308, 1e308] x [0, 1]: its width along axis 0 is beyond the float range
+    "wide.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1e308}, {"a": [-1, 0], "b": 1e308},'
                  b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
 }
 

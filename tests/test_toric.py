@@ -26,7 +26,7 @@ from dhlab import (
     slice_volume_exact_2d,
     suggested_tolerance,
 )
-from dhlab.toric import _BOX_PAD, _MC_BLOCK, _rng, _slice_volume_mc
+from dhlab.toric import _BOX_PAD, _MC_BLOCK, _mc_slicer, _rng
 from helpers import random_polytope, slice_volume_mc, slice_volume_mc_reference
 
 SQUARE = HPolytope(2, (
@@ -48,6 +48,10 @@ SIMPLEX3 = HPolytope(3, (
     ((-1.0, 0.0, 0.0), 0.0), ((0.0, -1.0, 0.0), 0.0), ((0.0, 0.0, -1.0), 0.0),
     ((1.0, 1.0, 1.0), 1.0),
 ))
+SEGMENT = HPolytope(1, (((1.0,), 1.0), ((-1.0,), 0.0)))
+# the unit cube cut to the plane x + y = 1: bounded, without interior
+PLANE_CUT = HPolytope(3, CUBE3.halfspaces + (((1.0, 1.0, 0.0), 1.0),
+                                            ((-1.0, -1.0, 0.0), -1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +130,8 @@ def test_mc_slice_outside_is_zero():
 
 
 def test_mc_slice_of_segment_is_indicator():
-    segment = HPolytope(1, (((1.0,), 1.0), ((-1.0,), 0.0)))
-    assert slice_volume_mc(segment, 0, 0.5, n=10, seed=1) == 1.0
-    assert slice_volume_mc(segment, 0, 1.5, n=10, seed=1) == 0.0
+    assert slice_volume_mc(SEGMENT, 0, 0.5, n=10, seed=1) == 1.0
+    assert slice_volume_mc(SEGMENT, 0, 1.5, n=10, seed=1) == 0.0
 
 
 def test_mc_slice_deterministic():
@@ -160,7 +163,7 @@ def _kernel_cases():
 def test_mc_slice_matches_the_one_shot_reference_bit_for_bit(n):
     # blocking the draws and the hit test must not move a single bit
     for k, (p, axis, s) in enumerate(_kernel_cases()):
-        got = _slice_volume_mc(p, axis, s, n, _rng(7, axis, k))
+        got = _mc_slicer(p, axis, n)(s, _rng(7, axis, k))
         want = slice_volume_mc_reference(p, axis, s, n, _rng(7, axis, k))
         assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, s, got, want)
 
@@ -168,16 +171,32 @@ def test_mc_slice_matches_the_one_shot_reference_bit_for_bit(n):
 def test_mc_slice_at_a_rounded_end_is_empty():
     lo, _ = projection_range(ROUNDED_END, 0)
     assert -1.0 + 49.0 * lo < 0
-    assert _slice_volume_mc(ROUNDED_END, 0, lo, 1000, _rng(1)) == (0.0, 0.0)
-    vol, err = _slice_volume_mc(ROUNDED_END, 0, 0.5, 1000, _rng(1))
+    estimate = _mc_slicer(ROUNDED_END, 0, 1000)
+    assert estimate(lo, _rng(1)) == (0.0, 0.0)
+    vol, err = estimate(0.5, _rng(1))
     assert vol == pytest.approx(1.0, rel=1e-12) and err == 0.0
 
 
+@pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7])
+def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
+    # the slicer reuses its buffers from bin to bin, and a last partial
+    # block uses only part of them; neither may leave a stale bit behind
+    bodies = [SIMPLEX3, ROUNDED_END, random_polytope(np.random.default_rng(4), 4),
+              SEGMENT, PLANE_CUT]
+    for p in bodies:
+        for axis in range(p.dim):
+            profile = slice_profile(p, axis, bins=7, method="mc", mc_n=n, seed=11)
+            for i, s in enumerate(profile.grid.tolist()):
+                got = (profile.volumes[i], profile.stderrs[i])
+                want = slice_volume_mc_reference(p, axis, s, n, _rng(11, axis, i))
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, i)
+
+
 def test_mc_slice_memory_does_not_grow_with_samples():
-    _slice_volume_mc(SIMPLEX3, 0, 0.3, 1, _rng(0))  # the vertices are cached
+    SIMPLEX3._vertices  # the vertices are cached
     tracemalloc.start()
     try:
-        _slice_volume_mc(SIMPLEX3, 0, 0.3, 2_000_000, _rng(0))
+        slice_profile(SIMPLEX3, 0, bins=40, method="mc", mc_n=2_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,15 +258,13 @@ def test_redundant_halfspaces_keep_the_cube(extra):
 
 
 def test_polytope_without_interior_has_zero_profile():
-    # the unit cube cut to the plane x + y = 1: nonempty and bounded, not
-    # flat along axis 0, but every slice is a segment of area 0
-    plane = HPolytope(3, CUBE3.halfspaces + (((1.0, 1.0, 0.0), 1.0),
-                                             ((-1.0, -1.0, 0.0), -1.0)))
-    vertices, directions = plane._vrep
+    # nonempty and bounded, not flat along axis 0, but every slice is a
+    # segment of area 0
+    vertices, directions = PLANE_CUT._vrep
     assert set(vertices) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
     assert directions == []
-    profile = slice_profile(plane, 0, bins=8, method="mc", mc_n=2000)
-    assert plane._vertices.shape == (0, 3)
+    profile = slice_profile(PLANE_CUT, 0, bins=8, method="mc", mc_n=2000)
+    assert PLANE_CUT._vertices.shape == (0, 3)
     assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
 
 
@@ -481,6 +498,40 @@ def test_sample_count_is_checked_before_any_work(method, mc_n):
     for p in (SQUARE if dim == 2 else CUBE3, flat):
         with pytest.raises(ValueError, match="sample count must be positive"):
             slice_profile(p, 0, 10, method=method, mc_n=mc_n)
+
+
+# (polytope, axis, method): each first bin, at s = 0.0625, has a slice
+# whose box volume or chord is beyond the float range
+_WIDE_POLYGON = _box((-1e308, 0.0), (1e308, 1.0))
+_FLOAT_RANGE_SLICES = {
+    "overflowing box": (_box((0.0, 0.0, 0.0), (1.0, 1e200, 1e200)), 0, "mc"),
+    "underflowing box": (_box((0.0, 0.0, 0.0), (1.0, 1e-200, 1e-200)), 0, "mc"),
+    "overflowing chord": (_WIDE_POLYGON, 1, "exact2d"),
+    "overflowing mc box": (_WIDE_POLYGON, 1, "mc"),
+}
+
+
+@pytest.mark.parametrize("case", _FLOAT_RANGE_SLICES)
+def test_slice_beyond_the_float_range_is_domain_error(case):
+    # an inf, or a 0 from positive widths, is no slice volume; a numpy
+    # warning on the way would fail here too (warnings are errors)
+    p, axis, method = _FLOAT_RANGE_SLICES[case]
+    with pytest.raises(DomainError, match=r"slice at s=0\.0625 .*outside the float range"):
+        slice_profile(p, axis, bins=8, method=method, mc_n=1000)
+
+
+@pytest.mark.parametrize("method", ["exact2d", "mc"])
+def test_projection_wider_than_the_float_range_is_domain_error(method):
+    # 1e308 - (-1e308) overflows, so the bins have no finite centres
+    with pytest.raises(DomainError, match="axis 0 is wider than the float range"):
+        slice_profile(_WIDE_POLYGON, 0, bins=8, method=method, mc_n=1000)
+
+
+def test_large_finite_slices_are_measured():
+    # just inside the float range, the box is still measured as a whole
+    profile = slice_profile(_box((0.0, 0.0, 0.0), (1.0, 1e150, 1e150)), 0, bins=8,
+                            method="mc", mc_n=1000)
+    assert np.allclose(profile.volumes, 1e300, rtol=1e-12, atol=0)
 
 
 def test_prekopa_interior_zero_is_domain_error():
