@@ -53,8 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:  # report them with the usage of the subcommand that refused them
-        parser._subparsers._group_actions[0].choices[args.command].error(
-            f"unrecognized arguments: {' '.join(extra)}")  # exits 2
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")  # exits 2
     if "window" in vars(args):
         try:
             args.window = CutWindow(*args.window)
@@ -89,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, run, help: str, window=False, seed=False):
         # a subcommand has only the options its handler reads
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         # every option is long, so "-1/3" or "-1e3" is a value, never an option
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         if window:

@@ -77,14 +77,14 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
 
     Index i is flagged when f(s_i)^2 < f(s_{i-1}) f(s_{i+1}) (1 - tol); runs
     of adjacent flagged indices merge into violation intervals.  ``tol`` is
-    a relative (multiplicative) slack, so the verdict is invariant under
-    positive rescaling of f that keeps every sample in [2**-511, 2**511],
-    where every product of two samples is a finite normal float.  A sample
-    outside that range, nonpositive or non-finite raises DomainError naming
-    its s.
+    a relative (multiplicative) slack in [0, 1), so the verdict is invariant
+    under positive rescaling of f that keeps every sample in [2**-511,
+    2**511], where every product of two samples is a finite normal float.  A
+    sample outside that range, nonpositive or non-finite raises DomainError
+    naming its s.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < 1:  # else 1 - tol <= 0, or NaN, and no index is ever flagged
+        raise ValueError(f"tol must be in [0, 1), got {tol!r}")
     pts = [(float(s), float(v)) for s, v in samples]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 samples, got {len(pts)}")

@@ -17,7 +17,7 @@ axis, axis ranges and whether the polytope has interior are all read from
 that enumeration, so no float solver decides them.  Monte-Carlo slicing
 takes each bin's bounding box from where segments between vertices cross
 the slicing hyperplane, so no bin solves anything, and builds what does not
-depend on the bin (rows, vertex columns, buffers) once per profile.
+depend on the bin (rows, vertex columns) once per profile.
 """
 
 from __future__ import annotations
@@ -249,7 +249,8 @@ def suggested_tolerance(f: SliceVolumeFn, sigmas: float = 4.0) -> float:
     A relative perturbation r of each bin moves the midpoint ratio
     f(s)^2 / (f(s-h) f(s+h)) by up to (1+r)^2/(1-r)^2; the returned slack
     covers ``sigmas`` standard errors of that worst case (floor 1e-9 for
-    exact profiles, capped below 1 for very noisy ones).
+    exact profiles), capped at 0.9: from r = 0.17 on, that slack would reach
+    1, where the midpoint test flags nothing.
     """
     vols = np.asarray(f.volumes, dtype=float)
     pos = vols > 0
@@ -258,7 +259,7 @@ def suggested_tolerance(f: SliceVolumeFn, sigmas: float = 4.0) -> float:
     r = float(np.max(f.stderrs[pos] / vols[pos])) * sigmas
     if r >= 0.45:
         return 0.9
-    return max(1e-9, (1 + r) ** 2 / (1 - r) ** 2 - 1)
+    return min(0.9, max(1e-9, (1 + r) ** 2 / (1 - r) ** 2 - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +447,6 @@ def _slice_extent(t: np.ndarray, rest: np.ndarray,
     return pts.min(axis=0), pts.max(axis=0)
 
 
-def _tile(out: np.ndarray, row: np.ndarray) -> None:
-    """Fill the flat ``out`` with copies of ``row`` end to end by doubling
-    the filled prefix: a dozen copies, where broadcasting a row of two or
-    three would run one short inner loop per copy."""
-    out[:len(row)] = row
-    filled = len(row)
-    while filled < len(out):
-        step = min(filled, len(out) - filled)
-        out[filled:filled + step] = out[:step]
-        filled += step
-
-
 def _mc_slicer(p: HPolytope, axis: int, n: int):
     """The hit-or-miss estimator of the (dim-1)-volumes of the slices of
     ``p`` at axis = s, each from n points: a function of ``(s, rng)`` giving
@@ -466,11 +455,10 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     What does not depend on s is built here, once per profile: the rows of
     the half-spaces without the axis, the mask of those normal to it, the
     vertices (enumerated exactly on first use, rounded to floats) split into
-    the axis column and the others, the box pad, and the point, product and
-    hit buffers of one block of min(n, _MC_BLOCK) points.  Each call takes
-    the slice's bounding box from the vertices, widened by the pad, and
-    fills the point buffer, block by block, with rng's next n * (dim-1)
-    doubles in row-major order.  It scales them into the box by one flat
+    the axis column and the others, and the box pad.  Each call takes the
+    slice's bounding box from the vertices, widened by the pad, and draws
+    rng's next n * (dim-1) doubles in row-major order, in fresh blocks of
+    min(n, _MC_BLOCK) points.  It scales each block into the box by one flat
     multiply and add over rows that repeat the box's widths and lows, which
     are the same IEEE operations as broadcasting, so the estimate is the
     one-shot estimate bit for bit, whatever the block size.  An empty slice
@@ -494,11 +482,6 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     # bias the estimate, where one too large only adds variance
     pad = _BOX_PAD * float(np.abs(vertices).max(initial=0.0))
     block = min(n, _MC_BLOCK)
-    u = np.empty((block, k))
-    flat = u.reshape(-1)
-    scale, shift = np.empty(block * k), np.empty(block * k)
-    d = np.empty((len(rows), block))  # one contiguous row per half-space
-    hit = np.empty(block, dtype=bool)
 
     def estimate(s: float, rng: np.random.Generator) -> tuple[float, float]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -514,21 +497,18 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
             if not math.isfinite(box_vol) or (np.prod(spans) == 0 and np.all(spans > 0)):
                 raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
                                   "its volume is outside the float range")
-        _tile(scale, widths)
-        _tile(shift, lows)
-        bounds = bounds[~normal]
+        # a flat multiply-add over rows tiling the box: broadcasting a row of
+        # two or three would run one short inner loop per point
+        scale, shift = np.tile(widths, block), np.tile(lows, block)
+        bounds = bounds[~normal, None]
         hits = 0
         for start in range(0, n, block):
             m = min(block, n - start)
-            pts = rng.random(out=u[:m])
-            f = flat[:m * k]
-            f *= scale[:m * k]
-            f += shift[:m * k]
-            prod = np.matmul(rows, pts.T, out=d[:, :m])
-            inside = np.less_equal(prod[0], bounds[0], out=hit[:m])
-            for row, bound in zip(prod[1:], bounds[1:]):
-                inside &= row <= bound
-            hits += np.count_nonzero(inside)
+            pts = rng.random((m, k))
+            flat = pts.reshape(-1)
+            flat *= scale[:m * k]
+            flat += shift[:m * k]
+            hits += np.count_nonzero((rows @ pts.T <= bounds).all(axis=0))
         phat = hits / n
         return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
 

@@ -252,6 +252,16 @@ def test_discrete_needs_three_samples():
         discrete_logconcavity([(0.0, 1.0), (0.1, 1.0)], tol=1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 1.5])
+def test_discrete_rejects_a_tolerance_that_flags_nothing(tol):
+    # with 1 - tol <= 0, or NaN in every comparison, no index is ever flagged:
+    # the V below would pass as log-concave
+    samples = [(0.0, 1.0), (1.0, 0.1), (2.0, 1.0), (3.0, 5.0)]
+    assert not discrete_logconcavity(samples, tol=1e-9).log_concave
+    with pytest.raises(ValueError, match="tol"):
+        discrete_logconcavity(samples, tol=tol)
+
+
 def test_discrete_scale_invariance():
     h = 0.02
     s = _grid(0.5, 4.5, h)

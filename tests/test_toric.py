@@ -149,7 +149,8 @@ def _kernel_cases():
     """(polytope, axis, s): every axis of each body, sliced at both ends of
     its projection, within _BOX_PAD of them, and inside."""
     rng = np.random.default_rng(49)
-    bodies = [SIMPLEX3, SHIFTED_CUBE, ROUNDED_END, *(random_polytope(rng, d) for d in (3, 4, 5))]
+    bodies = [SIMPLEX3, SHIFTED_CUBE, ROUNDED_END, *(random_polytope(rng, d) for d in (3, 4, 5)),
+              SIMPLEX2]  # last, so the other cases keep their streams; k = 1 column
     for p in bodies:
         pad = _BOX_PAD * float(np.abs(p._vertices).max())
         for axis in range(p.dim):
@@ -179,10 +180,11 @@ def test_mc_slice_at_a_rounded_end_is_empty():
 
 @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7])
 def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
-    # the slicer reuses its buffers from bin to bin, and a last partial
-    # block uses only part of them; neither may leave a stale bit behind
+    # the slicer shares its rows and vertex columns between bins, and a last
+    # partial block scales by only part of the tiled box; neither may leave
+    # a stale bit behind
     bodies = [SIMPLEX3, ROUNDED_END, random_polytope(np.random.default_rng(4), 4),
-              SEGMENT, PLANE_CUT]
+              SEGMENT, PLANE_CUT, SIMPLEX2]
     for p in bodies:
         for axis in range(p.dim):
             profile = slice_profile(p, axis, bins=7, method="mc", mc_n=n, seed=11)
@@ -457,6 +459,25 @@ def test_counterexample_density_fails_prekopa():
                          np.zeros(81))
     report = prekopa_check(fake, tol=1e-9)
     assert not report.log_concave
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 1.5])
+def test_prekopa_rejects_a_tolerance_that_flags_nothing(tol):
+    f = SliceVolumeFn(0, np.arange(4.0), np.array([1.0, 0.1, 1.0, 5.0]), np.zeros(4))
+    assert not prekopa_check(f, tol=1e-9).log_concave
+    with pytest.raises(ValueError, match="tol"):
+        prekopa_check(f, tol=tol)
+
+
+@pytest.mark.parametrize("rel", [0.0, 0.01, 0.05, 0.1, 0.5, 5.0])
+def test_suggested_tolerance_is_a_tolerance_prekopa_accepts(rel):
+    # from a relative stderr of 4.3%, four of them make (1 + r)^2 / (1 - r)^2 - 1
+    # reach 1, where the midpoint test would flag nothing
+    vols = np.array([1.0, 2.0, 1.5])
+    f = SliceVolumeFn(0, np.arange(3.0), vols, rel * vols)
+    tol = suggested_tolerance(f)
+    assert 0 <= tol < 1
+    assert prekopa_check(f, tol).log_concave
 
 
 def test_prekopa_trims_empty_end_bins():
