@@ -59,8 +59,7 @@ _LAZY = {
                      "sample_pushforward")),
         ("toric", ("EmptyPolytopeError", "HPolytope", "InsufficientDataError",
                    "SliceVolumeFn", "UnboundedPolytopeError", "prekopa_check",
-                   "projection_range", "slice_profile", "slice_volume_exact_2d",
-                   "suggested_tolerance")),
+                   "projection_range", "slice_profile", "suggested_tolerance")),
     )
     for name in names
 }
@@ -93,7 +92,6 @@ __all__ = [
     "curvature_form", "discrete_logconcavity", "exterior_derivative",
     "integrate_over_face", "interior_product", "isolate_roots", "normalize",
     "poly_str", "prekopa_check", "projection_range", "sample_pushforward",
-    "shifted_gauge", "slice_profile", "slice_volume_exact_2d",
-    "standard_construction", "suggested_tolerance", "verify_construction",
-    "wedge",
+    "shifted_gauge", "slice_profile", "standard_construction",
+    "suggested_tolerance", "verify_construction", "wedge",
 ]

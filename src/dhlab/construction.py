@@ -244,7 +244,7 @@ def verify_construction(omega: Form, window: CutWindow,
     with Theta recovered from omega by contraction with the t-direction.
     """
     chart = omega.chart
-    closed = exterior_derivative(omega).is_zero()
+    closed = not exterior_derivative(omega)
     minus_dt = Form.basis(chart, T_AXIS, coeff=-1)
     moment = interior_product(omega, THETA_AXIS) == minus_dt
     top = wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)

@@ -2,11 +2,11 @@
 
 Coefficients live in the rational numbers (``fractions.Fraction``), so wedge
 products, exterior derivatives and interior products are computed without any
-rounding; floating point enters only when a polynomial is evaluated at a
-numeric point.  Differential forms are stored in the canonical basis: a
-k-form is a map from strictly ascending k-tuples of variable indices to
-polynomial coefficients, with permutation signs normalized away at
-construction time.
+rounding; floating point enters only when ``Poly.evaluate`` rounds a
+polynomial's exact value at a numeric point once to a float.  Differential
+forms are stored in the canonical basis: a k-form is a map from strictly
+ascending k-tuples of variable indices to polynomial coefficients, with
+permutation signs normalized away at construction time.
 
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
@@ -40,7 +40,8 @@ class UnsupportedIntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class Variable:
-    """A chart variable: its name, periodicity flag and sampling interval."""
+    """A chart variable: its name, periodicity flag and coordinate range
+    [lo, hi), which documents the chart; no computation reads the range."""
 
     name: str
     periodic: bool
@@ -49,17 +50,16 @@ class Variable:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ValueError(f"empty sample interval for {self.name!r}: [{self.lo}, {self.hi})")
+            raise ValueError(f"empty coordinate range for {self.name!r}: [{self.lo}, {self.hi})")
 
 
 @dataclass(frozen=True)
 class Chart:
     """An ordered list of variables fixing the coordinate conventions.
 
-    The sampling intervals are only used by Monte-Carlo consumers; the
-    symbolic operators treat every variable as a formal symbol (in
-    particular, d of a periodic coordinate is a perfectly good 1-form on
-    the chart).
+    The symbolic operators treat every variable as a formal symbol whatever
+    its range (in particular, d of a periodic coordinate is a perfectly good
+    1-form on the chart); only face integration reads the periodicity flags.
     """
 
     variables: tuple[Variable, ...]
@@ -251,22 +251,30 @@ class Poly:
         return self * (1 / self.content())
 
     def evaluate(self, point: Sequence[float]) -> float:
-        """Horner-style evaluation in floating point (coefficients stay exact)."""
-        if len(point) != self.nvars:
-            raise DimensionError(f"point of length {len(point)}, expected {self.nvars}")
-        if not self.terms:
-            return 0.0
-        return _horner(list(self.terms.items()), tuple(float(x) for x in point),
-                       self.nvars, float)
+        """The exact value at the point rounded once to the nearest float;
+        a value beyond the float range is +-inf."""
+        value = self.evaluate_exact(point)
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
-        """Evaluate with exact rational arithmetic (floats convert exactly)."""
+        """Evaluate with exact rational arithmetic (floats convert exactly);
+        a NaN or infinite coordinate raises ValueError."""
         if len(point) != self.nvars:
             raise DimensionError(f"point of length {len(point)}, expected {self.nvars}")
-        if not self.terms:
-            return Fraction(0)
-        return _horner(list(self.terms.items()), tuple(Fraction(x) for x in point),
-                       self.nvars, Fraction)
+        try:
+            point = [Fraction(x) for x in point]
+        except OverflowError as exc:  # Fraction raises ValueError for NaN itself
+            raise ValueError(str(exc)) from None
+        total = _ZERO
+        for exps, c in self.terms.items():
+            for x, e in zip(point, exps):
+                if e:
+                    c *= x ** e
+            total += c
+        return total
 
     def integrate(self, lo, hi) -> Fraction:
         """Exact definite integral of a univariate polynomial over [lo, hi]."""
@@ -325,24 +333,6 @@ def _raw_poly(nvars: int, terms: dict) -> Poly:
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", terms)
     return p
-
-
-def _horner(items, point, nv, cast):
-    # Recursive Horner scheme: group on the last variable, recurse on the rest.
-    if nv == 0:
-        return cast(items[0][1]) if items else cast(0)
-    ax = nv - 1
-    groups: dict[int, list] = {}
-    for exps, c in items:
-        groups.setdefault(exps[ax], []).append((exps, c))
-    x = point[ax]
-    acc = None
-    prev = 0
-    for e in sorted(groups, reverse=True):
-        val = _horner(groups[e], point, nv - 1, cast)
-        acc = val if acc is None else acc * x ** (prev - e) + val
-        prev = e
-    return acc * x ** prev
 
 
 def poly_str(p: Poly, names: Sequence[str] | None = None) -> str:
@@ -580,9 +570,6 @@ class Form:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- exterior algebra ------------------------------------------------------
 

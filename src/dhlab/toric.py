@@ -17,7 +17,8 @@ axis, axis ranges and whether the polytope has interior are all read from
 that enumeration, so no float solver decides them.  Monte-Carlo slicing
 takes each bin's bounding box from where segments between vertices cross
 the slicing hyperplane, so no bin solves anything, and builds what does not
-depend on the bin (rows, vertex columns) once per profile.
+depend on the bin (rows, vertex columns) once per profile.  Exact 2-d
+slicing computes every bin's chord in one pass per profile.
 """
 
 from __future__ import annotations
@@ -158,38 +159,12 @@ def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     return float(min(coords)), float(max(coords))
 
 
-def slice_volume_exact_2d(p: HPolytope, axis: int, s: float) -> float:
-    """Length of the slice of a planar polytope at a fixed axis value.
-
-    Each half-space restricts the free coordinate to a half-line; the slice
-    is their intersection interval (empty slices have length 0).  Raises
-    UnboundedPolytopeError if the polytope is unbounded along the free axis,
-    and DomainError naming s if the length is beyond the float range."""
-    if p.dim != 2:
-        raise ValueError("exact slicing is implemented for dim = 2 only")
-    other = 1 - axis
-    _check_bounded(p._vrep[1], other)
-    lo, hi = -np.inf, np.inf
-    for normal, offset in p.halfspaces:
-        c = offset - normal[axis] * s
-        a = normal[other]
-        if a > 0:
-            hi = min(hi, c / a)
-        elif a < 0:
-            lo = max(lo, c / a)
-        elif c < 0:
-            return 0.0
-    chord = float(max(hi - lo, 0.0))
-    if not math.isfinite(chord):
-        raise DomainError(f"the slice at s={s} has length {chord}, outside the float range")
-    return chord
-
-
 def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
                   mc_n: int = 100_000, seed: int = 0) -> SliceVolumeFn:
     """Slice volumes at bin centers across the projection range.
 
-    ``method`` is "exact2d" (dim = 2 only) or "mc"; Monte-Carlo bins use
+    ``method`` is "exact2d" (dim = 2 only), whose chords are computed for
+    every bin in one pass per profile, or "mc"; Monte-Carlo bins use
     independent streams derived from (seed, axis, bin), so the profile does
     not depend on evaluation order.  A polytope flat along the axis has no
     profile to bin and raises InsufficientDataError.
@@ -212,15 +187,13 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
                           f"float range: [{lo}, {hi}]")
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    vols = np.zeros(bins)
     errs = np.zeros(bins)
-    if method == "mc":
-        estimate = _mc_slicer(p, axis, mc_n)
+    if method == "exact2d":
+        return SliceVolumeFn(axis, centers, _chords_2d(p, axis, centers), errs)
+    vols = np.zeros(bins)
+    estimate = _mc_slicer(p, axis, mc_n)
     for i, s in enumerate(centers):
-        if method == "exact2d":
-            vols[i] = slice_volume_exact_2d(p, axis, float(s))
-        else:
-            vols[i], errs[i] = estimate(float(s), _rng(seed, axis, i))
+        vols[i], errs[i] = estimate(float(s), _rng(seed, axis, i))
     return SliceVolumeFn(axis, centers, vols, errs)
 
 
@@ -243,20 +216,20 @@ def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
     return replace(report, trimmed=(first, len(vols) - 1 - last))
 
 
-def suggested_tolerance(f: SliceVolumeFn, sigmas: float = 4.0) -> float:
+def suggested_tolerance(f: SliceVolumeFn) -> float:
     """Multiplicative slack for prekopa_check absorbing the profile's MC noise.
 
     A relative perturbation r of each bin moves the midpoint ratio
     f(s)^2 / (f(s-h) f(s+h)) by up to (1+r)^2/(1-r)^2; the returned slack
-    covers ``sigmas`` standard errors of that worst case (floor 1e-9 for
-    exact profiles), capped at 0.9: from r = 0.17 on, that slack would reach
-    1, where the midpoint test flags nothing.
+    covers four (_NOISE_STDERRS) standard errors of that worst case (floor
+    1e-9 for exact profiles), capped at 0.9: from r = 0.17 on, that slack
+    would reach 1, where the midpoint test flags nothing.
     """
     vols = np.asarray(f.volumes, dtype=float)
     pos = vols > 0
     if not pos.any():
         return 1e-9
-    r = float(np.max(f.stderrs[pos] / vols[pos])) * sigmas
+    r = float(np.max(f.stderrs[pos] / vols[pos])) * _NOISE_STDERRS
     if r >= 0.45:
         return 0.9
     return min(0.9, max(1e-9, (1 + r) ** 2 / (1 - r) ** 2 - 1))
@@ -265,6 +238,9 @@ def suggested_tolerance(f: SliceVolumeFn, sigmas: float = 4.0) -> float:
 # ---------------------------------------------------------------------------
 # internals
 # ---------------------------------------------------------------------------
+
+_NOISE_STDERRS = 4.0  # standard errors of MC noise that suggested_tolerance covers
+
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -420,6 +396,35 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
             y[c] = -r[free]
         basis.append(_integer_row(y))
     return basis
+
+
+def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
+    """Lengths of the slices of a planar polytope at axis = s for each s in
+    ``centers``: each half-space bounds the free coordinate on one side, or
+    empties the slice.  Raises UnboundedPolytopeError if the polytope is
+    unbounded along the free axis, and DomainError naming the first s whose
+    length is beyond the float range."""
+    other = 1 - axis
+    _check_bounded(p._vrep[1], other)
+    rows = [(normal[axis], normal[other], offset) for normal, offset in p.halfspaces]
+    chords = []
+    for s in centers.tolist():
+        lo, hi = -math.inf, math.inf
+        for along, across, offset in rows:
+            c = offset - along * s
+            if across > 0:
+                hi = min(hi, c / across)
+            elif across < 0:
+                lo = max(lo, c / across)
+            elif c < 0:
+                chords.append(0.0)
+                break
+        else:
+            chords.append(max(hi - lo, 0.0))
+            if not math.isfinite(chords[-1]):
+                raise DomainError(f"the slice at s={s} has length {chords[-1]}, "
+                                  "outside the float range")
+    return np.array(chords)
 
 
 _BOX_PAD = 64 * sys.float_info.epsilon

@@ -112,6 +112,22 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
     return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
 
 
+def exact_chord_2d(p: HPolytope, axis: int, s: float) -> float:
+    """Length of the slice of a planar polytope at axis = s, rounded once.
+
+    The slice spans the exact vertices on the line axis = s and the points
+    where the segments between vertices on either side cross it, all in
+    Fractions.  Shares only the exact vertices with dhlab.toric, so tests
+    can use it as an oracle for the exact 2-d slicer."""
+    vertices, _ = p._vrep
+    s, other = Fraction(s), 1 - axis
+    ends = [v[other] for v in vertices if v[axis] == s]
+    for u, v in combinations(vertices, 2):
+        if (u[axis] - s) * (v[axis] - s) < 0:
+            ends.append(u[other] + (s - u[axis]) / (v[axis] - u[axis]) * (v[other] - u[other]))
+    return float(max(ends) - min(ends)) if ends else 0.0
+
+
 def random_polytope(rng: np.random.Generator, dim: int) -> HPolytope:
     """A bounded polytope with nonempty interior: an axis box plus a few
     oblique cuts, every half-space kept a fixed margin away from a center."""

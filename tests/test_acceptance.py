@@ -66,7 +66,7 @@ def test_criterion_01_symbolic_closedness():
     for gauge in _gauge_family(100, seed=404):
         omega = build_omega(build_connection(gauge), OmegaParams())
         d_omega = exterior_derivative(omega)
-        ok = ok and d_omega.is_zero() and not d_omega.terms
+        ok = ok and not d_omega and not d_omega.terms
     elapsed = time.perf_counter() - start
     _report(1, "closedness d(omega) = 0, 100 gauge shifts", ok and elapsed < 1.0,
             f"elapsed {elapsed:.3f}s")
@@ -200,7 +200,7 @@ def test_criterion_09_toric_baseline():
         profile = slice_profile(polytope, axis=int(rng.integers(0, dim)), bins=16,
                                 method="mc", mc_n=20_000,
                                 seed=int(rng.integers(1 << 30)))
-        result = prekopa_check(profile, suggested_tolerance(profile, sigmas=4.0))
+        result = prekopa_check(profile, suggested_tolerance(profile))
         failures += 0 if result.log_concave else 1
     _report(9, "toric baseline: exact 1-s, MC (1-s)^2/2 within 5%, 50 random pass",
             exact_ok and mc_ok and failures == 0,
@@ -215,7 +215,7 @@ def test_criterion_10_property_suites():
         b = random_form(rng, CHART, degree=rng.randint(1, 2))
         c = random_form(rng, CHART, degree=rng.randint(1, 2))
         v = rng.randrange(CHART.dim)
-        cases_ok = cases_ok and exterior_derivative(exterior_derivative(a)).is_zero()
+        cases_ok = cases_ok and not exterior_derivative(exterior_derivative(a))
         sign = (-1) ** (a.degree * b.degree)
         cases_ok = cases_ok and wedge(a, b) == sign * wedge(b, a)
         cases_ok = cases_ok and exterior_derivative(wedge(a, b)) == \
@@ -224,7 +224,7 @@ def test_criterion_10_property_suites():
         cases_ok = cases_ok and interior_product(wedge(b, c), v) == \
             wedge(interior_product(b, v), c) + \
             (-1) ** b.degree * wedge(b, interior_product(c, v))
-        cases_ok = cases_ok and interior_product(interior_product(a, v), v).is_zero()
+        cases_ok = cases_ok and not interior_product(interior_product(a, v), v)
 
     _, _, omega = standard_construction(WINDOW)
     top = verify_construction(omega, WINDOW).top_power_poly

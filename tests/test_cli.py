@@ -665,6 +665,11 @@ def test_lazy_package_names():
     import dhlab
     import dhlab.toric
 
+    # __all__ is exactly the eager exports and the lazy table: a name
+    # dropped from one but left in the other fails here
+    eager = {name for name, value in vars(dhlab).items() if getattr(value, "__module__", None)
+             in ("dhlab.construction", "dhlab.exterior", "dhlab.logconcavity")}
+    assert set(dhlab.__all__) == eager | set(dhlab._LAZY)
     for name in dhlab.__all__:
         assert getattr(dhlab, name) is not None, name
     namespace: dict = {}

@@ -93,7 +93,7 @@ def test_omega_term_slots():
 
 def test_omega_is_closed():
     _, _, omega = standard_construction(WINDOW)
-    assert exterior_derivative(omega).is_zero()
+    assert not exterior_derivative(omega)
 
 
 def test_omega_sigma14_coefficient_vanishes_at_c1():
@@ -259,7 +259,7 @@ def test_gauge_invariance_of_verified_quantities():
         omega = build_omega(theta, OmegaParams())
         if any(coeffs):
             assert omega != omega0
-        assert exterior_derivative(omega).is_zero()
+        assert not exterior_derivative(omega)
         assert interior_product(omega, 5) == minus_dt
         report = verify_construction(omega, WINDOW)
         assert report.top_power_poly == top0

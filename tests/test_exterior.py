@@ -42,15 +42,15 @@ def test_wedge_single_transposition():
 
 def test_wedge_repeated_index_annihilates():
     a = Form.basis(CHART, 0, 1)
-    assert wedge(a, Form.basis(CHART, 1)).is_zero()
-    assert Form(CHART, 2, {(0, 0): 1}).is_zero()
+    assert not wedge(a, Form.basis(CHART, 1))
+    assert not Form(CHART, 2, {(0, 0): 1})
 
 
 def test_wedge_above_top_degree_is_zero():
     a = Form.basis(CHART, 0, 1, 2, 3)
     b = Form.basis(CHART, 3, 4, 5)
     out = wedge(a, b)
-    assert out.degree == 7 and out.is_zero()
+    assert out.degree == 7 and not out
 
 
 def test_wedge_chart_mismatch():
@@ -98,19 +98,19 @@ def test_derivative_of_coefficient_one_form():
 def test_d_squared_on_scalar():
     f = Poly(CHART.dim, {(2, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 5})  # x1^2 x3 + 5t
     ddf = exterior_derivative(exterior_derivative(Form.scalar(CHART, f)))
-    assert ddf.is_zero() and ddf.degree == 2
+    assert not ddf and ddf.degree == 2
 
 
 def test_derivative_of_top_degree_is_zero():
     top = Form.basis(CHART, 0, 1, 2, 3, 4, 5)
-    assert exterior_derivative(top).is_zero()
+    assert not exterior_derivative(top)
 
 
 def test_d_squared_property():
     rng = random.Random(11)
     for _ in range(120):
         a = random_form(rng, CHART)
-        assert exterior_derivative(exterior_derivative(a)).is_zero()
+        assert not exterior_derivative(exterior_derivative(a))
 
 
 def test_leibniz_rule():
@@ -136,12 +136,12 @@ def test_interior_product_second_slot_sign():
 
 def test_interior_product_absent_axis():
     out = interior_product(Form.basis(CHART, 0, 1), 5)
-    assert out.is_zero() and out.degree == 1
+    assert not out and out.degree == 1
 
 
 def test_interior_product_degree_zero():
     out = interior_product(Form.scalar(CHART, 3), 0)
-    assert out.is_zero()
+    assert not out
 
 
 def test_interior_product_antiderivation():
@@ -171,7 +171,7 @@ def test_interior_product_squares_to_zero():
     for _ in range(120):
         a = random_form(rng, CHART)
         v = rng.randrange(CHART.dim)
-        assert interior_product(interior_product(a, v), v).is_zero()
+        assert not interior_product(interior_product(a, v), v)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +209,27 @@ def test_evaluate_is_ring_homomorphism_up_to_rounding():
         rhs = p.evaluate(point) * q.evaluate(point)
         scale = max(1.0, abs_eval(p, point) * abs_eval(q, point))
         assert abs(lhs - rhs) <= 8 * eps * scale
+
+
+def test_evaluate_is_correctly_rounded():
+    rng = random.Random(1606)
+    for _ in range(2000):
+        p = random_poly(rng, 3, max_degree=4, max_terms=5)
+        point = [rng.uniform(-3, 3) for _ in range(3)]
+        assert p.evaluate(point) == float(p.evaluate_exact(point)), (p, point)
+
+
+def test_evaluate_beyond_the_float_range_is_infinite():
+    t = Poly.variable(1, 0)
+    assert (t ** 2).evaluate((1e200,)) == math.inf
+    assert (-t ** 2).evaluate((1e200,)) == -math.inf
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_a_nonfinite_point(x):
+    for evaluate in (RHO.evaluate, RHO.evaluate_exact, Poly(1).evaluate):
+        with pytest.raises(ValueError):
+            evaluate((x,))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +364,7 @@ def test_constructors_sum_a_key_that_cancels_and_returns():
     assert Poly(1, [((1,), 1), ((1,), -1)]).terms == {}
     assert Poly(2, [((0, 1), 0), ((1, 0), 3), ((0, 1), 0)]).terms == {(1, 0): Fraction(3)}
 
-    assert Form(CHART, 2, [((0, 1), 1), ((1, 0), 1)]).is_zero()
+    assert not Form(CHART, 2, [((0, 1), 1), ((1, 0), 1)])
     back = Form(CHART, 2, [((0, 1), 1), ((1, 0), 1), ((1, 0), -3)])
     assert back == Form.basis(CHART, 0, 1, coeff=3)
     _assert_no_zero_terms(back)

@@ -23,11 +23,10 @@ from dhlab import (
     prekopa_check,
     projection_range,
     slice_profile,
-    slice_volume_exact_2d,
     suggested_tolerance,
 )
 from dhlab.toric import _BOX_PAD, _MC_BLOCK, _mc_slicer, _rng
-from helpers import random_polytope, slice_volume_mc, slice_volume_mc_reference
+from helpers import exact_chord_2d, random_polytope, slice_volume_mc, slice_volume_mc_reference
 
 SQUARE = HPolytope(2, (
     ((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
@@ -81,30 +80,46 @@ def test_empty_polytope_rejected():
 # ---------------------------------------------------------------------------
 
 def test_square_slice_is_constant():
-    assert slice_volume_exact_2d(SQUARE, 0, 0.3) == pytest.approx(1.0)
+    # along axis 1 every chord is 1 - (-0.0), exactly 1
+    profile = slice_profile(SQUARE, 1, bins=7, method="exact2d")
+    assert np.all(profile.volumes == 1.0)
 
 
 def test_simplex_slice_is_affine():
-    assert slice_volume_exact_2d(SIMPLEX2, 0, 0.25) == pytest.approx(0.75)
-
-
-def test_slice_outside_is_zero():
-    assert slice_volume_exact_2d(SIMPLEX2, 0, 1.5) == 0.0
-    assert slice_volume_exact_2d(SIMPLEX2, 0, -0.5) == 0.0
+    # along axis 1 the chord runs from x = -0.0 to x = 1 - s: one rounding
+    profile = slice_profile(SIMPLEX2, 1, bins=9, method="exact2d")
+    assert np.all(profile.volumes == 1.0 - profile.grid)
 
 
 def test_exact_slice_of_slab_names_the_unbounded_axis():
     slab = HPolytope(2, (((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0)))  # 0 <= x <= 1
-    with pytest.raises(UnboundedPolytopeError, match="axis 1"):
-        slice_volume_exact_2d(slab, 0, 0.5)
     for method in ("exact2d", "mc"):
         with pytest.raises(UnboundedPolytopeError, match="axis 1"):
             slice_profile(slab, 0, 8, method=method, mc_n=100)
 
 
-def test_exact_slice_requires_dim_2():
-    with pytest.raises(ValueError):
-        slice_volume_exact_2d(CUBE3, 0, 0.5)
+def test_exact2d_profiles_match_the_exact_vertex_oracle():
+    # every chord is within 1e-13 of the exact chord rounded once; the
+    # oracle shares only the exact vertices with dhlab.toric
+    rng = np.random.default_rng(1606)
+    worst = 0.0
+    for _ in range(50):
+        polygon = random_polytope(rng, 2)
+        axis = int(rng.integers(0, 2))
+        profile = slice_profile(polygon, axis, bins=32, method="exact2d")
+        want = np.array([exact_chord_2d(polygon, axis, s) for s in profile.grid.tolist()])
+        assert np.all(want > 0)
+        worst = max(worst, float(np.max(np.abs(profile.volumes - want) / want)))
+    assert worst <= 1e-13
+
+
+def test_polygon_without_interior_has_zero_exact2d_profile():
+    # the unit square cut to the diagonal x = y: every slice is a point
+    diagonal = HPolytope(2, SQUARE.halfspaces + (((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)))
+    assert diagonal._vertices.shape == (0, 2)
+    for axis in (0, 1):
+        profile = slice_profile(diagonal, axis, bins=16, method="exact2d")
+        assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
 
 
 # ---------------------------------------------------------------------------
