@@ -97,16 +97,10 @@ class OmegaParams:
         object.__setattr__(self, "c2", Fraction(self.c2))
 
 
-def canonical_chart(window: CutWindow) -> Chart:
+def canonical_chart() -> Chart:
     """The chart (x1, x2, x3, x4, t, theta); x's and theta periodic on [0,1)."""
-    return Chart((
-        Variable("x1", True, 0.0, 1.0),
-        Variable("x2", True, 0.0, 1.0),
-        Variable("x3", True, 0.0, 1.0),
-        Variable("x4", True, 0.0, 1.0),
-        Variable("t", False, window.lo, window.hi),
-        Variable("theta", True, 0.0, 1.0),
-    ))
+    names = ("x1", "x2", "x3", "x4", "t", "theta")
+    return Chart(tuple(Variable(name, name != "t") for name in names))
 
 
 def curvature_form(chart: Chart) -> Form:
@@ -161,7 +155,7 @@ def build_omega(theta: Form, params: OmegaParams) -> Form:
 def standard_construction(window: CutWindow,
                           params: OmegaParams = OmegaParams()) -> tuple[Chart, Form, Form]:
     """Chart, connection and symplectic form in the canonical gauge."""
-    chart = canonical_chart(window)
+    chart = canonical_chart()
     theta = build_connection(canonical_gauge(chart))
     return chart, theta, build_omega(theta, params)
 

@@ -40,26 +40,19 @@ class UnsupportedIntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class Variable:
-    """A chart variable: its name, periodicity flag and coordinate range
-    [lo, hi), which documents the chart; no computation reads the range."""
+    """A chart variable: its name and periodicity flag."""
 
     name: str
     periodic: bool
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty coordinate range for {self.name!r}: [{self.lo}, {self.hi})")
 
 
 @dataclass(frozen=True)
 class Chart:
     """An ordered list of variables fixing the coordinate conventions.
 
-    The symbolic operators treat every variable as a formal symbol whatever
-    its range (in particular, d of a periodic coordinate is a perfectly good
-    1-form on the chart); only face integration reads the periodicity flags.
+    The symbolic operators treat every variable as a formal symbol (in
+    particular, d of a periodic coordinate is a perfectly good 1-form on the
+    chart); only face integration reads the periodicity flags.
     """
 
     variables: tuple[Variable, ...]
@@ -253,11 +246,7 @@ class Poly:
     def evaluate(self, point: Sequence[float]) -> float:
         """The exact value at the point rounded once to the nearest float;
         a value beyond the float range is +-inf."""
-        value = self.evaluate_exact(point)
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
+        return _round(self.evaluate_exact(point))
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Evaluate with exact rational arithmetic (floats convert exactly);
@@ -362,26 +351,24 @@ def poly_str(p: Poly, names: Sequence[str] | None = None) -> str:
 # Exact real roots of univariate polynomials
 # ---------------------------------------------------------------------------
 
-def root_brackets(p: Poly, interval: tuple, tol: float) -> list[tuple[Fraction, Fraction]]:
+def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
     """Rational brackets of the distinct real roots of p in a closed interval.
 
     The square-free part q = p / gcd(p, p') has the roots of p, each simple;
     its Sturm chain counts them exactly in any (a, b], and bisection on
-    rational endpoints separates them and narrows each to width <= tol.
-    Brackets come in ascending order, each either (r, r) for a root r met
-    exactly, or (a, b) with a < r < b and q(a), q(b) != 0, so a point
-    strictly between two consecutive roots lies in [b_i, a_{i+1}].
+    rational endpoints separates them and narrows each until every point
+    strictly inside its bracket rounds to one double.  Brackets come in
+    ascending order, each either (r, r) for a root r met exactly, or (a, b)
+    with a < r < b and q(a), q(b) != 0, so a point strictly between two
+    consecutive roots lies in [b_i, a_{i+1}].
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tol = Fraction(tol)
     lo, hi, q, variations = _sturm(p, interval)
-    out = [(lo, lo)] if not _eval_dense(q, lo) else []
+    out = [(lo, lo)] if not _scaled_value(q, lo) else []
     pending = [(lo, hi, variations(lo), variations(hi))]  # roots in (a, b]: va - vb
     while pending:
         a, b, va, vb = pending.pop()
         if va - vb == 1:
-            out.append(_narrow(q, a, b, tol))
+            out.append(_narrow(q, a, b))
         elif va - vb > 1:
             m = (a + b) / 2
             vm = variations(m)
@@ -389,10 +376,11 @@ def root_brackets(p: Poly, interval: tuple, tol: float) -> list[tuple[Fraction, 
     return out
 
 
-def isolate_roots(p: Poly, interval: tuple[float, float], tol: float = 1e-9) -> list[float]:
+def isolate_roots(p: Poly, interval: tuple[float, float]) -> list[float]:
     """Distinct real roots of a univariate polynomial in a closed interval,
-    ascending, each within tol/2 of the true root (see :func:`root_brackets`)."""
-    return [float((a + b) / 2) for a, b in root_brackets(p, interval, tol)]
+    ascending, each correctly rounded to a double (ties to even; beyond the
+    float range, +-inf); see :func:`root_brackets`."""
+    return [_round((a + b) / 2) for a, b in root_brackets(p, interval)]
 
 
 def positive_on(p: Poly, interval: tuple) -> bool:
@@ -402,12 +390,13 @@ def positive_on(p: Poly, interval: tuple) -> bool:
 
 
 def _sturm(p: Poly, interval: tuple):
-    """Validated lo, hi; the square-free part q of p; v with v(a) - v(b) roots of q in (a, b]."""
+    """Validated lo, hi; the square-free part q of p as integer coefficients;
+    v with v(a) - v(b) roots of q in (a, b]."""
     if p.nvars != 1:
         raise DimensionError("root isolation needs a univariate polynomial")
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not lo < hi:
-        raise ValueError(f"empty interval ({float(lo)}, {float(hi)})")
+        raise ValueError(f"empty interval ({_round(lo)}, {_round(hi)})")
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
     dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
@@ -419,36 +408,68 @@ def _sturm(p: Poly, interval: tuple):
     while chain[-1]:
         chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
     chain.pop()
+    for i, s in enumerate(chain):  # a positive integer multiple has the same signs
+        k = math.lcm(*(c.denominator for c in s))
+        chain[i] = [c.numerator * (k // c.denominator) for c in s]
 
     def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (_eval_dense(s, x) for s in chain) if v]
+        signs = [v > 0 for v in (_scaled_value(s, x) for s in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return lo, hi, q, variations
+    return lo, hi, chain[0], variations
 
 
-def _narrow(q: list, a: Fraction, b: Fraction, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect the one simple root of q in (a, b] to a bracket as promised
-    by root_brackets; a starts on a root of q only if it is the one before."""
-    qb = _eval_dense(q, b)
+def _narrow(q: list, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisect the one simple root of q in (a, b] to a bracket as promised by
+    root_brackets, until every point strictly inside it rounds to the same
+    double; a starts on a root of q only if it is the one before."""
+    qb = _scaled_value(q, b)
     if not qb:
         return b, b
-    while b - a > tol or not _eval_dense(q, a):
-        m = (a + b) / 2
-        qm = _eval_dense(q, m)
+    qa = _scaled_value(q, a)
+    while True:
+        m = _split_point(a, b) if qa else (a + b) / 2
+        if m is None:
+            return a, b
+        qm = _scaled_value(q, m)
         if not qm:
             return m, m
         if (qm > 0) == (qb > 0):
             b = m
         else:
-            a = m
-    return a, b
+            a, qa = m, qm
 
 
-def _eval_dense(c: list, x: Fraction) -> Fraction:
-    acc = _ZERO
+def _split_point(a: Fraction, b: Fraction) -> Fraction | None:
+    """None if every point of (a, b) rounds to one double; else the midpoint,
+    or, once a and b round to adjacent doubles, the rounding boundary between
+    them, which a bisection point may never meet (1 + 3*2**-53 in (0, 3))."""
+    x, y = _round(a), _round(b)
+    if x == y:
+        return None
+    if math.nextafter(x, y) != y:
+        return (a + b) / 2
+    half_gap = Fraction(min(math.ulp(x), math.ulp(y))) / 2  # ulp(inf) is inf
+    m = Fraction(x) + half_gap if math.isfinite(x) else Fraction(y) - half_gap
+    return m if a < m < b else None
+
+
+def _round(x: Fraction) -> float:
+    """x rounded to the nearest double, ties to even; beyond the float range, +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _scaled_value(c: list, x: Fraction) -> int:
+    """den**deg * c(num/den) for integer coefficients c, constant first: an
+    integer of the sign of c(x)."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
     for v in reversed(c):
-        acc = acc * x + v
+        acc = acc * num + v * scale
+        scale *= den
     return acc
 
 

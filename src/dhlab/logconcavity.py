@@ -7,7 +7,7 @@ Two complementary routes:
   functions, no transcendental evaluation needed), and
 * an exact route for positive polynomial densities via the concavity
   discriminant g = f*f'' - (f')^2, which has the sign of (log f)''
-  wherever f > 0.
+  wherever f > 0, reporting each root of g correctly rounded.
 
 Both produce a :class:`ViolationReport`; a density is log-concave exactly
 when the report carries no violation intervals.
@@ -120,10 +120,11 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
 
     Positivity is certified exactly (f(lo) > 0 and no root in [lo, hi]).
     The roots of the concavity discriminant g are bracketed in rational
-    arithmetic to width <= 1e-9, and the sign of g between two roots is
-    that of g at a rational point proven to lie between them.  Reported are
-    the maximal subintervals where g > 0, with bracket midpoints as ends
-    and the sampled point of largest g as witness.
+    arithmetic until each rounds to one double, and the sign of g between
+    two roots is that of g at a rational point proven to lie between them.
+    Reported are the maximal subintervals where g > 0, with the correctly
+    rounded roots or the window ends as ends and the sampled point of
+    largest g as witness.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not f or not positive_on(f, (lo, hi)):  # positive_on checks f and the interval
@@ -133,7 +134,7 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
     if not g:
         return ViolationReport(True, (), ())
 
-    brackets = root_brackets(g, (lo, hi), 1e-9)
+    brackets = root_brackets(g, (lo, hi))
     ends = [lo, *(float((a + b) / 2) for a, b in brackets), hi]
     fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
     intervals: list[tuple[float, float]] = []

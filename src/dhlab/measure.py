@@ -76,7 +76,6 @@ class Histogram:
     sample_count: int
     window: CutWindow
     seed: int
-    generator: str = GENERATOR_NAME
 
     @property
     def bins(self) -> int:
@@ -95,8 +94,7 @@ class Histogram:
                 and self.total_weight == other.total_weight
                 and self.sample_count == other.sample_count
                 and self.window == other.window
-                and self.seed == other.seed
-                and self.generator == other.generator)
+                and self.seed == other.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +105,6 @@ class DensityEstimate:
     bin_centers: np.ndarray
     density: np.ndarray
     stderr: np.ndarray
-    window: CutWindow
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +186,7 @@ def normalize(h: Histogram) -> DensityEstimate:
     var = np.maximum(h.weight_sq_sums - h.weight_sums ** 2 / h.sample_count, 0.0)
     stderr = np.sqrt(var) / scale
     centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
-    return DensityEstimate(centers, density, stderr, h.window)
+    return DensityEstimate(centers, density, stderr)
 
 
 def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> ComparisonReport:

@@ -98,12 +98,6 @@ class HPolytope:
             return np.empty((0, self.dim))
         return np.array(vertices, dtype=float)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "halfspaces": [{"a": list(n), "b": off} for n, off in self.halfspaces],
-        }
-
     @staticmethod
     def from_json_dict(data: dict) -> "HPolytope":
         """The polytope of a ``{"dim": d, "halfspaces": [{"a": [...], "b": v},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +17,7 @@ WINDOW = CutWindow(0.5, 4.5)
 
 
 def chart6() -> Chart:
-    return canonical_chart(WINDOW)
+    return canonical_chart()
 
 
 def random_rational(rng: random.Random, span: int = 9) -> Fraction:
@@ -54,6 +55,37 @@ def abs_eval(p: Poly, point) -> float:
             term *= abs(float(x)) ** e
         total += term
     return total
+
+
+def rounds_to_root(e: float, f, interval) -> bool:
+    """Whether the double e is the correctly rounded value of a root of f in
+    the closed interval, for f mapping Fractions to Fractions and changing
+    sign at each of its roots.
+
+    The reals that round to e lie between the half-ulp points (e- + e)/2 and
+    (e + e+)/2 to its neighbours e- and e+, with +-inf read as +-2**1024;
+    the cell of +-inf is unbounded on its far side, and every cell is
+    clipped to the interval.  A root exactly on a half-ulp point rounds to
+    the neighbour of even significand: inf's counts as even and the largest
+    double's is odd, so 2**1024 - 2**970 rounds to inf.
+    """
+    def exact(d):
+        return Fraction(d) if math.isfinite(d) else Fraction(2 ** 1024) * (1 if d > 0 else -1)
+
+    below, above = math.nextafter(e, -math.inf), math.nextafter(e, math.inf)
+    lower = (exact(below) + exact(e)) / 2 if e != -math.inf else None
+    upper = (exact(e) + exact(above)) / 2 if e != math.inf else None
+    even = math.isinf(e) or int(e / math.ulp(e)) % 2 == 0
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    u = lo if lower is None else max(lo, lower)
+    v = hi if upper is None else min(hi, upper)
+    if u > v:
+        return False
+    fu, fv = f(u), f(v)
+    for x, fx, half_ulp in ((u, fu, lower), (v, fv, upper)):
+        if not fx:
+            return x != half_ulp or even
+    return (fu > 0) != (fv > 0)
 
 
 def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):

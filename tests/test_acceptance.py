@@ -40,7 +40,7 @@ from dhlab import (
 from helpers import random_form, random_polytope, random_rational
 
 WINDOW = CutWindow(0.5, 4.5)
-CHART = canonical_chart(WINDOW)
+CHART = canonical_chart()
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})
 LEFT = 2.5 - math.sqrt(3) / 2
 RIGHT = 2.5 + math.sqrt(3) / 2

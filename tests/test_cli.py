@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import dhlab.cli
 from dhlab.cli import main
+from helpers import rounds_to_root
 
 GOLDEN = Path(__file__).parent / "golden"
 SIMPLEX2_JSON = json.dumps({
@@ -58,9 +60,9 @@ def test_verify_default_passes(capsys, tmp_path):
     assert report["all_passed"] is True
     assert report["top_power_str"] == "6*t^2 - 30*t + 42"
     # the report embeds the verified 2-form as a full form document
-    from dhlab import CutWindow, Form, canonical_chart
+    from dhlab import Form, canonical_chart
 
-    omega = Form.from_json(canonical_chart(CutWindow(0.5, 4.5)), report["omega"])
+    omega = Form.from_json(canonical_chart(), report["omega"])
     assert omega.degree == 2 and len(omega.terms) == 7
 
 
@@ -207,7 +209,12 @@ def test_logconcavity_analytic_finding(capsys, tmp_path):
     (lo, hi), = report["intervals"]
     assert lo == pytest.approx(2.5 - math.sqrt(3) / 2, abs=1e-9)
     assert hi == pytest.approx(2.5 + math.sqrt(3) / 2, abs=1e-9)
-    assert "log-concave: NO" in capsys.readouterr().out
+    # each end is 5/2 -/+ sqrt(3)/2 rounded once, and the witness is exact
+    assert [lo, hi] == [1.6339745962155614, 3.366025403784439]
+    assert all(rounds_to_root(e, _violation_sign(2, 3), (0.5, 4.5)) for e in (lo, hi))
+    assert report["witnesses"] == [[2.5, 1.5]]
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "log-concave: NO; violations on (1.633974596, 3.366025404)"
 
 
 def test_logconcavity_finds_close_root_pair(capsys, tmp_path):
@@ -219,6 +226,30 @@ def test_logconcavity_finds_close_root_pair(capsys, tmp_path):
     (lo, hi), = json.loads(out.read_text())["intervals"]
     assert lo == pytest.approx(1.9999683767234023, abs=1e-9)
     assert hi == pytest.approx(2.0000316222765977, abs=1e-9)
+    sign = _violation_sign(1, Fraction("2.999999999"))
+    assert all(rounds_to_root(e, sign, (0.5, 4.5)) for e in (lo, hi))
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "log-concave: NO; violations on (1.999968377, 2.000031622)"
+
+
+def test_logconcavity_keeps_window_ends_and_exit_codes(capsys, tmp_path):
+    # a window end inside the violation set is an end of the report as it is
+    out = tmp_path / "report.json"
+    assert main(["logconcavity", "--analytic", "--window", "0.5", "2",
+                 "--output", str(out)]) == 3
+    (lo, hi), = json.loads(out.read_text())["intervals"]
+    assert rounds_to_root(lo, _violation_sign(2, 3), (0.5, 2)) and hi == 2.0
+    capsys.readouterr()
+    # f = (t - 2)^2 vanishes inside the default window
+    assert main(["logconcavity", "--analytic", "--params", "1", "3"]) == 1
+    assert "nondegeneracy" in capsys.readouterr().err
+
+
+def _violation_sign(c1, c2):
+    """For the density 1 + (c1 - t)(c2 - t): a function of the sign of
+    (log f)'', zero at the ends of the violation set."""
+    mid, rest = Fraction(c1 + c2) / 2, 1 - Fraction(c1 - c2) ** 2 / 4
+    return lambda x: rest - (x - mid) ** 2
 
 
 def test_logconcavity_gaussian_csv(capsys, tmp_path):

@@ -27,7 +27,7 @@ from dhlab import (
 from helpers import random_rational
 
 WINDOW = CutWindow(0.5, 4.5)
-CHART = canonical_chart(WINDOW)
+CHART = canonical_chart()
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})
 
 

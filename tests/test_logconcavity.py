@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from dhlab import (
     isolate_roots,
 )
 from dhlab.exterior import positive_on, root_brackets
+from helpers import rounds_to_root
 
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})       # t^2 - 5 t + 7
 G_RHO = Poly(1, {(2,): -2, (1,): 10, (0,): -11})  # rho rho'' - (rho')^2
@@ -35,49 +37,45 @@ def _grid(lo, hi, h):
 # ---------------------------------------------------------------------------
 
 def test_isolate_quadratic_roots():
-    roots = isolate_roots(G_RHO, (0.0, 5.0), tol=1e-9)
+    roots = isolate_roots(G_RHO, (0.0, 5.0))
     assert len(roots) == 2
     assert roots[0] == pytest.approx(LEFT, abs=1e-9)
     assert roots[1] == pytest.approx(RIGHT, abs=1e-9)
+    assert all(rounds_to_root(r, lambda x: G_RHO.evaluate_exact((x,)), (0, 5)) for r in roots)
 
 
 def test_isolate_no_real_roots():
-    assert isolate_roots(RHO, (0.0, 5.0), tol=1e-9) == []
+    assert isolate_roots(RHO, (0.0, 5.0)) == []
 
 
 def test_isolate_linear_root():
-    roots = isolate_roots(Poly(1, {(1,): 1, (0,): Fraction(-5, 2)}), (0.0, 5.0), tol=1e-9)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(2.5, abs=1e-9)
+    assert isolate_roots(Poly(1, {(1,): 1, (0,): Fraction(-5, 2)}), (0.0, 5.0)) == [2.5]
 
 
 def test_isolate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        isolate_roots(RHO, (0.0, 5.0), tol=0.0)
-    with pytest.raises(ValueError):
         isolate_roots(RHO, (2.0, 2.0))
+    with pytest.raises(ValueError, match="empty interval"):  # ends beyond the float range
+        isolate_roots(RHO, (2 ** 1101, 2 ** 1100))
 
 
 def test_isolate_root_on_grid_point():
-    # roots at 1 and 4 are rational, met exactly or bracketed to tol
+    # roots at 1 and 4 are rational, met exactly or bracketed until they round
     p = Poly(1, {(2,): 1, (1,): -5, (0,): 4})
-    roots = isolate_roots(p, (0.0, 5.0), tol=1e-9)
-    assert [pytest.approx(r, abs=1e-9) for r in roots] == [1.0, 4.0]
+    assert isolate_roots(p, (0.0, 5.0)) == [1.0, 4.0]
 
 
 def test_isolate_double_root():
     # 6 (t - 2)^2 touches zero without a sign change
     p = Poly(1, {(2,): 6, (1,): -24, (0,): 24})
-    roots = isolate_roots(p, (0.5, 4.4))
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(2.0, abs=1e-9)
+    assert isolate_roots(p, (0.5, 4.4)) == [2.0]
 
 
 def test_isolate_close_root_pair():
     # roots 2 -/+ 1e-6 lie far inside any fixed-pitch sign scan
     p = Poly(1, {(2,): 1, (1,): -4, (0,): 4 - Fraction(1, 10 ** 12)})
-    roots = isolate_roots(p, (0.0, 5.0), tol=1e-12)
-    assert roots == [pytest.approx(2 - 1e-6, abs=1e-12), pytest.approx(2 + 1e-6, abs=1e-12)]
+    roots = isolate_roots(p, (0.0, 5.0))
+    assert roots == [float(2 - Fraction(1, 10 ** 6)), float(2 + Fraction(1, 10 ** 6))]
 
 
 def test_isolate_random_products_of_known_roots():
@@ -95,8 +93,8 @@ def test_isolate_random_products_of_known_roots():
             lo = min(roots)
         hi = lo + rng.randint(1, 60)
         want = sorted({r for r in roots if lo <= r <= hi})
-        got = isolate_roots(p, (lo, hi), tol=1e-12)
-        assert got == [pytest.approx(float(r), abs=1e-12) for r in want]
+        got = isolate_roots(p, (lo, hi))
+        assert got == [float(r) for r in want], (p, lo, hi)
 
 
 def test_isolate_roots_at_interval_ends():
@@ -105,6 +103,52 @@ def test_isolate_roots_at_interval_ends():
     assert isolate_roots(p, (1.0, 4.0)) == [1.0, 4.0]
     with pytest.raises(ValueError):
         isolate_roots(Poly(1), (0.0, 1.0))
+
+
+def test_isolate_rounds_each_root_once():
+    t = Poly.variable(1, 0)
+    # 1 + 3*2**-53 lies half-way between 1 + 2**-52 and 1 + 2**-51, and no
+    # bisection point of (0, 3) is ever that root: the tie goes to the even one
+    assert isolate_roots(t - 1 - Fraction(3, 2 ** 53), (0, 3)) == [1 + 2 ** -51]
+    # about 1050 halvings of (0, 3) before the bracket rounds to one double
+    assert isolate_roots(t - Fraction(1, 10 ** 300), (0, 3)) == [1e-300]
+
+
+def test_isolate_roots_beyond_float_range():
+    # regression: float() of such a root's bracket overflowed; the root is
+    # +-inf, the rule Poly.evaluate applies to values
+    t = Poly.variable(1, 0)
+    right, left = (Fraction(0), Fraction(2 ** 1101)), (Fraction(-2 ** 1101), Fraction(0))
+    assert isolate_roots(t - 2 ** 1100, right) == [math.inf]
+    assert isolate_roots(t + 2 ** 1100, left) == [-math.inf]
+    assert isolate_roots((t - 2 ** 1100) * (t - 3), right) == [3.0, math.inf]
+    # the rounding boundary between the largest double and inf
+    edge = 2 ** 1024 - 2 ** 970
+    assert isolate_roots(t - (edge - 1), right) == [sys.float_info.max]
+    assert isolate_roots(t - edge, right) == [math.inf]
+    assert isolate_roots(t + (edge - 1), left) == [-sys.float_info.max]
+    assert isolate_roots(t + edge, left) == [-math.inf]
+
+
+def test_rounding_oracle_agrees_with_float():
+    # the oracle for irrational roots, against Python's rounding of rationals
+    rng = random.Random(5)
+    edge = 2 ** 1024 - 2 ** 970
+    roots = [1 + Fraction(1, 2 ** 53), 1 + Fraction(3, 2 ** 53), Fraction(1, 10 ** 300),
+             Fraction(1, 2 ** 1076), Fraction(edge - 1), Fraction(edge), Fraction(edge + 1),
+             Fraction(0)]
+    roots += [Fraction(rng.randint(-2 ** 60, 2 ** 60), rng.randint(1, 2 ** 60))
+              for _ in range(200)]
+    interval = (-2 ** 1100, 2 ** 1100)
+    for r in roots + [-r for r in roots]:
+        try:
+            e = float(r)
+        except OverflowError:
+            e = math.inf if r > 0 else -math.inf
+        f = lambda x: 3 * (x - r)
+        assert rounds_to_root(e, f, interval), r
+        for other in (math.nextafter(e, -math.inf), math.nextafter(e, math.inf)):
+            assert other == e or not rounds_to_root(other, f, interval), (r, other)
 
 
 def _random_product(rng):
@@ -131,14 +175,14 @@ def test_positive_on_agrees_with_root_brackets():
     verdicts = []
     for _ in range(300):
         p, (lo, hi) = _random_product(rng)
-        want = p.evaluate_exact((lo,)) > 0 and not root_brackets(p, (lo, hi), 1e-9)
+        want = p.evaluate_exact((lo,)) > 0 and not root_brackets(p, (lo, hi))
         assert positive_on(p, (lo, hi)) == want, (p, lo, hi)
         verdicts.append(want)
     assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
 
 
 def test_positive_on_narrows_no_bracket(monkeypatch):
-    # a verdict needs only the root count, not roots bisected to a tolerance
+    # a verdict needs only the root count, not roots bisected until they round
     def narrow(*args):
         raise AssertionError("positive_on narrowed a root bracket")
 
@@ -148,7 +192,7 @@ def test_positive_on_narrows_no_bracket(monkeypatch):
         p, interval = _random_product(rng)
         positive_on(p, interval)
     with pytest.raises(AssertionError, match="narrowed"):
-        root_brackets(RHO * (Poly.variable(1, 0) - 1), (0, 5), 1e-9)
+        root_brackets(RHO * (Poly.variable(1, 0) - 1), (0, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +503,35 @@ def test_family_violation_set_matches_closed_form():
         assert report.log_concave == (not want)
         checked += 1
     assert checked >= 100
+
+
+def test_family_violation_ends_are_correctly_rounded():
+    # an end inside the window is mid -/+ sqrt(1 - (c1-c2)^2/4) rounded once;
+    # a window end inside the violation set stays the window end.  |c1 - c2|
+    # < 2, so f > 0 and the set is nonempty; windows of either side 1/16-32
+    # around mid hold some ends and cut others
+    rng = random.Random(1997)
+    ends = 0
+    for _ in range(300):
+        c1 = Fraction(rng.randint(-24, 24), rng.randint(1, 8))
+        c2 = c1 + Fraction(rng.randint(-63, 63), 32)
+        mid, rest = (c1 + c2) / 2, 1 - (c1 - c2) ** 2 / 4
+        window = tuple(float(mid + side * Fraction(rng.randint(1, 32), rng.randint(1, 16)))
+                       for side in (-1, 1))
+        report = analytic_logconcavity(_family(c1, c2), window)
+        assert len(report.violation_intervals) == 1
+
+        def g(x):  # the sign of (log f)''
+            return rest - (x - mid) ** 2
+
+        for interval in report.violation_intervals:
+            for end, window_end in zip(interval, window):
+                if g(Fraction(window_end)) > 0:
+                    assert end == window_end, (c1, c2, window)
+                else:
+                    assert rounds_to_root(end, g, window), (c1, c2, window, end)
+                    ends += 1
+    assert ends >= 400
 
 
 @pytest.mark.parametrize("c1, c2", [(Fraction(1), Fraction(3)),

@@ -261,7 +261,7 @@ def test_compare_exact_self():
     bins = 40
     edges = np.linspace(WINDOW.lo, WINDOW.hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    est = DensityEstimate(centers, _rho_bin_averages(bins), np.zeros(bins), WINDOW)
+    est = DensityEstimate(centers, _rho_bin_averages(bins), np.zeros(bins))
     comp = compare(est, RHO, WINDOW)
     assert comp.max_rel_error <= 1e-12
     assert np.all(comp.per_bin_z == 0)

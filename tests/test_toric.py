@@ -601,7 +601,7 @@ def test_random_polytope_profiles_are_log_concave():
 # ---------------------------------------------------------------------------
 
 def test_polytope_json_round_trip():
-    doc = SIMPLEX3.to_json_dict()
+    doc = {"dim": 3, "halfspaces": [{"a": list(a), "b": b} for a, b in SIMPLEX3.halfspaces]}
     assert HPolytope.from_json_dict(doc) == SIMPLEX3
     text = json.dumps(doc)
     assert HPolytope.from_json(text) == SIMPLEX3
