@@ -219,14 +219,13 @@ def cmd_toric(args: argparse.Namespace) -> int:
 
     with _input("bad polytope JSON"):  # json.JSONDecodeError is a ValueError
         polytope = HPolytope.from_json(_read(args.input))
-    method = args.method or ("exact2d" if polytope.dim == 2 else "mc")
     with _input("usage error"):  # incompatible method/axis/bins for this input
-        profile = slice_profile(polytope, args.axis, args.bins, method=method,
+        profile = slice_profile(polytope, args.axis, args.bins, method=args.method,
                                 mc_n=args.samples, seed=args.seed)
     result = prekopa_check(profile, suggested_tolerance(profile))
 
     lines = [
-        f"# dhlab toric profile: axis={args.axis} bins={args.bins} method={method} "
+        f"# dhlab toric profile: axis={args.axis} bins={args.bins} method={profile.method} "
         f"mc_n={args.samples} seed={args.seed}",
         f"# polytope: dim={polytope.dim} halfspaces={len(polytope.halfspaces)}",
         "s,volume,stderr",

@@ -394,7 +394,10 @@ def _sturm(p: Poly, interval: tuple):
     v with v(a) - v(b) roots of q in (a, b]."""
     if p.nvars != 1:
         raise DimensionError("root isolation needs a univariate polynomial")
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    try:
+        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    except (OverflowError, ValueError):  # an infinite or NaN end
+        raise ValueError(f"interval {tuple(interval)} has an end that is not finite") from None
     if not lo < hi:
         raise ValueError(f"empty interval ({_round(lo)}, {_round(hi)})")
     if not p:

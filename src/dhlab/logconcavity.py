@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exterior import DimensionError, Poly, positive_on, root_brackets
+from .exterior import DimensionError, Poly, _round, positive_on, root_brackets
 
 # The samples discrete_logconcavity accepts: within this range the products
 # f(s-h) f(s+h) and f(s)^2 are finite normal floats.
@@ -135,7 +135,7 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
         return ViolationReport(True, (), ())
 
     brackets = root_brackets(g, (lo, hi))
-    ends = [lo, *(float((a + b) / 2) for a, b in brackets), hi]
+    ends = [lo, *(_round((a + b) / 2) for a, b in brackets), hi]
     fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[Fraction, Fraction]] = []  # (g(x), x)
@@ -151,7 +151,7 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
             intervals.append((a, b))
             witnesses.append((gx, x))
     return ViolationReport(not intervals, tuple(intervals),
-                           tuple((float(x), float(gx)) for gx, x in witnesses))
+                           tuple((_round(x), _round(gx)) for gx, x in witnesses))
 
 
 # ---------------------------------------------------------------------------

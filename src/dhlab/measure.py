@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
-from .exterior import Poly
+from .exterior import Poly, _round
 from .logconcavity import DomainError
 
 GENERATOR_NAME = "philox4x64-10(8 words/sample)"
@@ -67,23 +67,25 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Binned pushforward weights over [A, B] with per-bin second moments."""
+    """Binned pushforward weights over [A, B] = [bin_edges[0], bin_edges[-1]]
+    with per-bin second moments; the total weight and bin width follow."""
 
     bin_edges: np.ndarray
     weight_sums: np.ndarray
     weight_sq_sums: np.ndarray
-    total_weight: float
     sample_count: int
-    window: CutWindow
-    seed: int
 
     @property
     def bins(self) -> int:
         return len(self.weight_sums)
 
     @property
+    def total_weight(self) -> float:
+        return float(np.sum(self.weight_sums))
+
+    @property
     def bin_width(self) -> float:
-        return (self.window.hi - self.window.lo) / self.bins
+        return float(self.bin_edges[-1] - self.bin_edges[0]) / self.bins
 
     def __eq__(self, other):
         if not isinstance(other, Histogram):
@@ -91,10 +93,7 @@ class Histogram:
         return (np.array_equal(self.bin_edges, other.bin_edges)
                 and np.array_equal(self.weight_sums, other.weight_sums)
                 and np.array_equal(self.weight_sq_sums, other.weight_sq_sums)
-                and self.total_weight == other.total_weight
-                and self.sample_count == other.sample_count
-                and self.window == other.window
-                and self.seed == other.seed)
+                and self.sample_count == other.sample_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,26 +126,35 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
 
     Deterministic for fixed (top_poly, cfg): see the module docstring for
     the stream-splitting rule.  Bins are half-open [edge, next_edge) with
-    the last bin closed.  Refuses on a negative weight, which signals an
-    unverified or degenerate construction.
+    the last bin closed.  ``top_poly`` must have the chart's DIM variables.
+    Refuses a window too narrow to bin, weights whose squares or bin sums
+    overflow, and a negative weight: an unverified or degenerate construction.
     """
+    if top_poly.nvars != DIM:
+        raise ValueError(f"top_poly has {top_poly.nvars} variables; the chart has {DIM}")
     lo, hi = cfg.window.lo, cfg.window.hi
+    scale = cfg.bins / (hi - lo)
+    if not np.isfinite(scale):
+        raise DomainError(f"window [{lo!r}, {hi!r}] is too narrow for {cfg.bins} float bins")
     starts = list(range(0, cfg.sample_count, cfg.chunk_size))
     key = _philox_key(cfg.seed)
     axes = {T_AXIS, *(ax for exps in top_poly.terms for ax, e in enumerate(exps) if e)}
-    if max(axes) >= DIM:
-        raise ValueError(f"top_poly reads axis {max(axes)}; the chart has {DIM}")
 
     def one_chunk(start: int):
-        t, w = _chunk_points(top_poly, axes, cfg, key, start)
+        with np.errstate(over="ignore", invalid="ignore"):  # the bin sums are checked
+            t, w = _chunk_points(top_poly, axes, cfg, key, start)
+            idx = ((t - lo) * scale).astype(np.int64)
+            np.clip(idx, 0, cfg.bins - 1, out=idx)
+            ws = np.bincount(idx, weights=w, minlength=cfg.bins)
+            w2 = np.bincount(idx, weights=w * w, minlength=cfg.bins)
+        if not (np.isfinite(ws).all() and np.isfinite(w2).all()):
+            i = int(np.argmax(np.abs(w)))  # the first NaN, else the largest
+            raise DomainError(f"Liouville weight {w[i]:.6g} at t={t[i]:.6g}: the weights, "
+                              "their squares or their bin sums overflow the float range")
         if np.any(w < 0):
             raise DegenerateWindowError(
                 f"negative Liouville weight at t={t[int(np.argmin(w))]:.6g}; verify the "
                 "construction and window before sampling")
-        idx = ((t - lo) * (cfg.bins / (hi - lo))).astype(np.int64)
-        np.clip(idx, 0, cfg.bins - 1, out=idx)
-        ws = np.bincount(idx, weights=w, minlength=cfg.bins)
-        w2 = np.bincount(idx, weights=w * w, minlength=cfg.bins)
         return ws, w2
 
     if threads < 1:
@@ -165,9 +173,7 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
         _kahan_add(sums, sums_c, ws)
         _kahan_add(sq, sq_c, w2)
 
-    edges = np.linspace(lo, hi, cfg.bins + 1)
-    return Histogram(edges, sums, sq, float(np.sum(sums)), cfg.sample_count,
-                     cfg.window, cfg.seed)
+    return Histogram(np.linspace(lo, hi, cfg.bins + 1), sums, sq, cfg.sample_count)
 
 
 def normalize(h: Histogram) -> DensityEstimate:
@@ -209,7 +215,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     bins = len(est.bin_centers)
     edges = [lo + (hi - lo) * k / bins for k in range(bins + 1)]
     scale = bins / ((hi - lo) * mass)
-    ref = np.array([float(analytic.integrate(a, b) * scale)
+    ref = np.array([_round(analytic.integrate(a, b) * scale)
                     for a, b in zip(edges, edges[1:])])
     if np.any(ref <= 0):
         raise ValueError("analytic density must be strictly positive on the window")
@@ -217,7 +223,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     max_rel = float(np.max(np.abs(diff) / ref))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0, 0.0, diff / est.stderr)
-    centre_values = np.array([float(analytic.evaluate_exact((Fraction(float(c)),)) / mass)
+    centre_values = np.array([_round(analytic.evaluate_exact((c,)) / mass)
                               for c in est.bin_centers])
     return ComparisonReport(max_rel, z, int(np.argmax(np.abs(diff))), ref, centre_values)
 
@@ -249,7 +255,7 @@ def _eval_on_points(p: Poly, cols: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Vectorized polynomial evaluation at n points, given by their columns."""
     out = np.zeros(n)
     for exps, c in p.terms.items():
-        term = np.full(n, float(c))
+        term = np.full(n, _round(c))
         for ax, e in enumerate(exps):
             if e == 1:
                 term *= cols[ax]

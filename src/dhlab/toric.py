@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .exterior import _round
 from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
 
 
@@ -71,12 +72,6 @@ class HPolytope:
         object.__setattr__(self, "halfspaces", tuple(hs))
 
     @cached_property
-    def _system(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.array([h[0] for h in self.halfspaces], dtype=float).reshape(-1, self.dim)
-        b = np.array([h[1] for h in self.halfspaces], dtype=float)
-        return a, b
-
-    @cached_property
     def _vrep(self) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
         """The exact vertices, and the recession rays and lines, found once;
         raises EmptyPolytopeError if there is no vertex."""
@@ -87,8 +82,9 @@ class HPolytope:
         """The vertices, one per row, rounded to floats.
 
         Raises like projection_range, naming the first unbounded axis, if
-        the polytope is empty or unbounded; has no rows if the polytope has
-        no interior (the vertices' exact affine rank is below dim).
+        the polytope is empty or unbounded, and DomainError naming the first
+        axis where a vertex is beyond the float range; has no rows if the
+        polytope has no interior (the vertices' exact affine rank < dim).
         """
         vertices, directions = self._vrep
         for axis in range(self.dim):
@@ -96,7 +92,11 @@ class HPolytope:
         pivots, _ = _rref([(*v, 1) for v in vertices], self.dim + 1)
         if len(pivots) <= self.dim:
             return np.empty((0, self.dim))
-        return np.array(vertices, dtype=float)
+        rounded = np.array([[_round(x) for x in v] for v in vertices])
+        beyond = np.flatnonzero(~np.isfinite(rounded).all(axis=0))
+        if beyond.size:
+            raise DomainError(f"a vertex lies beyond the float range along axis {beyond[0]}")
+        return rounded
 
     @staticmethod
     def from_json_dict(data: dict) -> "HPolytope":
@@ -127,13 +127,14 @@ class HPolytope:
 
 @dataclass(frozen=True, eq=False)
 class SliceVolumeFn:
-    """Sampled slice-volume profile along one coordinate axis.
+    """Sampled slice-volume profile along one coordinate axis, with the
+    name of the slicing method that built it ("exact2d" or "mc").
 
     Volumes vanish outside the projection interval and, by convexity of the
     body, the positive bins form a single contiguous run.
     """
 
-    axis: int
+    method: str
     grid: np.ndarray
     volumes: np.ndarray
     stderrs: np.ndarray
@@ -150,19 +151,21 @@ def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     vertices, directions = p._vrep
     _check_bounded(directions, axis)
     coords = [v[axis] for v in vertices]
-    return float(min(coords)), float(max(coords))
+    return _round(min(coords)), _round(max(coords))
 
 
-def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
+def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
                   mc_n: int = 100_000, seed: int = 0) -> SliceVolumeFn:
     """Slice volumes at bin centers across the projection range.
 
     ``method`` is "exact2d" (dim = 2 only), whose chords are computed for
-    every bin in one pass per profile, or "mc"; Monte-Carlo bins use
-    independent streams derived from (seed, axis, bin), so the profile does
-    not depend on evaluation order.  A polytope flat along the axis has no
-    profile to bin and raises InsufficientDataError.
+    every bin in one pass per profile, or "mc"; None means "exact2d" in
+    dimension 2, else "mc".  Monte-Carlo bins use independent streams from
+    (seed, axis, bin), so the profile does not depend on evaluation order.
+    A polytope flat along the axis has no profile: InsufficientDataError.
     """
+    if method is None:
+        method = "exact2d" if p.dim == 2 else "mc"
     if method not in ("exact2d", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method == "exact2d" and p.dim != 2:
@@ -183,12 +186,12 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str = "exact2d",
     centers = 0.5 * (edges[:-1] + edges[1:])
     errs = np.zeros(bins)
     if method == "exact2d":
-        return SliceVolumeFn(axis, centers, _chords_2d(p, axis, centers), errs)
+        return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), errs)
     vols = np.zeros(bins)
     estimate = _mc_slicer(p, axis, mc_n)
     for i, s in enumerate(centers):
         vols[i], errs[i] = estimate(float(s), _rng(seed, axis, i))
-    return SliceVolumeFn(axis, centers, vols, errs)
+    return SliceVolumeFn(method, centers, vols, errs)
 
 
 def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
@@ -439,7 +442,7 @@ def _slice_extent(t: np.ndarray, rest: np.ndarray,
     below, above = t < s, t > s
     frac = (s - t[below])[:, None] / (t[above][None, :] - t[below][:, None])
     lower, upper = rest[below][:, None, :], rest[above][None, :, :]
-    crossings = (lower + frac[:, :, None] * (upper - lower)).reshape(-1, rest.shape[1])
+    crossings = (lower + frac[:, :, None] * (upper - lower)).reshape(frac.size, rest.shape[1])
     pts = np.concatenate([crossings, rest[t == s]])
     if not len(pts):
         return None
@@ -451,30 +454,29 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     ``p`` at axis = s, each from n points: a function of ``(s, rng)`` giving
     the volume and its standard error.
 
-    What does not depend on s is built here, once per profile: the rows of
-    the half-spaces without the axis, the mask of those normal to it, the
-    vertices (enumerated exactly on first use, rounded to floats) split into
-    the axis column and the others, and the box pad.  Each call takes the
-    slice's bounding box from the vertices, widened by the pad, and draws
-    rng's next n * (dim-1) doubles in row-major order, in fresh blocks of
-    min(n, _MC_BLOCK) points.  It scales each block into the box by one flat
-    multiply and add over rows that repeat the box's widths and lows, which
-    are the same IEEE operations as broadcasting, so the estimate is the
-    one-shot estimate bit for bit, whatever the block size.  An empty slice
-    or a polytope without interior (decided exactly) gives 0; a slice whose
-    box volume is not finite, or whose extents are positive but multiply to
-    0, raises DomainError naming s.
+    What does not depend on s is built here, once per profile: the float
+    rows of the half-spaces without the axis, the mask of those normal to
+    it, the vertices (enumerated exactly on first use, rounded to floats)
+    split into the axis column and the others, and the box pad.  Each call
+    takes the slice's bounding box from the vertices, widened by the pad,
+    and draws rng's next n * (dim-1) doubles in row-major order, in fresh
+    blocks of min(n, _MC_BLOCK) points.  It scales each block into the box
+    by one flat multiply and add over rows that repeat the box's widths and
+    lows, which are the same IEEE operations as broadcasting, so the
+    estimate is the one-shot estimate bit for bit, whatever the block size.
+    On a segment every half-space is normal to the axis and the box has no
+    side, so a slice inside gives 1 and draws nothing.  An empty slice or a
+    polytope without interior (decided exactly) gives 0; a slice whose box
+    volume is not finite, or whose extents are positive but multiply to 0,
+    raises DomainError naming s.
     """
-    a, b = p._system
+    a, b = map(np.array, zip(*p.halfspaces))
     along = a[:, axis]
     k = p.dim - 1
-    if not k:  # slicing a segment: the slice is a point, counting measure
-        return lambda s, rng: (1.0, 0.0) if np.all(b - along * s >= 0) else (0.0, 0.0)
-
     rest = np.delete(a, axis, axis=1)
     # a half-space normal to the axis is +-0.0 at every point: it passes all or none
     normal = ~rest.any(axis=1)
-    rows = rest[~normal]  # bounded, so not empty
+    rows = rest[~normal]
     vertices = p._vertices
     t, others = vertices[:, axis], np.delete(vertices, axis, axis=1)
     # widen each box by the rounding in the vertices: a box too small would

@@ -125,7 +125,8 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
     slice's extent with _mc_slicer, so tests can use it as an oracle for how
     the kernel pads, blocks, scales and tests its draws and for what it
     reuses across slices."""
-    a, b = p._system
+    a = np.array([normal for normal, _ in p.halfspaces])
+    b = np.array([offset for _, offset in p.halfspaces])
     keep = [i for i in range(p.dim) if i != axis]
     a_slice, b_slice = a[:, keep], b - a[:, axis] * s
     if not keep:

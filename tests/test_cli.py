@@ -520,6 +520,23 @@ _BAD_INPUTS = {
                           None, 1, "error: the slice at s=0.0625 "),
     "overflowing range": (["toric", "--input", "{tmp}/wide.json", "--bins", "8"], None, 1,
                           "error: polytope's projection along axis 0 is wider than the float"),
+    "far polygon vertex": (["toric", "--input", "{tmp}/far2.json", "--axis", "0"], None, 1,
+                           "error: polytope's projection along axis 0 is wider than the float"),
+    "far polytope vertex": (["toric", "--input", "{tmp}/far3.json", "--axis", "1", "--bins", "4",
+                             "--samples", "1000"], None, 1,
+                            "error: a vertex lies beyond the float range along axis 0"),
+    "overflowing coefficients": (["density", "--samples", "1000", "--bins", "10",
+                                  "--params", "1e200", "1e200"], None, 1,
+                                 "error: Liouville weight inf at t="),
+    "overflowing squares": (["density", "--samples", "1000", "--bins", "10",
+                             "--params", "1e150", "1e150"], None, 1,
+                            "error: Liouville weight 6e+300 at t="),
+    "overflowing window": (["density", "--samples", "1000", "--bins", "10",
+                            "--window", "1e300", "1.7e308"], None, 1,
+                           "error: Liouville weight nan at t="),
+    "subnormal window": (["density", "--samples", "1000", "--bins", "2",
+                          "--window", "5e-324", "1.5e-323"], None, 1,
+                         "error: window [5e-324, 1.5e-323] is too narrow for 2 float bins"),
 }
 _BAD_INPUT_FILES = {
     "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),
@@ -540,6 +557,12 @@ _BAD_INPUT_FILES = {
     # [-1e308, 1e308] x [0, 1]: its width along axis 0 is beyond the float range
     "wide.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1e308}, {"a": [-1, 0], "b": 1e308},'
                  b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    # x <= 1e600 in [0, oo) x [0, 1] and [0, oo) x [0, 1]^2: a vertex beyond the float range
+    "far2.json": b'{"dim": 2, "halfspaces": [{"a": [1e-300, 0], "b": 1e300}, {"a": [-1, 0], "b": 0},'
+                 b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    "far3.json": b'{"dim": 3, "halfspaces": [{"a": [1e-300, 0, 0], "b": 1e300},'
+                 b' {"a": [-1, 0, 0], "b": 0}, {"a": [0, 1, 0], "b": 1}, {"a": [0, -1, 0], "b": 0},'
+                 b' {"a": [0, 0, 1], "b": 1}, {"a": [0, 0, -1], "b": 0}]}',
 }
 
 

@@ -59,6 +59,13 @@ def test_isolate_rejects_bad_arguments():
         isolate_roots(RHO, (2 ** 1101, 2 ** 1100))
 
 
+@pytest.mark.parametrize("check", [isolate_roots, positive_on, analytic_logconcavity])
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_root_isolation_names_an_interval_end_that_is_not_finite(check, interval):
+    with pytest.raises(ValueError, match=r"interval \(.*\) has an end that is not finite"):
+        check(RHO, interval)
+
+
 def test_isolate_root_on_grid_point():
     # roots at 1 and 4 are rational, met exactly or bracketed until they round
     p = Poly(1, {(2,): 1, (1,): -5, (0,): 4})

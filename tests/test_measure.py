@@ -10,6 +10,7 @@ from dhlab import (
     CutWindow,
     DegenerateWindowError,
     DensityEstimate,
+    DomainError,
     EmptyMeasureError,
     Histogram,
     Poly,
@@ -40,8 +41,7 @@ VERIFIED_TOP = _verified_top()
 def _manual_histogram(weights_per_bin, window=WINDOW, sample_count=1000):
     weights = np.asarray(weights_per_bin, dtype=float)
     edges = np.linspace(window.lo, window.hi, len(weights) + 1)
-    return Histogram(edges, weights, weights ** 2, float(weights.sum()),
-                     sample_count, window, seed=0)
+    return Histogram(edges, weights, weights ** 2, sample_count)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,31 @@ def test_sampler_rejects_fewer_than_one_thread(threads):
 def test_sampler_rejects_a_weight_beyond_the_chart():
     # axes 6 and 7 would read the two alignment words of each sample
     beyond = Poly(7, {(0, 0, 0, 0, 0, 0, 1): 1})
-    with pytest.raises(ValueError, match="reads axis 6; the chart has 6"):
+    with pytest.raises(ValueError, match="top_poly has 7 variables; the chart has 6"):
         sample_pushforward(beyond, SamplerConfig(1_000, 10, WINDOW, seed=1))
+
+
+def test_sampler_rejects_a_weight_of_another_arity():
+    # t^2 in one variable would be read as x1^2 on the chart, not t^2
+    with pytest.raises(ValueError, match="top_poly has 1 variables; the chart has 6"):
+        sample_pushforward(Poly(1, {(2,): 1}), SamplerConfig(1_000, 10, WINDOW, seed=1))
+
+
+@pytest.mark.parametrize("top, window, what", [
+    (Poly.constant(6, Fraction(10) ** 400), WINDOW, "inf at t="),
+    (Poly.constant(6, Fraction(6e300)), WINDOW, "6e+300 at t="),
+    (Poly(6, {(0, 0, 0, 0, 2, 0): 1}), CutWindow(1e300, 1.7e308), "inf at t="),
+])
+def test_sampler_refuses_weights_beyond_the_float_range(top, window, what):
+    # the weight, its square or a bin sum overflows; a numpy warning on the
+    # way would fail here too (warnings are errors)
+    with pytest.raises(DomainError, match=re.escape(f"Liouville weight {what}")):
+        sample_pushforward(top, SamplerConfig(1_000, 10, window, seed=1))
+
+
+def test_sampler_refuses_a_window_too_narrow_to_bin():
+    with pytest.raises(DomainError, match=r"window \[5e-324, 1\.5e-323\] is too narrow"):
+        sample_pushforward(VERIFIED_TOP, SamplerConfig(1_000, 2, CutWindow(5e-324, 1.5e-323), 1))
 
 
 def test_sampler_refuses_negative_weights():
@@ -123,6 +146,14 @@ def test_histogram_total_weight_consistency():
     assert h.total_weight == float(np.sum(h.weight_sums))
     assert np.all(h.weight_sums >= 0)
     assert h.bin_edges[0] == WINDOW.lo and h.bin_edges[-1] == WINDOW.hi
+
+
+def test_histogram_width_and_total_follow_from_its_arrays():
+    for window, bins in [(WINDOW, 20), (CutWindow(0.1, 0.7), 7), (CutWindow(1e-300, 3e300), 9)]:
+        h = _manual_histogram(np.arange(1.0, bins + 1), window)
+        assert (h.bin_edges[0], h.bin_edges[-1]) == (window.lo, window.hi)
+        assert h.bin_width == (window.hi - window.lo) / bins
+        assert h.total_weight == float(np.sum(h.weight_sums)) == bins * (bins + 1) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +210,7 @@ def test_fiber_coordinate_independence():
             w2 += np.bincount(idx, weights=wts[mask] ** 2, minlength=cfg.bins)
             kept += int(mask.sum())
         edges = np.linspace(WINDOW.lo, WINDOW.hi, cfg.bins + 1)
-        cond = normalize(Histogram(edges, ws, w2, float(ws.sum()), kept,
-                                   WINDOW, cfg.seed))
+        cond = normalize(Histogram(edges, ws, w2, kept))
         assert np.all(np.abs(cond.density - full.density) <= 3 * cond.stderr)
 
 

@@ -309,7 +309,8 @@ def test_mc_profile_lp_count_does_not_grow_with_bins(monkeypatch):
 
 def _qhull_vertices(p: HPolytope) -> np.ndarray:
     """Qhull's vertices, from an interior point: the Chebyshev centre."""
-    a, b = p._system
+    a = np.array([normal for normal, _ in p.halfspaces])
+    b = np.array([offset for _, offset in p.halfspaces])
     norms = np.linalg.norm(a, axis=1)
     ball = scipy.optimize.linprog(np.r_[np.zeros(p.dim), -1.0], A_ub=np.c_[a, norms],
                                   b_ub=b, bounds=[(None, None)] * p.dim + [(0, None)])
@@ -432,6 +433,16 @@ def test_profile_method_validation():
         slice_profile(SQUARE, 0, bins=10, method="nope")
 
 
+@pytest.mark.parametrize("p, method", [(SEGMENT, "mc"), (SIMPLEX2, "exact2d"),
+                                       (SIMPLEX3, "mc"), (_box((0.0,) * 4, (1.0,) * 4), "mc")])
+def test_profile_method_defaults_by_dimension(p, method):
+    default = slice_profile(p, 0, bins=6, mc_n=500, seed=3)
+    chosen = slice_profile(p, 0, bins=6, method=method, mc_n=500, seed=3)
+    assert default.method == chosen.method == method
+    for field in ("grid", "volumes", "stderrs"):
+        assert getattr(default, field).tobytes() == getattr(chosen, field).tobytes()
+
+
 def test_exact2d_and_mc_agree():
     exact = slice_profile(SIMPLEX2, 0, bins=24, method="exact2d")
     mc = slice_profile(SIMPLEX2, 0, bins=24, method="mc", mc_n=40_000, seed=33)
@@ -463,14 +474,14 @@ def test_simplex_profile_is_log_concave():
 def test_quadratic_slice_profile_is_log_concave():
     # exact 3-simplex profile (1-s)^2 / 2, injected directly
     grid = np.linspace(0.025, 0.975, 20)
-    f = SliceVolumeFn(0, grid, (1.0 - grid) ** 2 / 2.0, np.zeros(20))
+    f = SliceVolumeFn("mc", grid, (1.0 - grid) ** 2 / 2.0, np.zeros(20))
     assert prekopa_check(f, tol=1e-9).log_concave
 
 
 def test_counterexample_density_fails_prekopa():
     rho = Poly(1, {(2,): 1, (1,): -5, (0,): 7})
     grid = np.linspace(0.5, 4.5, 81)
-    fake = SliceVolumeFn(0, grid, np.array([rho.evaluate((s,)) for s in grid]),
+    fake = SliceVolumeFn("mc", grid, np.array([rho.evaluate((s,)) for s in grid]),
                          np.zeros(81))
     report = prekopa_check(fake, tol=1e-9)
     assert not report.log_concave
@@ -478,7 +489,7 @@ def test_counterexample_density_fails_prekopa():
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 1.0, 1.5])
 def test_prekopa_rejects_a_tolerance_that_flags_nothing(tol):
-    f = SliceVolumeFn(0, np.arange(4.0), np.array([1.0, 0.1, 1.0, 5.0]), np.zeros(4))
+    f = SliceVolumeFn("mc", np.arange(4.0), np.array([1.0, 0.1, 1.0, 5.0]), np.zeros(4))
     assert not prekopa_check(f, tol=1e-9).log_concave
     with pytest.raises(ValueError, match="tol"):
         prekopa_check(f, tol=tol)
@@ -489,7 +500,7 @@ def test_suggested_tolerance_is_a_tolerance_prekopa_accepts(rel):
     # from a relative stderr of 4.3%, four of them make (1 + r)^2 / (1 - r)^2 - 1
     # reach 1, where the midpoint test would flag nothing
     vols = np.array([1.0, 2.0, 1.5])
-    f = SliceVolumeFn(0, np.arange(3.0), vols, rel * vols)
+    f = SliceVolumeFn("mc", np.arange(3.0), vols, rel * vols)
     tol = suggested_tolerance(f)
     assert 0 <= tol < 1
     assert prekopa_check(f, tol).log_concave
@@ -498,13 +509,13 @@ def test_suggested_tolerance_is_a_tolerance_prekopa_accepts(rel):
 def test_prekopa_trims_empty_end_bins():
     grid = np.linspace(0.0, 1.0, 12)
     vols = np.concatenate([[0.0], (1.0 - grid[1:-2]), [0.0, 0.0]])
-    report = prekopa_check(SliceVolumeFn(0, grid, vols, np.zeros(12)), tol=1e-9)
+    report = prekopa_check(SliceVolumeFn("mc", grid, vols, np.zeros(12)), tol=1e-9)
     assert report.log_concave
     assert report.trimmed == (1, 2)
 
 
 def test_prekopa_needs_three_positive_bins():
-    f = SliceVolumeFn(0, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]),
+    f = SliceVolumeFn("mc", np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]),
                       np.zeros(3))
     with pytest.raises(InsufficientDataError):
         prekopa_check(f, tol=1e-9)
@@ -563,6 +574,19 @@ def test_projection_wider_than_the_float_range_is_domain_error(method):
         slice_profile(_WIDE_POLYGON, 0, bins=8, method=method, mc_n=1000)
 
 
+# x <= 1e600 (1e-300 x <= 1e300, exactly) in [0, oo) x [0, 1]^(dim-1)
+def _far_box(dim: int) -> HPolytope:
+    return HPolytope(dim, ((tuple(1e-300 * float(i == 0) for i in range(dim)), 1e300),)
+                     + _box((0.0,) * dim, (1.0,) * dim).halfspaces[1:])
+
+
+def test_vertex_beyond_the_float_range_rounds_to_inf_or_names_its_axis():
+    assert projection_range(_far_box(2), 0) == (0.0, float("inf"))
+    assert projection_range(_far_box(3), 1) == (0.0, 1.0)
+    with pytest.raises(DomainError, match="vertex lies beyond the float range along axis 0"):
+        slice_profile(_far_box(3), 1, bins=4, mc_n=100)
+
+
 def test_large_finite_slices_are_measured():
     # just inside the float range, the box is still measured as a whole
     profile = slice_profile(_box((0.0, 0.0, 0.0), (1.0, 1e150, 1e150)), 0, bins=8,
@@ -571,7 +595,7 @@ def test_large_finite_slices_are_measured():
 
 
 def test_prekopa_interior_zero_is_domain_error():
-    f = SliceVolumeFn(0, np.linspace(0, 1, 5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
+    f = SliceVolumeFn("mc", np.linspace(0, 1, 5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
                       np.zeros(5))
     with pytest.raises(DomainError):
         prekopa_check(f, tol=1e-9)
