@@ -67,8 +67,7 @@ class SamplerConfig:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Binned pushforward weights over [A, B] = [bin_edges[0], bin_edges[-1]]
-    with per-bin second moments; the total weight and bin width follow."""
+    """Pushforward weights and their squares, summed in the bins of bin_edges."""
 
     bin_edges: np.ndarray
     weight_sums: np.ndarray
@@ -141,16 +140,12 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     axes = {T_AXIS, *(ax for exps in top_poly.terms for ax, e in enumerate(exps) if e)}
 
     def one_chunk(start: int):
-        with np.errstate(over="ignore", invalid="ignore"):  # the bin sums are checked
+        with np.errstate(over="ignore", invalid="ignore"):  # the merged sums are checked
             t, w = _chunk_points(top_poly, axes, cfg, key, start)
             idx = ((t - lo) * scale).astype(np.int64)
             np.clip(idx, 0, cfg.bins - 1, out=idx)
             ws = np.bincount(idx, weights=w, minlength=cfg.bins)
             w2 = np.bincount(idx, weights=w * w, minlength=cfg.bins)
-        if not (np.isfinite(ws).all() and np.isfinite(w2).all()):
-            i = int(np.argmax(np.abs(w)))  # the first NaN, else the largest
-            raise DomainError(f"Liouville weight {w[i]:.6g} at t={t[i]:.6g}: the weights, "
-                              "their squares or their bin sums overflow the float range")
         if np.any(w < 0):
             raise DegenerateWindowError(
                 f"negative Liouville weight at t={t[int(np.argmin(w))]:.6g}; verify the "
@@ -164,14 +159,22 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         partials = list(pool.map(one_chunk, starts))
 
-    # merge in ascending chunk order, compensated per bin
+    # merge in ascending chunk order, compensated per bin; normalize sums the
+    # bins and squares each bin's sum, so those must be finite too
     sums = np.zeros(cfg.bins)
     sums_c = np.zeros(cfg.bins)
     sq = np.zeros(cfg.bins)
     sq_c = np.zeros(cfg.bins)
-    for ws, w2 in partials:
-        _kahan_add(sums, sums_c, ws)
-        _kahan_add(sq, sq_c, w2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ws, w2 in partials:
+            _kahan_add(sums, sums_c, ws)
+            _kahan_add(sq, sq_c, w2)
+        if not np.isfinite(np.r_[np.sum(sums), sq, sums * sums]).all():
+            j = int(np.argmax([w2.max() for _, w2 in partials]))  # as i, among chunks
+            t, w = _chunk_points(top_poly, axes, cfg, key, starts[j])
+            i = int(np.argmax(np.abs(w)))  # the first NaN, else the largest
+            raise DomainError(f"Liouville weight {w[i]:.6g} at t={t[i]:.6g}: the weights, "
+                              "their squares or their bin sums overflow the float range")
 
     return Histogram(np.linspace(lo, hi, cfg.bins + 1), sums, sq, cfg.sample_count)
 

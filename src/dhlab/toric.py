@@ -81,10 +81,9 @@ class HPolytope:
     def _vertices(self) -> np.ndarray:
         """The vertices, one per row, rounded to floats.
 
-        Raises like projection_range, naming the first unbounded axis, if
-        the polytope is empty or unbounded, and DomainError naming the first
-        axis where a vertex is beyond the float range; has no rows if the
-        polytope has no interior (the vertices' exact affine rank < dim).
+        Raises like projection_range if the polytope is empty or unbounded,
+        and DomainError naming the first axis where a vertex is beyond the
+        float range; has no rows if the vertices' exact affine rank is < dim.
         """
         vertices, directions = self._vrep
         for axis in range(self.dim):
@@ -127,14 +126,13 @@ class HPolytope:
 
 @dataclass(frozen=True, eq=False)
 class SliceVolumeFn:
-    """Sampled slice-volume profile along one coordinate axis, with the
-    name of the slicing method that built it ("exact2d" or "mc").
+    """Sampled slice-volume profile along one coordinate axis.
 
     Volumes vanish outside the projection interval and, by convexity of the
     body, the positive bins form a single contiguous run.
     """
 
-    method: str
+    method: str  # "exact2d" or "mc": the slicing method that built it
     grid: np.ndarray
     volumes: np.ndarray
     stderrs: np.ndarray
@@ -454,21 +452,19 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     ``p`` at axis = s, each from n points: a function of ``(s, rng)`` giving
     the volume and its standard error.
 
-    What does not depend on s is built here, once per profile: the float
-    rows of the half-spaces without the axis, the mask of those normal to
-    it, the vertices (enumerated exactly on first use, rounded to floats)
-    split into the axis column and the others, and the box pad.  Each call
-    takes the slice's bounding box from the vertices, widened by the pad,
-    and draws rng's next n * (dim-1) doubles in row-major order, in fresh
-    blocks of min(n, _MC_BLOCK) points.  It scales each block into the box
-    by one flat multiply and add over rows that repeat the box's widths and
-    lows, which are the same IEEE operations as broadcasting, so the
-    estimate is the one-shot estimate bit for bit, whatever the block size.
-    On a segment every half-space is normal to the axis and the box has no
-    side, so a slice inside gives 1 and draws nothing.  An empty slice or a
-    polytope without interior (decided exactly) gives 0; a slice whose box
-    volume is not finite, or whose extents are positive but multiply to 0,
-    raises DomainError naming s.
+    What does not depend on s is built here, once per profile: the float rows of
+    the half-spaces without the axis, the mask of those normal to it, the
+    vertices (enumerated exactly on first use, rounded to floats) split into the
+    axis column and the others, and the box pad.  Each call takes the slice's
+    bounding box from the vertices, widened by the pad, and draws rng's next
+    n * (dim-1) doubles in row-major order, in fresh blocks of min(n, _MC_BLOCK)
+    points.  It scales each block into the box by one flat multiply and add over
+    rows that repeat the box's widths and lows, which are the same IEEE
+    operations as broadcasting, so the estimate is the one-shot estimate bit for
+    bit, whatever the block size.  A segment's slices are points: one inside
+    gives 1 and draws nothing.  An empty slice or a polytope without interior
+    (decided exactly) gives 0; a slice whose box volume is not finite, or whose
+    extents are positive but multiply to 0, raises DomainError naming s.
     """
     a, b = map(np.array, zip(*p.halfspaces))
     along = a[:, axis]

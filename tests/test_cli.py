@@ -531,6 +531,8 @@ _BAD_INPUTS = {
     "overflowing squares": (["density", "--samples", "1000", "--bins", "10",
                              "--params", "1e150", "1e150"], None, 1,
                             "error: Liouville weight 6e+300 at t="),
+    "overflowing merged sums": (["density", "--params", "4e75", "4e75"], None, 1,
+                                "error: Liouville weight 9.6e+151 at t="),
     "overflowing window": (["density", "--samples", "1000", "--bins", "10",
                             "--window", "1e300", "1.7e308"], None, 1,
                            "error: Liouville weight nan at t="),

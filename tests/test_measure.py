@@ -126,6 +126,17 @@ def test_sampler_refuses_weights_beyond_the_float_range(top, window, what):
         sample_pushforward(top, SamplerConfig(1_000, 10, window, seed=1))
 
 
+@pytest.mark.parametrize("weight, cfg", [
+    # each chunk's squared sums are finite, their merge is not
+    (Fraction(10) ** 153, SamplerConfig(10_000, 10, WINDOW, seed=1, chunk_size=100)),
+    # the squared sums merge to 1e305, but normalize squares a bin sum of 1e155
+    (Fraction(10) ** 150, SamplerConfig(200_000, 2, WINDOW, seed=1)),
+])
+def test_sampler_refuses_merged_sums_beyond_the_float_range(weight, cfg):
+    with pytest.raises(DomainError, match=re.escape(f"Liouville weight {float(weight):.6g} at t=")):
+        sample_pushforward(Poly.constant(6, weight), cfg)
+
+
 def test_sampler_refuses_a_window_too_narrow_to_bin():
     with pytest.raises(DomainError, match=r"window \[5e-324, 1\.5e-323\] is too narrow"):
         sample_pushforward(VERIFIED_TOP, SamplerConfig(1_000, 2, CutWindow(5e-324, 1.5e-323), 1))
