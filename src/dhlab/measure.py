@@ -170,9 +170,9 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
             _kahan_add(sums, sums_c, ws)
             _kahan_add(sq, sq_c, w2)
         if not np.isfinite(np.r_[np.sum(sums), sq, sums * sums]).all():
-            j = int(np.argmax([w2.max() for _, w2 in partials]))  # as i, among chunks
+            j = int(np.argmax([w2.max() for _, w2 in partials]))  # first NaN, else largest
             t, w = _chunk_points(top_poly, axes, cfg, key, starts[j])
-            i = int(np.argmax(np.abs(w)))  # the first NaN, else the largest
+            i = int(np.argmax(np.abs(w)))  # likewise among its samples
             raise DomainError(f"Liouville weight {w[i]:.6g} at t={t[i]:.6g}: the weights, "
                               "their squares or their bin sums overflow the float range")
 
