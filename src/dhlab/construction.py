@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .exterior import (
     Chart,
@@ -154,10 +155,18 @@ def build_omega(theta: Form, params: OmegaParams) -> Form:
 
 def standard_construction(window: CutWindow,
                           params: OmegaParams = OmegaParams()) -> tuple[Chart, Form, Form]:
-    """Chart, connection and symplectic form in the canonical gauge."""
-    chart = canonical_chart()
-    theta = build_connection(canonical_gauge(chart))
+    """Chart, connection and symplectic form in the canonical gauge; every
+    call shares the one chart and connection, which are immutable."""
+    chart, theta = _canonical_connection()
     return chart, theta, build_omega(theta, params)
+
+
+@cache
+def _canonical_connection() -> tuple[Chart, Form]:
+    """The canonical chart and the connection of its canonical gauge, built
+    and checked once: neither depends on the window or on (c1, c2)."""
+    chart = canonical_chart()
+    return chart, build_connection(canonical_gauge(chart))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,15 @@ forms are stored in the canonical basis: a k-form is a map from strictly
 ascending k-tuples of variable indices to polynomial coefficients, with
 permutation signs normalized away at construction time.
 
+The arithmetic underneath runs on integers where it can, with the same
+results bit for bit.  ``wedge`` and ``exterior_derivative`` multiply and sum
+integer numerators over a common denominator and turn them into Fractions
+once at the end, so terms come in the same order as when summing Polys.
+Root isolation builds its Sturm chains from integer pseudo-remainders and
+bisects on integer numerators over denominators odd * 2**k, so the root
+brackets, and every root, certificate and output built on them, are the
+ones that the same bisection over Fractions gives.
+
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
 """
@@ -17,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -161,11 +172,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        pairs = []
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                pairs.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return _raw_poly(self.nvars, _collect(pairs))
+        return _raw_poly(self.nvars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -197,12 +204,7 @@ class Poly:
         """Exact partial derivative with respect to the given variable."""
         if not 0 <= axis < self.nvars:
             raise DimensionError(f"axis {axis} out of range")
-        pairs = []
-        for exps, c in self.terms.items():
-            e = exps[axis]
-            if e:
-                pairs.append((exps[:axis] + (e - 1,) + exps[axis + 1:], c * e))
-        return _raw_poly(self.nvars, _collect(pairs))
+        return _raw_poly(self.nvars, _partial(self.terms, axis))
 
     def degree_in(self, axis: int) -> int:
         return max((e[axis] for e in self.terms), default=0)
@@ -316,6 +318,19 @@ def _collect(pairs: Iterable[tuple]) -> dict:
     return acc
 
 
+def _product(s: dict, t: dict) -> dict:
+    """The term map of the product of two term maps, terms in the order of
+    their first product, as _collect sums them."""
+    return _collect((tuple(map(add, e1, e2)), c1 * c2)
+                    for e1, c1 in s.items() for e2, c2 in t.items())
+
+
+def _partial(s: dict, axis: int) -> dict:
+    """The term map of the partial derivative of a term map; no two terms
+    meet and none vanishes, so no collecting is needed."""
+    return {e[:axis] + (e[axis] - 1,) + e[axis + 1:]: c * e[axis] for e, c in s.items() if e[axis]}
+
+
 def _raw_poly(nvars: int, terms: dict) -> Poly:
     """Internal constructor bypassing re-validation of already-clean term maps."""
     p = object.__new__(Poly)
@@ -361,18 +376,26 @@ def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
     ascending order, each either (r, r) for a root r met exactly, or (a, b)
     with a < r < b and q(a), q(b) != 0, so a point strictly between two
     consecutive roots lies in [b_i, a_{i+1}].
+
+    The search runs on integers.  Every end is a point N / den of one
+    lattice, den = odd * 2**k with odd the odd part of the common
+    denominator of lo and hi: a bisection point or a rounding boundary
+    between doubles only raises k.  A bracket is (a, b, den) for the ends
+    a / den and b / den.
     """
-    lo, hi, q, variations = _sturm(p, interval)
-    out = [(lo, lo)] if not _scaled_value(q, lo) else []
-    pending = [(lo, hi, variations(lo), variations(hi))]  # roots in (a, b]: va - vb
+    lo, hi, _, chain = _sturm(p, interval)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int(hi * den)
+    out = [(lo, lo)] if not _scaled_value(chain[0], a, den) else []
+    pending = [(a, b, den, _variations(chain, a, den), _variations(chain, b, den))]  # roots in (a, b]: va - vb
     while pending:
-        a, b, va, vb = pending.pop()
+        a, b, den, va, vb = pending.pop()
         if va - vb == 1:
-            out.append(_narrow(q, a, b))
+            out.append(_narrow(chain[0], a, b, den))
         elif va - vb > 1:
-            m = (a + b) / 2
-            vm = variations(m)
-            pending += [(m, b, vm, vb), (a, m, va, vm)]  # left half first
+            vm = _variations(chain, a + b, 2 * den)
+            pending += [(a + b, 2 * b, 2 * den, vm, vb),
+                        (2 * a, a + b, 2 * den, va, vm)]  # left half first
     return out
 
 
@@ -385,13 +408,23 @@ def isolate_roots(p: Poly, interval: tuple[float, float]) -> list[float]:
 
 def positive_on(p: Poly, interval: tuple) -> bool:
     """Exact strict positivity on [lo, hi]: p(lo) > 0 and no root in (lo, hi] (Sturm count)."""
-    lo, hi, _, variations = _sturm(p, interval)
-    return p.evaluate_exact((lo,)) > 0 and variations(lo) == variations(hi)
+    lo, hi, dense, chain = _sturm(p, interval)
+    a, b = lo.as_integer_ratio(), hi.as_integer_ratio()
+    return _scaled_value(dense, *a) > 0 and _variations(chain, *a) == _variations(chain, *b)
 
 
 def _sturm(p: Poly, interval: tuple):
-    """Validated lo, hi; the square-free part q of p as integer coefficients;
-    v with v(a) - v(b) roots of q in (a, b]."""
+    """Validated lo, hi; p as primitive integer coefficients, constant
+    first; the Sturm chain of the square-free part q of p, q first, in
+    integers.
+
+    Each member is a positive multiple of the member that Euclid's algorithm
+    over the rationals gives, or each is a negative one, so the variation
+    counts are the same: pseudo-remainders scale by a power of the divisor's
+    |leading coefficient| and members are made primitive.  The chain of p
+    ends in gcd(p, p'); where that is a constant, p is its own square-free
+    part and its chain is q's.
+    """
     if p.nvars != 1:
         raise DimensionError("root isolation needs a univariate polynomial")
     try:
@@ -403,95 +436,113 @@ def _sturm(p: Poly, interval: tuple):
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
     dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
-    g, r = dense, _deriv(dense)
-    while r:
-        g, r = r, _divmod(g, r)[1]
-    q = _divmod(dense, g)[0]
-    chain = [q, _deriv(q)]
+    scale = math.lcm(*(c.denominator for c in dense))
+    dense = _primitive([c.numerator * (scale // c.denominator) for c in dense])
+    chain = _chain(dense)
+    if len(chain[-1]) > 1:  # the last member is gcd(p, p') up to a factor: p has a multiple root
+        chain = _chain(_primitive(_pseudo_divmod(dense, chain[-1])[0]))
+    return lo, hi, dense, chain
+
+
+def _chain(q: list) -> list:
+    """The Sturm chain q, q', -rem(q, q'), ... to its last nonzero member."""
+    chain = [q, [k * v for k, v in enumerate(q)][1:]]
     while chain[-1]:
-        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
-    chain.pop()
-    for i, s in enumerate(chain):  # a positive integer multiple has the same signs
-        k = math.lcm(*(c.denominator for c in s))
-        chain[i] = [c.numerator * (k // c.denominator) for c in s]
-
-    def variations(x: Fraction) -> int:
-        signs = [v > 0 for v in (_scaled_value(s, x) for s in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    return lo, hi, chain[0], variations
+        chain.append(_primitive([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]))
+    return chain[:-1]
 
 
-def _narrow(q: list, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect the one simple root of q in (a, b] to a bracket as promised by
-    root_brackets, until every point strictly inside it rounds to the same
-    double; a starts on a root of q only if it is the one before."""
-    qb = _scaled_value(q, b)
+def _primitive(c: list) -> list:
+    g = math.gcd(*c)
+    return [v // g for v in c] if g > 1 else c
+
+
+def _pseudo_divmod(n: list, d: list) -> tuple[list, list]:
+    """Quotient and remainder of lc**j * n on division by +-d, for integer
+    lists (constant first, d trimmed), lc = |d's leading coefficient| and
+    some j >= 0.  The remainder is a positive multiple of the remainder of n
+    over the rationals; where d divides n, the quotient is a multiple of
+    n / d.  Callers pass n of at least d's degree."""
+    if d[-1] < 0:
+        d = [-v for v in d]
+    q, r = [0] * (len(n) - len(d) + 1), list(n)
+    while len(r) >= len(d):
+        k, top = len(r) - len(d), r[-1]
+        q, r = [d[-1] * v for v in q], [d[-1] * v for v in r]
+        q[k] += top
+        for i, v in enumerate(d):
+            r[k + i] -= top * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _variations(chain: list, num: int, den: int) -> int:
+    """Sign changes of the chain at num / den, den > 0, zeros skipped."""
+    signs = [v > 0 for v in (_scaled_value(s, num, den) for s in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
+    """Bisect the one simple root of q in (a / den, b / den] to a bracket as
+    promised by root_brackets, until every point strictly inside it rounds
+    to the same double; a starts on a root of q only if it is the one before.
+
+    Once a and b round to adjacent doubles, the next point is the rounding
+    boundary between them, which a bisection point may never meet
+    (1 + 3*2**-53 in (0, 3)): their midpoint, with +-inf read as +-2**1024.
+    The powers of two that a, b and den share are divided out at each step,
+    so a bracket far from 0 keeps den small.
+    """
+    qa, qb = _scaled_value(q, a, den), _scaled_value(q, b, den)
     if not qb:
-        return b, b
-    qa = _scaled_value(q, a)
-    while True:
-        m = _split_point(a, b) if qa else (a + b) / 2
-        if m is None:
-            return a, b
-        qm = _scaled_value(q, m)
+        a = b
+    while a < b:
+        x, y = _quotient(a, den), _quotient(b, den)
+        if qa and x == y:
+            break
+        if qa and math.nextafter(x, y) == y:
+            m = sum(Fraction(v) if math.isfinite(v) else Fraction(2 ** 1024 if v > 0 else -2 ** 1024)
+                    for v in (x, y)) / 2
+            m, a, b, den = m.numerator * den, a * m.denominator, b * m.denominator, den * m.denominator
+            if not a < m < b:
+                break
+        else:
+            m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        qm = _scaled_value(q, m, den)
         if not qm:
-            return m, m
-        if (qm > 0) == (qb > 0):
+            a = b = m
+        elif (qm > 0) == (qb > 0):
             b = m
         else:
             a, qa = m, qm
+        low = (a | b | den) & -(a | b | den)  # the largest power of two all three share
+        a, b, den = a // low, b // low, den // low
+    return Fraction(a, den), Fraction(b, den)
 
 
-def _split_point(a: Fraction, b: Fraction) -> Fraction | None:
-    """None if every point of (a, b) rounds to one double; else the midpoint,
-    or, once a and b round to adjacent doubles, the rounding boundary between
-    them, which a bisection point may never meet (1 + 3*2**-53 in (0, 3))."""
-    x, y = _round(a), _round(b)
-    if x == y:
-        return None
-    if math.nextafter(x, y) != y:
-        return (a + b) / 2
-    half_gap = Fraction(min(math.ulp(x), math.ulp(y))) / 2  # ulp(inf) is inf
-    m = Fraction(x) + half_gap if math.isfinite(x) else Fraction(y) - half_gap
-    return m if a < m < b else None
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded to the nearest double, ties to even (int / int true
+    division rounds correctly); beyond the float range, +-inf."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def _round(x: Fraction) -> float:
     """x rounded to the nearest double, ties to even; beyond the float range, +-inf."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+    return _quotient(x.numerator, x.denominator)
 
 
-def _scaled_value(c: list, x: Fraction) -> int:
+def _scaled_value(c: list, num: int, den: int) -> int:
     """den**deg * c(num/den) for integer coefficients c, constant first: an
-    integer of the sign of c(x)."""
-    num, den = x.numerator, x.denominator
+    integer of the sign of c(num/den) when den > 0."""
     acc, scale = 0, 1
     for v in reversed(c):
         acc = acc * num + v * scale
         scale *= den
     return acc
-
-
-def _deriv(c: list) -> list:
-    return [k * v for k, v in enumerate(c)][1:]
-
-
-def _divmod(n: list, d: list) -> tuple[list, list]:
-    """Quotient and remainder of trimmed coefficient lists, constant first."""
-    r = list(n)
-    q = [_ZERO] * max(len(n) - len(d) + 1, 0)
-    while len(r) >= len(d):
-        k = len(r) - len(d)
-        c = q[k] = r[-1] / d[-1]
-        for i, v in enumerate(d):
-            r[k + i] -= c * v
-        while r and not r[-1]:
-            r.pop()
-    return q, r
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +689,12 @@ def _raw_form(chart: Chart, degree: int, terms: dict) -> Form:
     return f
 
 
+@lru_cache(maxsize=512)
 def _normalize_indices(idx: tuple[int, ...]):
     """Sort an index tuple, tracking the permutation sign.
 
-    Returns (sign, ascending tuple), or None if an index repeats.
+    Returns (sign, ascending tuple), or None if an index repeats.  Memoized
+    with a bounded cache: a chart has few index tuples in use at a time.
     """
     lst = list(idx)
     sign = 1
@@ -664,16 +717,16 @@ def _normalize_indices(idx: tuple[int, ...]):
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Bilinear, associative, graded-commutative."""
     a._check_chart(b)
-    degree = a.degree + b.degree
-    pairs = []
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
+    (da, ta), (db, tb) = _integer_terms(a), _integer_terms(b)
+    negated = {ib: {e: -c for e, c in pb.items()} for ib, pb in tb.items()}
+    parts = []
+    for ia, pa in ta.items():
+        for ib, pb in tb.items():
             merged = _normalize_indices(ia + ib)
             if merged is not None:
                 sign, key = merged
-                p = pa * pb
-                pairs.append((key, p if sign > 0 else -p))
-    return _raw_form(a.chart, degree, _collect(pairs))
+                parts.append((key, _product(pa, pb if sign > 0 else negated[ib])))
+    return _sum_parts(a.chart, a.degree + b.degree, parts, da * db)
 
 
 def exterior_derivative(a: Form) -> Form:
@@ -682,15 +735,41 @@ def exterior_derivative(a: Form) -> Form:
     Computed term-wise via exact partial differentiation of the coefficient
     polynomials; the derivative of a top-degree form is the zero form.
     """
-    pairs = []
-    for idx, p in a.terms.items():
+    den, terms = _integer_terms(a)
+    parts = []
+    for idx, p in terms.items():
         for v in range(a.chart.dim):
             merged = _normalize_indices((v,) + idx)
             if merged is not None:
                 sign, key = merged
-                dp = p.partial(v)
-                pairs.append((key, dp if sign > 0 else -dp))
-    return _raw_form(a.chart, a.degree + 1, _collect(pairs))
+                parts.append((key, {e: sign * c for e, c in _partial(p, v).items()}))
+    return _sum_parts(a.chart, a.degree + 1, parts, den)
+
+
+def _integer_terms(a: Form) -> tuple[int, dict]:
+    """A common denominator of a's coefficients, and a's term maps times it."""
+    den = math.lcm(*(c.denominator for p in a.terms.values() for c in p.terms.values()))
+    return den, {idx: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+                 for idx, p in a.terms.items()}
+
+
+def _sum_parts(chart: Chart, degree: int, parts: Iterable[tuple], den: int) -> Form:
+    """The form summing (index tuple, term map) parts of integer numerators
+    over den, with no Poly built on the way.
+
+    Each part's terms are summed into its tuple's term map as Poly.__add__
+    sums two Polys, and a tuple whose map cancels leaves the form as in
+    _collect.  A numerator vanishes exactly where the rational does, so
+    terms and tuples come in the order, and cancel with the re-entries, of
+    summing the parts as Polys of Fractions.
+    """
+    acc: dict = {}
+    for key, terms in parts:
+        acc[key] = _collect([*acc.get(key, {}).items(), *terms.items()])
+        if not acc[key]:
+            del acc[key]
+    return _raw_form(chart, degree, {k: _raw_poly(chart.dim, {e: Fraction(c, den) for e, c in t.items()})
+                                     for k, t in acc.items()})
 
 
 def interior_product(a: Form, axis: int) -> Form:

@@ -184,17 +184,24 @@ def normalize(h: Histogram) -> DensityEstimate:
 
     Standard errors use the usual weighted-histogram estimator: the variance
     of each bin's weight sum is sum(w^2) - (sum w)^2 / N, scaled down by the
-    total weight times the bin width.
+    total weight times the bin width.  A window whose bin centres, or whose
+    total weight times bin width, overflow the float range is refused.
     """
     if not h.total_weight > 0:
         raise EmptyMeasureError("histogram has no positive weight")
     if h.sample_count <= 0:
         raise EmptyMeasureError("histogram has no samples")
     scale = h.total_weight * h.bin_width
+    with np.errstate(over="ignore"):
+        centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
+    if not np.isfinite(np.r_[scale, centers]).all():
+        lo, hi = float(h.bin_edges[0]), float(h.bin_edges[-1])
+        raise DomainError(f"window [{lo!r}, {hi!r}] is too wide for float densities: its bin "
+                          f"centres or the total weight {h.total_weight:.6g} times the bin "
+                          "width overflow")
     density = h.weight_sums / scale
     var = np.maximum(h.weight_sq_sums - h.weight_sums ** 2 / h.sample_count, 0.0)
     stderr = np.sqrt(var) / scale
-    centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
     return DensityEstimate(centers, density, stderr)
 
 

@@ -88,6 +88,177 @@ def rounds_to_root(e: float, f, interval) -> bool:
     return (fu > 0) != (fv > 0)
 
 
+# ---------------------------------------------------------------------------
+# Reference wedge and exterior derivative, summing Polys
+# ---------------------------------------------------------------------------
+
+def _ref_sorted_indices(idx: tuple):
+    """(sign, ascending tuple) of an index tuple, or None if an index repeats."""
+    lst, sign = list(idx), 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign, j = -sign, j - 1
+    return None if len(set(lst)) < len(lst) else (sign, tuple(lst))
+
+
+def _ref_sum(pairs) -> dict:
+    """Sum (index tuple, Poly) pairs with Poly.__add__: a tuple whose sum
+    cancels leaves the map and re-enters at the end if a later pair brings
+    it back."""
+    acc: dict = {}
+    for k, v in pairs:
+        if k in acc:
+            v = acc[k] + v
+            if not v:
+                del acc[k]
+                continue
+        elif not v:
+            continue
+        acc[k] = v
+    return acc
+
+
+def reference_wedge(a: Form, b: Form) -> dict:
+    """The term map of a ^ b, built from Poly products and sums alone."""
+    pairs = []
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
+            merged = _ref_sorted_indices(ia + ib)
+            if merged is not None:
+                pairs.append((merged[1], pa * pb if merged[0] > 0 else -(pa * pb)))
+    return _ref_sum(pairs)
+
+
+def reference_exterior_derivative(a: Form) -> dict:
+    """The term map of d a, built from Poly.partial and Poly sums alone."""
+    pairs = []
+    for idx, p in a.terms.items():
+        for v in range(a.chart.dim):
+            merged = _ref_sorted_indices((v,) + idx)
+            if merged is not None:
+                pairs.append((merged[1], p.partial(v) if merged[0] > 0 else -p.partial(v)))
+    return _ref_sum(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Reference root isolation in Fractions
+# ---------------------------------------------------------------------------
+
+def _ref_round(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _ref_value(c: list, x: Fraction) -> int:
+    """den**deg * c(num/den) for integer coefficients c, constant first."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for v in reversed(c):
+        acc = acc * num + v * scale
+        scale *= den
+    return acc
+
+
+def _ref_deriv(c: list) -> list:
+    return [k * v for k, v in enumerate(c)][1:]
+
+
+def _ref_divmod(n: list, d: list) -> tuple[list, list]:
+    """Quotient and remainder of trimmed Fraction coefficient lists, constant first."""
+    r = list(n)
+    q = [Fraction(0)] * max(len(n) - len(d) + 1, 0)
+    while len(r) >= len(d):
+        k = len(r) - len(d)
+        c = q[k] = r[-1] / d[-1]
+        for i, v in enumerate(d):
+            r[k + i] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _ref_sturm(p: Poly, interval: tuple):
+    """lo, hi, the square-free part q of p and the variation count v, by
+    Euclid's algorithm over the rationals."""
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    dense = [p.terms.get((e,), Fraction(0)) for e in range(p.degree_in(0) + 1)]
+    g, r = dense, _ref_deriv(dense)
+    while r:
+        g, r = r, _ref_divmod(g, r)[1]
+    q = _ref_divmod(dense, g)[0]
+    chain = [q, _ref_deriv(q)]
+    while chain[-1]:
+        chain.append([-c for c in _ref_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    for i, s in enumerate(chain):
+        k = math.lcm(*(c.denominator for c in s))
+        chain[i] = [c.numerator * (k // c.denominator) for c in s]
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (_ref_value(s, x) for s in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return lo, hi, chain[0], variations
+
+
+def _ref_split_point(a: Fraction, b: Fraction) -> Fraction | None:
+    x, y = _ref_round(a), _ref_round(b)
+    if x == y:
+        return None
+    if math.nextafter(x, y) != y:
+        return (a + b) / 2
+    half_gap = Fraction(min(math.ulp(x), math.ulp(y))) / 2
+    m = Fraction(x) + half_gap if math.isfinite(x) else Fraction(y) - half_gap
+    return m if a < m < b else None
+
+
+def _ref_narrow(q: list, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    qb = _ref_value(q, b)
+    if not qb:
+        return b, b
+    qa = _ref_value(q, a)
+    while True:
+        m = _ref_split_point(a, b) if qa else (a + b) / 2
+        if m is None:
+            return a, b
+        qm = _ref_value(q, m)
+        if not qm:
+            return m, m
+        if (qm > 0) == (qb > 0):
+            b = m
+        else:
+            a, qa = m, qm
+
+
+def reference_root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
+    """The root brackets of a univariate p in a closed interval, computed as
+    dhlab computed them in Fractions: a Sturm chain from Euclid's algorithm
+    over the rationals, bisection on Fraction ends, then narrowing to the
+    bisection point or half-ulp rounding boundary.  Shares no code with
+    dhlab.exterior, so tests can use it as an oracle."""
+    lo, hi, q, variations = _ref_sturm(p, interval)
+    out = [(lo, lo)] if not _ref_value(q, lo) else []
+    pending = [(lo, hi, variations(lo), variations(hi))]
+    while pending:
+        a, b, va, vb = pending.pop()
+        if va - vb == 1:
+            out.append(_ref_narrow(q, a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = variations(m)
+            pending += [(m, b, vm, vb), (a, m, va, vm)]
+    return out
+
+
+def reference_positive_on(p: Poly, interval: tuple) -> bool:
+    lo, hi, _, variations = _ref_sturm(p, interval)
+    return p.evaluate_exact((lo,)) > 0 and variations(lo) == variations(hi)
+
+
 def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
     """Yield (points, weights) chunk by chunk, rebuilt from the documented
     stream alone: sample s owns the 8 doubles that Philox draws from counter

@@ -539,6 +539,12 @@ _BAD_INPUTS = {
     "subnormal window": (["density", "--samples", "1000", "--bins", "2",
                           "--window", "5e-324", "1.5e-323"], None, 1,
                          "error: window [5e-324, 1.5e-323] is too narrow for 2 float bins"),
+    "flat window beyond the float centres": (["density", "--flat", "--samples", "1000", "--bins",
+                                              "10", "--window", "1e300", "1.7e308"], None, 1,
+                                             "error: window [1e+300, 1.7e+308] is too wide "),
+    "flat window beyond the float scale": (["density", "--flat", "--samples", "1000", "--bins",
+                                            "10", "--window", "1", "1e307"], None, 1,
+                                           "error: window [1.0, 1e+307] is too wide "),
 }
 _BAD_INPUT_FILES = {
     "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),

@@ -47,6 +47,14 @@ def test_canonical_gauge_accepted():
     assert theta.coefficient(5) == Poly.constant(CHART.dim, 1)
 
 
+def test_standard_construction_shares_one_checked_connection():
+    chart, theta, omega = standard_construction(WINDOW)
+    other = standard_construction(CutWindow(1, 2), OmegaParams(Fraction(1, 3), 7))
+    assert other[0] is chart and other[1] is theta
+    assert theta == build_connection(canonical_gauge(CHART))
+    assert omega == build_omega(theta, OmegaParams())
+
+
 def test_zero_gauge_rejected_with_residual():
     with pytest.raises(GaugeError) as err:
         build_connection(Form(CHART, 1))

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,15 @@ from dhlab import (
     interior_product,
     wedge,
 )
-from helpers import abs_eval, chart6, random_form, random_poly
+from dhlab.exterior import _normalize_indices
+from helpers import (
+    abs_eval,
+    chart6,
+    random_form,
+    random_poly,
+    reference_exterior_derivative,
+    reference_wedge,
+)
 
 CHART = chart6()
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})  # t^2 - 5 t + 7
@@ -83,6 +92,54 @@ def test_wedge_graded_commutativity():
         b = random_form(rng, CHART)
         sign = (-1) ** (a.degree * b.degree)
         assert wedge(a, b) == sign * wedge(b, a)
+
+
+def _ordered(terms: dict) -> list:
+    """A term map of a Form with every order it carries: tuples, then terms."""
+    return [(idx, list(p.terms.items())) for idx, p in terms.items()]
+
+
+def _cancelling_form(rng, degree: int) -> Form:
+    """A form whose coefficients come from a pool of few +-1 Polys, so that
+    products cancel, and tuples leave a sum and re-enter it, often."""
+    pool = [Poly.constant(CHART.dim, 1), Poly.variable(CHART.dim, 0), Poly.variable(CHART.dim, 4)]
+    pool += [-p for p in pool] + [pool[0] + pool[1], pool[1] - pool[2]]
+    tuples = [tuple(sorted(rng.sample(range(CHART.dim), degree))) for _ in range(4)]
+    return Form(CHART, degree, [(idx, rng.choice(pool)) for idx in tuples])
+
+
+def test_wedge_and_d_keep_the_term_order_of_summing_polys():
+    # the sampler sums the top power's terms in this order, so it fixes density bits
+    from dhlab import OmegaParams, standard_construction
+    from helpers import WINDOW
+
+    omega = standard_construction(WINDOW, OmegaParams(Fraction(7, 3), Fraction(-1, 4)))[2]
+    omega2 = wedge(omega, omega)
+    cases = [(omega, omega), (omega2, omega), (omega, omega2)]
+    rng = random.Random(31)
+    cases += [(random_form(rng, CHART), random_form(rng, CHART)) for _ in range(150)]
+    cases += [(_cancelling_form(rng, rng.randint(1, 2)), _cancelling_form(rng, rng.randint(1, 3)))
+              for _ in range(150)]
+    for a, b in cases:
+        assert _ordered(wedge(a, b).terms) == _ordered(reference_wedge(a, b)), (a, b)
+        for x in (a, b, wedge(a, b)):
+            assert _ordered(exterior_derivative(x).terms) == \
+                _ordered(reference_exterior_derivative(x)), x
+    top = wedge(omega2, omega)
+    assert list(top.terms) == [(0, 1, 2, 3, 4, 5)] and len(top.terms[(0, 1, 2, 3, 4, 5)].terms) == 3
+
+
+def test_index_memo_stays_within_its_bound():
+    chart = Chart(tuple(Variable(f"y{i}", True) for i in range(12)))
+    rng = random.Random(12)
+    sixes = list(combinations(range(12), 6))
+    a, b = (Form(chart, 6, {idx: 1 for idx in rng.sample(sixes, 40)}) for _ in range(2))
+    _normalize_indices.cache_clear()
+    product = wedge(a, b)
+    info = _normalize_indices.cache_info()
+    assert info.maxsize is not None and info.misses > info.maxsize  # more tuples than it holds
+    assert info.currsize <= info.maxsize
+    assert product.degree == 12 and set(product.terms) <= {tuple(range(12))}
 
 
 # ---------------------------------------------------------------------------

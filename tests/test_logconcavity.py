@@ -19,7 +19,7 @@ from dhlab import (
     isolate_roots,
 )
 from dhlab.exterior import positive_on, root_brackets
-from helpers import rounds_to_root
+from helpers import reference_positive_on, reference_root_brackets, rounds_to_root
 
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})       # t^2 - 5 t + 7
 G_RHO = Poly(1, {(2,): -2, (1,): 10, (0,): -11})  # rho rho'' - (rho')^2
@@ -200,6 +200,52 @@ def test_positive_on_narrows_no_bracket(monkeypatch):
         positive_on(p, interval)
     with pytest.raises(AssertionError, match="narrowed"):
         root_brackets(RHO * (Poly.variable(1, 0) - 1), (0, 5))
+
+
+def _oracle_case(rng):
+    """A univariate polynomial and a closed interval from one of five
+    families, each aimed at one way integer root isolation could drift from
+    the Fraction bisection it replaces."""
+    t = Poly.variable(1, 0)
+    lo = Fraction(rng.randint(-60, 30), rng.choice([1, 3, 7, 10]))  # non-dyadic ends
+    hi = lo + Fraction(rng.randint(1, 90), rng.choice([1, 2, 9]))
+    p = Poly.constant(1, rng.choice([1, -2, Fraction(3, 7)]))
+    kind = rng.randrange(5)
+    if kind == 0:  # rational roots with repeated factors
+        for _ in range(rng.randint(0, 4)):
+            p = p * (t - Fraction(rng.randint(-60, 60), rng.choice([1, 3, 8, 10 ** 6]))) \
+                ** rng.randint(1, 3)
+    elif kind == 1:  # random integer coefficients: irrational roots
+        p = p * Poly(1, {(e,): rng.randint(-9, 9) for e in range(rng.randint(2, 6))})
+    elif kind == 2:  # a root on an end, maybe a multiple one
+        p = p * (t - rng.choice([lo, hi])) ** rng.randint(1, 2) * (t * t - rng.randint(0, 30))
+    elif kind == 3:  # a root on the rounding boundary between two doubles
+        x = rng.uniform(-40, 40)
+        r = Fraction(x) + Fraction(math.ulp(x)) / 2
+        p = p * (t - r) * (t - rng.randint(-40, 40))
+        lo, hi = min(lo, r - 1), max(hi, r + rng.choice([1, Fraction(1, 3)]))
+    else:  # coefficients near 1e+-150, roots near 1e+-150 or 1
+        c = Fraction(10) ** rng.choice([150, -150, 0])
+        p = ((t - c) * (t - c - rng.choice([1, 2, c])) + rng.choice([0, 1, -1])) \
+            * Fraction(10) ** rng.choice([150, -150])
+        lo, hi = (-c / 2, 3 * c) if rng.random() < 0.95 else (Fraction(1, 2), Fraction(10) ** 300)
+    return p, (lo, hi)
+
+
+def test_integer_root_isolation_matches_the_fraction_bisection():
+    # brackets, roots and verdicts, exactly equal to the reference over Fractions
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(2000):
+        p, interval = _oracle_case(rng)
+        if not p:
+            continue
+        want = reference_root_brackets(p, interval)
+        assert root_brackets(p, interval) == want, (p, interval)
+        assert isolate_roots(p, interval) == [float((a + b) / 2) for a, b in want]
+        assert positive_on(p, interval) == reference_positive_on(p, interval), (p, interval)
+        kinds.add((len(want), any(a == b for a, b in want)))
+    assert {(0, False), (1, True), (2, False)} <= kinds
 
 
 # ---------------------------------------------------------------------------
