@@ -458,11 +458,11 @@ def _primitive(c: list) -> list:
 
 
 def _pseudo_divmod(n: list, d: list) -> tuple[list, list]:
-    """Quotient and remainder of lc**j * n on division by +-d, for integer
-    lists (constant first, d trimmed), lc = |d's leading coefficient| and
-    some j >= 0.  The remainder is a positive multiple of the remainder of n
-    over the rationals; where d divides n, the quotient is a multiple of
-    n / d.  Callers pass n of at least d's degree."""
+    """Quotient and remainder of lc**j * n, for some j >= 0, on division by
+    whichever of d and -d leads with lc = |d's leading coefficient|; integer
+    lists, constant first, d trimmed and of at most n's degree.  The
+    remainder is a positive multiple of the remainder of n over the
+    rationals; where d divides n, the quotient is a multiple of n / d."""
     if d[-1] < 0:
         d = [-v for v in d]
     q, r = [0] * (len(n) - len(d) + 1), list(n)
@@ -522,12 +522,12 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
 
 
 def _quotient(num: int, den: int) -> float:
-    """num / den rounded to the nearest double, ties to even (int / int true
-    division rounds correctly); beyond the float range, +-inf."""
+    """num / den for den > 0 rounded to the nearest double, ties to even
+    (int / int true division rounds correctly); beyond the float range, +-inf."""
     try:
         return num / den
     except OverflowError:
-        return math.inf if (num > 0) == (den > 0) else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _round(x: Fraction) -> float:
@@ -718,14 +718,13 @@ def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Bilinear, associative, graded-commutative."""
     a._check_chart(b)
     (da, ta), (db, tb) = _integer_terms(a), _integer_terms(b)
-    negated = {ib: {e: -c for e, c in pb.items()} for ib, pb in tb.items()}
     parts = []
     for ia, pa in ta.items():
         for ib, pb in tb.items():
             merged = _normalize_indices(ia + ib)
             if merged is not None:
                 sign, key = merged
-                parts.append((key, _product(pa, pb if sign > 0 else negated[ib])))
+                parts.append((key, _product(pa, {e: sign * c for e, c in pb.items()})))
     return _sum_parts(a.chart, a.degree + b.degree, parts, da * db)
 
 
