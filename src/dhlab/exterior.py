@@ -12,10 +12,10 @@ The arithmetic underneath runs on integers where it can, with the same
 results bit for bit.  ``wedge`` and ``exterior_derivative`` multiply and sum
 integer numerators over a common denominator and turn them into Fractions
 once at the end, so terms come in the same order as when summing Polys.
-Root isolation builds its Sturm chains from integer pseudo-remainders and
-bisects on integer numerators over denominators odd * 2**k, so the root
-brackets, and every root, certificate and output built on them, are the
-ones that the same bisection over Fractions gives.
+Root isolation builds its Sturm chains from integer pseudo-remainders
+(dhlab.intpoly) and bisects on integer numerators over denominators
+odd * 2**k, so the root brackets, and every root, certificate and output
+built on them, are the ones that the same bisection over Fractions gives.
 
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
@@ -29,6 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
+
+from .intpoly import scaled_value, sturm_chain, variations
 
 Scalar = Union[int, Fraction]
 
@@ -386,14 +388,14 @@ def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
     lo, hi, _, chain = _sturm(p, interval)
     den = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int(hi * den)
-    out = [(lo, lo)] if not _scaled_value(chain[0], a, den) else []
-    pending = [(a, b, den, _variations(chain, a, den), _variations(chain, b, den))]  # roots in (a, b]: va - vb
+    out = [(lo, lo)] if not scaled_value(chain[0], a, den) else []
+    pending = [(a, b, den, variations(chain, a, den), variations(chain, b, den))]  # roots in (a, b]: va - vb
     while pending:
         a, b, den, va, vb = pending.pop()
         if va - vb == 1:
             out.append(_narrow(chain[0], a, b, den))
         elif va - vb > 1:
-            vm = _variations(chain, a + b, 2 * den)
+            vm = variations(chain, a + b, 2 * den)
             pending += [(a + b, 2 * b, 2 * den, vm, vb),
                         (2 * a, a + b, 2 * den, va, vm)]  # left half first
     return out
@@ -410,21 +412,13 @@ def positive_on(p: Poly, interval: tuple) -> bool:
     """Exact strict positivity on [lo, hi]: p(lo) > 0 and no root in (lo, hi] (Sturm count)."""
     lo, hi, dense, chain = _sturm(p, interval)
     a, b = lo.as_integer_ratio(), hi.as_integer_ratio()
-    return _scaled_value(dense, *a) > 0 and _variations(chain, *a) == _variations(chain, *b)
+    return scaled_value(dense, *a) > 0 and variations(chain, *a) == variations(chain, *b)
 
 
 def _sturm(p: Poly, interval: tuple):
-    """Validated lo, hi; p as primitive integer coefficients, constant
-    first; the Sturm chain of the square-free part q of p, q first, in
-    integers.
-
-    Each member is a positive multiple of the member that Euclid's algorithm
-    over the rationals gives, or each is a negative one, so the variation
-    counts are the same: pseudo-remainders scale by a power of the divisor's
-    |leading coefficient| and members are made primitive.  The chain of p
-    ends in gcd(p, p'); where that is a constant, p is its own square-free
-    part and its chain is q's.
-    """
+    """Validated lo, hi; a positive multiple of p as integer coefficients,
+    constant first; the Sturm chain of the square-free part q of p, q first
+    (see dhlab.intpoly)."""
     if p.nvars != 1:
         raise DimensionError("root isolation needs a univariate polynomial")
     try:
@@ -437,50 +431,8 @@ def _sturm(p: Poly, interval: tuple):
         raise ValueError("the zero polynomial vanishes everywhere")
     dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
     scale = math.lcm(*(c.denominator for c in dense))
-    dense = _primitive([c.numerator * (scale // c.denominator) for c in dense])
-    chain = _chain(dense)
-    if len(chain[-1]) > 1:  # the last member is gcd(p, p') up to a factor: p has a multiple root
-        chain = _chain(_primitive(_pseudo_divmod(dense, chain[-1])[0]))
-    return lo, hi, dense, chain
-
-
-def _chain(q: list) -> list:
-    """The Sturm chain q, q', -rem(q, q'), ... to its last nonzero member."""
-    chain = [q, [k * v for k, v in enumerate(q)][1:]]
-    while chain[-1]:
-        chain.append(_primitive([-c for c in _pseudo_divmod(chain[-2], chain[-1])[1]]))
-    return chain[:-1]
-
-
-def _primitive(c: list) -> list:
-    g = math.gcd(*c)
-    return [v // g for v in c] if g > 1 else c
-
-
-def _pseudo_divmod(n: list, d: list) -> tuple[list, list]:
-    """Quotient and remainder of lc**j * n, for some j >= 0, on division by
-    whichever of d and -d leads with lc = |d's leading coefficient|; integer
-    lists, constant first, d trimmed and of at most n's degree.  The
-    remainder is a positive multiple of the remainder of n over the
-    rationals; where d divides n, the quotient is a multiple of n / d."""
-    if d[-1] < 0:
-        d = [-v for v in d]
-    q, r = [0] * (len(n) - len(d) + 1), list(n)
-    while len(r) >= len(d):
-        k, top = len(r) - len(d), r[-1]
-        q, r = [d[-1] * v for v in q], [d[-1] * v for v in r]
-        q[k] += top
-        for i, v in enumerate(d):
-            r[k + i] -= top * v
-        while r and not r[-1]:
-            r.pop()
-    return q, r
-
-
-def _variations(chain: list, num: int, den: int) -> int:
-    """Sign changes of the chain at num / den, den > 0, zeros skipped."""
-    signs = [v > 0 for v in (_scaled_value(s, num, den) for s in chain) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    dense = [c.numerator * (scale // c.denominator) for c in dense]
+    return lo, hi, dense, sturm_chain(dense)
 
 
 def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
@@ -494,11 +446,11 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     The powers of two that a, b and den share are divided out at each step,
     so a bracket far from 0 keeps den small.
     """
-    qa, qb = _scaled_value(q, a, den), _scaled_value(q, b, den)
+    qa, qb = scaled_value(q, a, den), scaled_value(q, b, den)
     if not qb:
         a = b
     while a < b:
-        x, y = _quotient(a, den), _quotient(b, den)
+        x, y = _round(a, den), _round(b, den)
         if qa and x == y:
             break
         if qa and math.nextafter(x, y) == y:
@@ -509,7 +461,7 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
                 break
         else:
             m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        qm = _scaled_value(q, m, den)
+        qm = scaled_value(q, m, den)
         if not qm:
             a = b = m
         elif (qm > 0) == (qb > 0):
@@ -521,28 +473,15 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def _quotient(num: int, den: int) -> float:
-    """num / den for den > 0 rounded to the nearest double, ties to even
-    (int / int true division rounds correctly); beyond the float range, +-inf."""
+def _round(x, den=1) -> float:
+    """x / den rounded to the nearest double, ties to even, for an int or
+    Fraction x and an int den > 0 (int / int true division rounds
+    correctly); beyond the float range, +-inf."""
+    num, d = x.as_integer_ratio()
     try:
-        return num / den
+        return num / (d * den)
     except OverflowError:
         return math.inf if num > 0 else -math.inf
-
-
-def _round(x: Fraction) -> float:
-    """x rounded to the nearest double, ties to even; beyond the float range, +-inf."""
-    return _quotient(x.numerator, x.denominator)
-
-
-def _scaled_value(c: list, num: int, den: int) -> int:
-    """den**deg * c(num/den) for integer coefficients c, constant first: an
-    integer of the sign of c(num/den) when den > 0."""
-    acc, scale = 0, 1
-    for v in reversed(c):
-        acc = acc * num + v * scale
-        scale *= den
-    return acc
 
 
 # ---------------------------------------------------------------------------
