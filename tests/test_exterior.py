@@ -12,16 +12,19 @@ from dhlab import (
     ChartMismatchError,
     DimensionError,
     Form,
+    OmegaParams,
     Poly,
     UnsupportedIntegrandError,
     Variable,
     exterior_derivative,
     integrate_over_face,
     interior_product,
+    standard_construction,
     wedge,
 )
 from dhlab.exterior import _normalize_indices
 from helpers import (
+    WINDOW,
     abs_eval,
     chart6,
     random_form,
@@ -100,8 +103,9 @@ def _ordered(terms: dict) -> list:
 
 
 def _cancelling_form(rng, degree: int) -> Form:
-    """A form whose coefficients come from a pool of few +-1 Polys, so that
-    products cancel, and tuples leave a sum and re-enter it, often."""
+    """A form whose coefficients come from a small pool of Polys with +-1
+    coefficients, so that products cancel, and tuples leave a sum and
+    re-enter it, often."""
     pool = [Poly.constant(CHART.dim, 1), Poly.variable(CHART.dim, 0), Poly.variable(CHART.dim, 4)]
     pool += [-p for p in pool] + [pool[0] + pool[1], pool[1] - pool[2]]
     tuples = [tuple(sorted(rng.sample(range(CHART.dim), degree))) for _ in range(4)]
@@ -110,9 +114,6 @@ def _cancelling_form(rng, degree: int) -> Form:
 
 def test_wedge_and_d_keep_the_term_order_of_summing_polys():
     # the sampler sums the top power's terms in this order, so it fixes density bits
-    from dhlab import OmegaParams, standard_construction
-    from helpers import WINDOW
-
     omega = standard_construction(WINDOW, OmegaParams(Fraction(7, 3), Fraction(-1, 4)))[2]
     omega2 = wedge(omega, omega)
     cases = [(omega, omega), (omega2, omega), (omega, omega2)]
