@@ -389,7 +389,8 @@ def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
     den = math.lcm(lo.denominator, hi.denominator)
     a, b = int(lo * den), int(hi * den)
     out = [(lo, lo)] if not scaled_value(chain[0], a, den) else []
-    pending = [(a, b, den, variations(chain, a, den), variations(chain, b, den))]  # roots in (a, b]: va - vb
+    # roots in (a, b]: va - vb
+    pending = [(a, b, den, variations(chain, a, den), variations(chain, b, den))]
     while pending:
         a, b, den, va, vb = pending.pop()
         if va - vb == 1:
@@ -454,9 +455,10 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
         if qa and x == y:
             break
         if qa and math.nextafter(x, y) == y:
-            m = sum(Fraction(v) if math.isfinite(v) else Fraction(2 ** 1024 if v > 0 else -2 ** 1024)
+            m = sum(Fraction(v if math.isfinite(v) else 2 ** 1024 if v > 0 else -2 ** 1024)
                     for v in (x, y)) / 2
-            m, a, b, den = m.numerator * den, a * m.denominator, b * m.denominator, den * m.denominator
+            m, a, b, den = (m.numerator * den, a * m.denominator, b * m.denominator,
+                            den * m.denominator)
             if not a < m < b:
                 break
         else:
@@ -473,7 +475,7 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def _round(x, den=1) -> float:
+def _round(x: int | Fraction, den: int = 1) -> float:
     """x / den rounded to the nearest double, ties to even, for an int or
     Fraction x and an int den > 0 (int / int true division rounds
     correctly); beyond the float range, +-inf."""
@@ -706,8 +708,9 @@ def _sum_parts(chart: Chart, degree: int, parts: Iterable[tuple], den: int) -> F
         acc[key] = _collect([*acc.get(key, {}).items(), *terms.items()])
         if not acc[key]:
             del acc[key]
-    return _raw_form(chart, degree, {k: _raw_poly(chart.dim, {e: Fraction(c, den) for e, c in t.items()})
-                                     for k, t in acc.items()})
+    polys = {k: _raw_poly(chart.dim, {e: Fraction(c, den) for e, c in t.items()})
+             for k, t in acc.items()}
+    return _raw_form(chart, degree, polys)
 
 
 def interior_product(a: Form, axis: int) -> Form:
