@@ -1,10 +1,10 @@
 """Dense polynomials with integer coefficients, for exact real-root counting.
 
 A polynomial is a list of ints, constant first, with no trailing zeros; the
-zero polynomial is the empty list.  Only signs matter to the callers, so
-every routine may return a positive multiple of the exact rational result:
-pseudo-division scales by powers of a leading coefficient and Sturm chain
-members are made primitive, and no Fraction is ever built.
+zero polynomial is the empty list.  Only signs matter to the callers, so no
+Fraction is ever built: pseudo-division scales by powers of a leading
+coefficient, Sturm chain members are made primitive, and each routine says
+which multiple of the rational result it returns.
 """
 
 from __future__ import annotations
