@@ -17,7 +17,10 @@ is positive for every t; flipping the dx2^dx3 terms to dx3^dx2 would keep
 omega closed but turn the top power into 6 (1 - (c1-t)(c2-t)), which
 degenerates.  Everything here is verified symbolically, machine exact:
 closedness, the moment-map contraction identity, the top-power coefficient
-and the curvature integrals over the coordinate 2-faces.
+and the curvature integrals over the coordinate 2-faces.  The top power is
+taken as 3! times the Pfaffian of omega's coefficient matrix, summed over
+the perfect matchings present, {12, 34, t theta} and {14, 23, t theta};
+the iterated ``wedge`` is the test oracle that it equals.
 
 The circle action's pushforward density (its Duistermaat-Heckman density)
 is read off the top power: it is the t-polynomial coefficient of the
@@ -45,6 +48,7 @@ from .exterior import (
     interior_product,
     poly_str,
     positive_on,
+    power_coefficient,
     wedge,
 )
 from .logconcavity import DomainError
@@ -146,11 +150,8 @@ def build_omega(theta: Form, params: OmegaParams) -> Form:
     """The 2-form dx1^dx2 + dx3^dx4 + (c1-t) dx1^dx4 + (c2-t) dx2^dx3 + dt^Theta."""
     chart = theta.chart
     t = Poly.variable(chart.dim, T_AXIS)
-    dt = Form.basis(chart, T_AXIS)
-    return (Form.basis(chart, 0, 1) + Form.basis(chart, 2, 3)
-            + (params.c1 - t) * Form.basis(chart, 0, 3)
-            + (params.c2 - t) * Form.basis(chart, 1, 2)
-            + wedge(dt, theta))
+    base = Form(chart, 2, {(0, 1): 1, (2, 3): 1, (0, 3): params.c1 - t, (1, 2): params.c2 - t})
+    return base + wedge(Form.basis(chart, T_AXIS), theta)
 
 
 def standard_construction(window: CutWindow,
@@ -174,9 +175,11 @@ class VerificationReport:
     """Exact symbolic verification battery for a candidate symplectic form.
 
     ``top_power_poly`` is the coefficient of the oriented top tuple in
-    omega^3 (it keeps the combinatorial factor 6 = 3!; densities derived
+    omega^3, computed as 3! Pf(omega) without building omega^2 or omega^3
+    (``exterior.power_coefficient``; the iterated ``wedge`` is its test
+    oracle).  It keeps the combinatorial factor 6 = 3!; densities derived
     from it are reported up to positive constants, so the factor is
-    observationally irrelevant).  ``nondegenerate_on_window`` certifies
+    observationally irrelevant.  ``nondegenerate_on_window`` certifies
     that this coefficient is strictly positive on the window, exactly: it
     is positive at the lower end and a Sturm count over the rationals finds
     no root in the closed window.
@@ -250,7 +253,7 @@ def verify_construction(omega: Form, window: CutWindow,
     closed = not exterior_derivative(omega)
     minus_dt = Form.basis(chart, T_AXIS, coeff=-1)
     moment = interior_product(omega, THETA_AXIS) == minus_dt
-    top = wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)
+    top = power_coefficient(omega, TOP_TUPLE)
     nondeg = (bool(top) and top.uses_only([T_AXIS])
               and positive_on(top.univariate(T_AXIS), (window.lo, window.hi)))
 

@@ -430,10 +430,16 @@ def _sturm(p: Poly, interval: tuple):
         raise ValueError(f"empty interval ({_round(lo)}, {_round(hi)})")
     if not p:
         raise ValueError("the zero polynomial vanishes everywhere")
-    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)]
-    scale = math.lcm(*(c.denominator for c in dense))
-    dense = [c.numerator * (scale // c.denominator) for c in dense]
+    dense = _dense(p)[1]
     return lo, hi, dense, sturm_chain(dense)
+
+
+def _dense(p: Poly) -> tuple[int, list]:
+    """A common denominator of a univariate p's coefficients, and p times it
+    as integer coefficients, constant first, with no trailing zeros."""
+    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)] if p else []
+    scale = math.lcm(*(c.denominator for c in dense))
+    return scale, [c.numerator * (scale // c.denominator) for c in dense]
 
 
 def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
@@ -669,6 +675,43 @@ def wedge(a: Form, b: Form) -> Form:
     return _sum_parts(a.chart, a.degree + b.degree, parts, da * db)
 
 
+def power_coefficient(a: Form, indices: Sequence[int]) -> Poly:
+    """The coefficient of dx_I in a^(|I|/2) for a 2-form a and an ascending
+    index tuple I, without building the power.
+
+    It is (|I|/2)! times the Pfaffian of a's coefficient matrix on I,
+    expanded along the smallest remaining index over the (i, j) terms
+    present, on integer numerators over a common denominator.  Like the
+    coefficient of the iterated wedge, it is the zero Poly for a degree
+    other than 2, an odd |I| or a tuple that is not strictly ascending.
+    """
+    idx = tuple(indices)
+    if a.degree != 2 or len(idx) % 2 or any(i >= j for i, j in zip(idx, idx[1:])):
+        return Poly(a.chart.dim)
+    den, terms = _integer_terms(a)
+    n = len(idx) // 2
+    scale, den = math.factorial(n), den ** n
+    pf = _pfaffian(idx, terms, (0,) * a.chart.dim)
+    return _raw_poly(a.chart.dim, {e: Fraction(scale * c, den) for e, c in pf.items()})
+
+
+def _pfaffian(idx: tuple, terms: dict, one: tuple) -> dict:
+    """The term map of the Pfaffian of the integer 2-form terms on idx:
+    the sum over j of +-a_{i j} Pf(idx without i, j) for i = idx[0], the
+    sign + where j is at an odd position of idx."""
+    if not idx:
+        return {one: 1}
+    i, rest = idx[0], idx[1:]
+    parts = []
+    for k, j in enumerate(rest):
+        p = terms.get((i, j))
+        if p is not None:
+            sub = _pfaffian(rest[:k] + rest[k + 1:], terms, one)
+            if sub:
+                parts += _product(p, sub if k % 2 == 0 else {e: -c for e, c in sub.items()}).items()
+    return _collect(parts)
+
+
 def exterior_derivative(a: Form) -> Form:
     """Exterior derivative, raising the degree by one.
 
@@ -680,9 +723,10 @@ def exterior_derivative(a: Form) -> Form:
     for idx, p in terms.items():
         for v in range(a.chart.dim):
             merged = _normalize_indices((v,) + idx)
-            if merged is not None:
+            dp = _partial(p, v) if merged is not None else None
+            if dp:  # an empty part would change no term map and no order
                 sign, key = merged
-                parts.append((key, {e: sign * c for e, c in _partial(p, v).items()}))
+                parts.append((key, {e: sign * c for e, c in dp.items()}))
     return _sum_parts(a.chart, a.degree + 1, parts, den)
 
 

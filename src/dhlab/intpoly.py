@@ -18,6 +18,20 @@ def primitive(c: list) -> list:
     return [v // g for v in c] if g > 1 else c
 
 
+def derivative(c: list) -> list:
+    """The derivative of c."""
+    return [k * v for k, v in enumerate(c)][1:]
+
+
+def product(a: list, b: list) -> list:
+    """The product of a and b."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
 def pseudo_divmod(n: list, d: list) -> tuple[list, list]:
     """Quotient and remainder of lc**j * n, for some j >= 0, on division by
     whichever of d and -d leads with lc = |d's leading coefficient|, for d
@@ -54,7 +68,7 @@ def sturm_chain(p: list) -> list:
 
 def _chain(q: list) -> list:
     """q, q', -rem(q, q'), ... to the last nonzero member."""
-    chain = [q, [k * v for k, v in enumerate(q)][1:]]
+    chain = [q, derivative(q)]
     while chain[-1]:
         chain.append(primitive([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
     return chain[:-1]

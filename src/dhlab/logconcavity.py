@@ -18,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
-from .exterior import DimensionError, Poly, _round, positive_on, root_brackets
+from .exterior import DimensionError, Poly, _dense, _round, positive_on, root_brackets
+from .intpoly import derivative, product, scaled_value
 
 # The samples discrete_logconcavity accepts: within this range the products
 # f(s-h) f(s+h) and f(s)^2 are finite normal floats.
@@ -63,12 +65,15 @@ def concavity_discriminant(f: Poly) -> Poly:
     """g = f*f'' - (f')^2 for a univariate polynomial f.
 
     sign(g) = sign((log f)'') wherever f > 0, so g > 0 marks exactly the
-    log-convexity violations of a positive f.
+    log-convexity violations of a positive f.  Computed on f's integer
+    numerators over a common denominator s, as s**2 * g.
     """
     if f.nvars != 1:
         raise DimensionError("concavity discriminant needs a univariate polynomial")
-    d1 = f.partial(0)
-    return f * d1.partial(0) - d1 * d1
+    s, c = _dense(f)
+    d1 = derivative(c)
+    g = [u - v for u, v in zip_longest(product(c, derivative(d1)), product(d1, d1), fillvalue=0)]
+    return Poly(1, {(e,): Fraction(v, s * s) for e, v in enumerate(g) if v})
 
 
 def discrete_logconcavity(samples: Sequence[tuple[float, float]],
@@ -137,13 +142,15 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
     brackets = root_brackets(g, (lo, hi))
     ends = [lo, *(_round((a + b) / 2) for a, b in brackets), hi]
     fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
+    scale, dense = _dense(g)
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[Fraction, Fraction]] = []  # (g(x), x)
     for a, b, u, v in zip(ends, ends[1:], fences[::2], fences[1::2]):
         x = (u + v) / 2  # strictly between the roots at a and b; on a root if a == b
-        gx = g.evaluate_exact((x,))
-        if gx <= 0:
+        scaled = scaled_value(dense, x.numerator, x.denominator)  # of the sign of g(x)
+        if scaled <= 0:
             continue
+        gx = Fraction(scaled, scale * x.denominator ** (len(dense) - 1))
         if intervals and a <= intervals[-1][1]:  # g > 0 on both sides of a root
             intervals[-1] = (intervals[-1][0], b)
             witnesses[-1] = max(witnesses[-1], (gx, x))

@@ -9,8 +9,10 @@ from itertools import combinations
 
 import numpy as np
 
-from dhlab import Chart, CutWindow, Form, HPolytope, Poly, SamplerConfig, canonical_chart
+from dhlab import (Chart, CutWindow, Form, HPolytope, OmegaParams, Poly, SamplerConfig,
+                   ViolationReport, canonical_chart, wedge)
 from dhlab.construction import DIM, T_AXIS
+from dhlab.exterior import root_brackets
 from dhlab.toric import _BOX_PAD, _mc_slicer, _rng, _slice_extent
 
 WINDOW = CutWindow(0.5, 4.5)
@@ -140,6 +142,55 @@ def reference_exterior_derivative(a: Form) -> dict:
             if merged is not None:
                 pairs.append((merged[1], p.partial(v) if merged[0] > 0 else -p.partial(v)))
     return _ref_sum(pairs)
+
+
+def reference_build_omega(theta: Form, params: OmegaParams) -> Form:
+    """omega summed from basis forms one at a time, in the order that fixes
+    its tuples and terms: dx1^dx2, dx3^dx4, (c1-t) dx1^dx4, (c2-t) dx2^dx3,
+    dt^Theta."""
+    chart = theta.chart
+    t = Poly.variable(chart.dim, T_AXIS)
+    dt = Form.basis(chart, T_AXIS)
+    return (Form.basis(chart, 0, 1) + Form.basis(chart, 2, 3)
+            + (params.c1 - t) * Form.basis(chart, 0, 3)
+            + (params.c2 - t) * Form.basis(chart, 1, 2)
+            + wedge(dt, theta))
+
+
+# ---------------------------------------------------------------------------
+# Reference log-concavity in Fractions
+# ---------------------------------------------------------------------------
+
+def reference_concavity_discriminant(f: Poly) -> Poly:
+    """g = f f'' - (f')^2 from Poly products and sums of Fractions."""
+    d1 = f.partial(0)
+    return f * d1.partial(0) - d1 * d1
+
+
+def reference_analytic_logconcavity(f: Poly, interval: tuple) -> ViolationReport:
+    """The analytic report with g built and evaluated in Fractions at every
+    fence, from the same root brackets; for a positive f on the interval."""
+    lo, hi = float(interval[0]), float(interval[1])
+    g = reference_concavity_discriminant(f)
+    if not g:
+        return ViolationReport(True, (), ())
+    brackets = root_brackets(g, (lo, hi))
+    ends = [lo, *(_ref_round((a + b) / 2) for a, b in brackets), hi]
+    fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
+    intervals, witnesses = [], []
+    for a, b, u, v in zip(ends, ends[1:], fences[::2], fences[1::2]):
+        x = (u + v) / 2
+        gx = g.evaluate_exact((x,))
+        if gx <= 0:
+            continue
+        if intervals and a <= intervals[-1][1]:
+            intervals[-1] = (intervals[-1][0], b)
+            witnesses[-1] = max(witnesses[-1], (gx, x))
+        else:
+            intervals.append((a, b))
+            witnesses.append((gx, x))
+    return ViolationReport(not intervals, tuple(intervals),
+                           tuple((_ref_round(x), _ref_round(gx)) for gx, x in witnesses))
 
 
 # ---------------------------------------------------------------------------

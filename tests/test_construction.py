@@ -23,8 +23,10 @@ from dhlab import (
     shifted_gauge,
     standard_construction,
     verify_construction,
+    wedge,
 )
-from helpers import random_rational
+from dhlab.construction import T_AXIS, TOP_TUPLE
+from helpers import random_rational, reference_build_omega
 
 WINDOW = CutWindow(0.5, 4.5)
 CHART = canonical_chart()
@@ -137,6 +139,51 @@ def test_omega_cubed_is_a_single_top_term():
     assert cubed.degree == 6
     assert set(cubed.terms) == {(0, 1, 2, 3, 4, 5)}
     assert cubed == Form(CHART, 6, {(0, 1, 2, 3, 4, 5): _expected_top()})
+
+
+def _random_connections(rng, count: int, shifted: bool):
+    """(params, theta) for random rational (c1, c2), in the canonical gauge or
+    a randomly shifted one."""
+    base = canonical_gauge(CHART)
+    for _ in range(count):
+        params = OmegaParams(random_rational(rng), random_rational(rng))
+        coeffs = [random_rational(rng) for _ in range(4)] if shifted else [0] * 4
+        yield params, build_connection(shifted_gauge(base, coeffs))
+
+
+def test_verify_top_power_equals_the_wedge_route():
+    rng = random.Random(20)
+    for params, theta in [*_random_connections(rng, 200, False),
+                          *_random_connections(rng, 100, True)]:
+        omega = build_omega(theta, params)
+        report = verify_construction(omega, WINDOW, params)
+        assert report.top_power_poly == wedge(wedge(omega, omega), omega).coefficient(*TOP_TUPLE)
+
+
+def test_top_power_terms_ascend_in_t():
+    # the sampler sums the top power's terms in this order, so it fixes density bits;
+    # c1*c2 in {-3, -2, -3/2} cancel inside omega^omega, c1*c2 = -1 in the result
+    rng = random.Random(21)
+    theta = build_connection(canonical_gauge(CHART))
+    pairs = [(2, 3), (Fraction(3, 2), -1), (1, -2), (1, -3), (Fraction(3, 2), -2), (-1, 3),
+             (1, -1), (0, 0), (0, 2), (2, -2)]
+    cases = [(OmegaParams(*p), theta) for p in pairs] + list(_random_connections(rng, 200, False))
+    for params, theta in cases:
+        top = verify_construction(build_omega(theta, params), WINDOW, params).top_power_poly
+        powers = [e[T_AXIS] for e in top.terms]
+        assert powers == sorted(powers), (params, top)
+
+
+def test_build_omega_keeps_the_order_of_summing_basis_forms():
+    # every wedge of omega, and so the top power and the sampler, inherits this order
+    rng = random.Random(22)
+    cases = [*_random_connections(rng, 100, False), *_random_connections(rng, 100, True)]
+    cases.append((OmegaParams(0, 0), build_connection(canonical_gauge(CHART))))
+    for params, theta in cases:
+        omega, want = build_omega(theta, params), reference_build_omega(theta, params)
+        assert list(omega.terms) == list(want.terms)
+        assert [list(p.terms.items()) for p in omega.terms.values()] == \
+            [list(p.terms.items()) for p in want.terms.values()]
 
 
 def test_verify_chern_numbers():

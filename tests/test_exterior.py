@@ -22,7 +22,7 @@ from dhlab import (
     standard_construction,
     wedge,
 )
-from dhlab.exterior import _normalize_indices
+from dhlab.exterior import _normalize_indices, power_coefficient
 from helpers import (
     WINDOW,
     abs_eval,
@@ -141,6 +141,67 @@ def test_index_memo_stays_within_its_bound():
     assert info.maxsize is not None and info.misses > info.maxsize  # more tuples than it holds
     assert info.currsize <= info.maxsize
     assert product.degree == 12 and set(product.terms) <= {tuple(range(12))}
+
+
+# ---------------------------------------------------------------------------
+# top power by perfect matchings
+# ---------------------------------------------------------------------------
+
+def _two_form(rng, chart: Chart, kind: str) -> Form:
+    """A random 2-form: a few tuples (sparse), every tuple (dense), or a sum
+    of dim/2 - 1 products u ^ v of 1-forms with coefficients from a small
+    pool of Polys (cancelling): its rank is below dim, so the matchings of
+    its top Pfaffian cancel to zero."""
+    if kind == "cancelling":
+        one, x, y = (Poly.constant(chart.dim, 1), Poly.variable(chart.dim, 0),
+                     Poly.variable(chart.dim, chart.dim - 1))
+        pool = [one, -one, x, x - y, one + y]
+        a = Form(chart, 2)
+        for _ in range(max(1, chart.dim // 2 - 1)):
+            u, v = (Form(chart, 1, {(i,): rng.choice(pool) for i in range(chart.dim)})
+                    for _ in range(2))
+            a = a + wedge(u, v)
+        return a
+    pairs = list(combinations(range(chart.dim), 2))
+    if kind == "sparse":
+        pairs = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+    return Form(chart, 2, {idx: random_poly(rng, chart.dim, max_degree=1) for idx in pairs})
+
+
+def test_power_coefficient_matches_the_wedge_powers():
+    rng = random.Random(47)
+    cancelled = set()  # (dim, k) where a dense or cancelling a^k has a zero coefficient
+    for dim in (2, 4, 6, 8):
+        chart = Chart(tuple(Variable(f"y{i}", True) for i in range(dim)))
+        for kind in ("sparse", "dense", "cancelling"):
+            for _ in range(12):
+                a = _two_form(rng, chart, kind)
+                power = Form.scalar(chart, 1)
+                for k in range(1, dim // 2 + 1):
+                    power = wedge(power, a)
+                    for size in (2 * k - 1, 2 * k):
+                        for idx in combinations(range(dim), size):
+                            want = power.coefficient(*idx) if size == 2 * k else Poly(dim)
+                            assert power_coefficient(a, idx) == want, (a, idx)
+                            if size == 2 * k and kind != "sparse" and not want:
+                                cancelled.add((dim, k))
+    assert {(4, 2), (6, 3), (8, 4)} <= cancelled
+
+
+def test_power_coefficient_is_zero_off_even_tuples_of_a_two_form():
+    rng = random.Random(3)
+    top = tuple(range(CHART.dim))
+    omega = standard_construction(WINDOW)[2]
+    zero = Poly(CHART.dim)
+    for degree in (1, 3):
+        a = random_form(rng, CHART, degree)
+        assert a and power_coefficient(a, top) == zero and power_coefficient(a, (0, 1)) == zero
+    assert power_coefficient(Form(CHART, 2), top) == zero
+    assert power_coefficient(omega, (0, 1, 2)) == zero  # odd
+    for idx in ((1, 0), (0, 3, 1, 2)):  # not ascending; Pf would not vanish on (0, 3, 1, 2)
+        assert power_coefficient(omega, idx) == wedge(omega, omega).coefficient(*idx) == zero
+    assert power_coefficient(omega, (0, 1)) == omega.coefficient(0, 1)
+    assert power_coefficient(omega, ()) == Poly.constant(CHART.dim, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,13 @@ from dhlab import (
     isolate_roots,
 )
 from dhlab.exterior import positive_on, root_brackets
-from helpers import reference_positive_on, reference_root_brackets, rounds_to_root
+from helpers import (
+    reference_analytic_logconcavity,
+    reference_concavity_discriminant,
+    reference_positive_on,
+    reference_root_brackets,
+    rounds_to_root,
+)
 
 RHO = Poly(1, {(2,): 1, (1,): -5, (0,): 7})       # t^2 - 5 t + 7
 G_RHO = Poly(1, {(2,): -2, (1,): 10, (0,): -11})  # rho rho'' - (rho')^2
@@ -493,6 +499,42 @@ def test_analytic_scale_invariance():
     r1 = analytic_logconcavity(RHO, (0.5, 4.5))
     r2 = analytic_logconcavity(scaled, (0.5, 4.5))
     assert r1.violation_intervals == r2.violation_intervals
+
+
+def _density_case(rng):
+    """A univariate polynomial and a window of floats: the family 1 + (c1 -
+    t)(c2 - t), random rational coefficients up to degree 6, or a quartic
+    >= 0 scaled by 1e+-150, with roots of size 1e+-150 or 1, on a window
+    that misses its real roots."""
+    t = Poly.variable(1, 0)
+    lo = Fraction(rng.randint(-40, 40), rng.choice([1, 3, 8]))
+    hi = lo + Fraction(rng.randint(1, 40), rng.choice([1, 2, 5]))
+    kind = rng.randrange(3)
+    if kind == 0:
+        f = _family(*(Fraction(rng.randint(-24, 24), rng.randint(1, 8)) for _ in range(2)))
+    elif kind == 1:
+        f = Poly(1, {(e,): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for e in range(rng.randint(1, 7))})
+    else:
+        c = Fraction(10) ** rng.choice([150, -150, 0])
+        f = ((t - c) ** 2 + rng.choice([c * c / 4, 1, Fraction(1, 7)])) \
+            * ((t + c) ** 2 + rng.choice([0, c * c])) * Fraction(10) ** rng.choice([150, -150])
+        lo, hi = -c / 2, 3 * c
+    return f, (float(lo), float(hi))
+
+
+def test_integer_discriminant_and_fence_signs_match_the_fraction_route():
+    # g as a Poly, and every report and witness, as g in Fractions gives them
+    rng = random.Random(23)
+    seen = set()
+    ends_on_roots = [(Poly(1, {(2,): 1, (0,): 1}), w) for w in ((1.0, 4.0), (-1.0, 1.0))]
+    for f, window in [*ends_on_roots, *(_density_case(rng) for _ in range(300))]:
+        assert concavity_discriminant(f) == reference_concavity_discriminant(f), f
+        if f and positive_on(f, window):
+            report = analytic_logconcavity(f, window)
+            assert report == reference_analytic_logconcavity(f, window), (f, window)
+            seen.add((len(report.violation_intervals), max(map(abs, f.terms.values())) > 1e100))
+    assert {(0, False), (1, False), (0, True), (1, True)} <= seen
 
 
 def test_analytic_agrees_with_discrete_within_two_pitches():
