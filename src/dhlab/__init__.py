@@ -38,7 +38,6 @@ from .exterior import (
     exterior_derivative,
     integrate_over_face,
     interior_product,
-    isolate_roots,
     poly_str,
     wedge,
 )
@@ -48,6 +47,7 @@ from .logconcavity import (
     analytic_logconcavity,
     concavity_discriminant,
     discrete_logconcavity,
+    isolate_roots,
 )
 
 # public name -> the numpy-backed submodule that defines it

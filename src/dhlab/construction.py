@@ -47,11 +47,10 @@ from .exterior import (
     integrate_over_face,
     interior_product,
     poly_str,
-    positive_on,
     power_coefficient,
     wedge,
 )
-from .logconcavity import DomainError
+from .logconcavity import DomainError, positive_on
 
 # Canonical chart layout: four periodic base coordinates, then the moment
 # map value t, then the fibre angle.

@@ -9,13 +9,10 @@ ascending k-tuples of variable indices to polynomial coefficients, with
 permutation signs normalized away at construction time.
 
 The arithmetic underneath runs on integers where it can, with the same
-results bit for bit.  ``wedge`` and ``exterior_derivative`` multiply and sum
-integer numerators over a common denominator and turn them into Fractions
-once at the end, so terms come in the same order as when summing Polys.
-Root isolation builds its Sturm chains from integer pseudo-remainders
-(dhlab.intpoly) and bisects on integer numerators over denominators
-odd * 2**k, so the root brackets, and every root, certificate and output
-built on them, are the ones that the same bisection over Fractions gives.
+results bit for bit.  ``wedge``, ``exterior_derivative`` and
+``power_coefficient`` multiply and sum integer numerators over a common
+denominator and turn them into Fractions once at the end, so terms come in
+the same order as when summing Polys.
 
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
@@ -30,7 +27,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
-from .intpoly import scaled_value, sturm_chain, variations
+from .intpoly import nearest_double
 
 Scalar = Union[int, Fraction]
 
@@ -250,7 +247,7 @@ class Poly:
     def evaluate(self, point: Sequence[float]) -> float:
         """The exact value at the point rounded once to the nearest float;
         a value beyond the float range is +-inf."""
-        return _round(self.evaluate_exact(point))
+        return nearest_double(self.evaluate_exact(point))
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Evaluate with exact rational arithmetic (floats convert exactly);
@@ -362,134 +359,6 @@ def poly_str(p: Poly, names: Sequence[str] | None = None) -> str:
         pieces.append(("- " if c < 0 else "+ ") + body)
     out = " ".join(pieces)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
-# ---------------------------------------------------------------------------
-# Exact real roots of univariate polynomials
-# ---------------------------------------------------------------------------
-
-def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
-    """Rational brackets of the distinct real roots of p in a closed interval.
-
-    The square-free part q = p / gcd(p, p') has the roots of p, each simple;
-    its Sturm chain counts them exactly in any (a, b], and bisection on
-    rational endpoints separates them and narrows each until every point
-    strictly inside its bracket rounds to one double.  Brackets come in
-    ascending order, each either (r, r) for a root r met exactly, or (a, b)
-    with a < r < b and q(a), q(b) != 0, so a point strictly between two
-    consecutive roots lies in [b_i, a_{i+1}].
-
-    The search runs on integers.  Every end is a point N / den of one
-    lattice, den = odd * 2**k with odd the odd part of the common
-    denominator of lo and hi: a bisection point or a rounding boundary
-    between doubles only raises k.  A bracket is (a, b, den) for the ends
-    a / den and b / den.
-    """
-    lo, hi, _, chain = _sturm(p, interval)
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, b = int(lo * den), int(hi * den)
-    out = [(lo, lo)] if not scaled_value(chain[0], a, den) else []
-    # roots in (a, b]: va - vb
-    pending = [(a, b, den, variations(chain, a, den), variations(chain, b, den))]
-    while pending:
-        a, b, den, va, vb = pending.pop()
-        if va - vb == 1:
-            out.append(_narrow(chain[0], a, b, den))
-        elif va - vb > 1:
-            vm = variations(chain, a + b, 2 * den)
-            pending += [(a + b, 2 * b, 2 * den, vm, vb),
-                        (2 * a, a + b, 2 * den, va, vm)]  # left half first
-    return out
-
-
-def isolate_roots(p: Poly, interval: tuple[float, float]) -> list[float]:
-    """Distinct real roots of a univariate polynomial in a closed interval,
-    ascending, each correctly rounded to a double (ties to even; beyond the
-    float range, +-inf); see :func:`root_brackets`."""
-    return [_round((a + b) / 2) for a, b in root_brackets(p, interval)]
-
-
-def positive_on(p: Poly, interval: tuple) -> bool:
-    """Exact strict positivity on [lo, hi]: p(lo) > 0 and no root in (lo, hi] (Sturm count)."""
-    lo, hi, dense, chain = _sturm(p, interval)
-    a, b = lo.as_integer_ratio(), hi.as_integer_ratio()
-    return scaled_value(dense, *a) > 0 and variations(chain, *a) == variations(chain, *b)
-
-
-def _sturm(p: Poly, interval: tuple):
-    """Validated lo, hi; a positive multiple of p as integer coefficients,
-    constant first; the Sturm chain of the square-free part q of p, q first
-    (see dhlab.intpoly)."""
-    if p.nvars != 1:
-        raise DimensionError("root isolation needs a univariate polynomial")
-    try:
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    except (OverflowError, ValueError):  # an infinite or NaN end
-        raise ValueError(f"interval {tuple(interval)} has an end that is not finite") from None
-    if not lo < hi:
-        raise ValueError(f"empty interval ({_round(lo)}, {_round(hi)})")
-    if not p:
-        raise ValueError("the zero polynomial vanishes everywhere")
-    dense = _dense(p)[1]
-    return lo, hi, dense, sturm_chain(dense)
-
-
-def _dense(p: Poly) -> tuple[int, list]:
-    """A common denominator of a univariate p's coefficients, and p times it
-    as integer coefficients, constant first, with no trailing zeros."""
-    dense = [p.terms.get((e,), _ZERO) for e in range(p.degree_in(0) + 1)] if p else []
-    scale = math.lcm(*(c.denominator for c in dense))
-    return scale, [c.numerator * (scale // c.denominator) for c in dense]
-
-
-def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
-    """Bisect the one simple root of q in (a / den, b / den] to a bracket as
-    promised by root_brackets, until every point strictly inside it rounds
-    to the same double; a starts on a root of q only if it is the one before.
-
-    Once a and b round to adjacent doubles, the next point is the rounding
-    boundary between them, which a bisection point may never meet
-    (1 + 3*2**-53 in (0, 3)): their midpoint, with +-inf read as +-2**1024.
-    The powers of two that a, b and den share are divided out at each step,
-    so a bracket far from 0 keeps den small.
-    """
-    qa, qb = scaled_value(q, a, den), scaled_value(q, b, den)
-    if not qb:
-        a = b
-    while a < b:
-        x, y = _round(a, den), _round(b, den)
-        if qa and x == y:
-            break
-        if qa and math.nextafter(x, y) == y:
-            m = sum(Fraction(v if math.isfinite(v) else 2 ** 1024 if v > 0 else -2 ** 1024)
-                    for v in (x, y)) / 2
-            m, a, b, den = (m.numerator * den, a * m.denominator, b * m.denominator,
-                            den * m.denominator)
-            if not a < m < b:
-                break
-        else:
-            m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        qm = scaled_value(q, m, den)
-        if not qm:
-            a = b = m
-        elif (qm > 0) == (qb > 0):
-            b = m
-        else:
-            a, qa = m, qm
-        low = (a | b | den) & -(a | b | den)  # the largest power of two all three share
-        a, b, den = a // low, b // low, den // low
-    return Fraction(a, den), Fraction(b, den)
-
-
-def _round(x: int | Fraction, den: int = 1) -> float:
-    """x / den rounded to the nearest double, ties to even, for an int or
-    Fraction x and an int den > 0 (int / int true division rounds
-    correctly); beyond the float range, +-inf."""
-    num, d = x.as_integer_ratio()
-    try:
-        return num / (d * den)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

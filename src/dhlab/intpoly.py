@@ -1,15 +1,16 @@
-"""Dense polynomials with integer coefficients, for exact real-root counting.
+"""Exact real roots of polynomials with integer coefficients.
 
 A polynomial is a list of ints, constant first, with no trailing zeros; the
-zero polynomial is the empty list.  Only signs matter to the callers, so no
-Fraction is ever built: pseudo-division scales by powers of a leading
-coefficient, Sturm chain members are made primitive, and each routine says
-which multiple of the rational result it returns.
+zero polynomial is the empty list.  Sturm chains come from integer
+pseudo-remainders and roots are bracketed by bisection on integer
+numerators, so Fractions appear only as interval and bracket ends.
+nearest_double is the one correctly rounded conversion to a float.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def primitive(c: list) -> list:
@@ -60,6 +61,8 @@ def sturm_chain(p: list) -> list:
     variations are the same everywhere.  The chain of p ends in gcd(p, p');
     where that is a constant, p is its own square-free part.
     """
+    if not p:
+        raise ValueError("the zero polynomial vanishes everywhere")
     chain = _chain(p)
     if len(chain[-1]) > 1:  # p has a multiple root
         chain = _chain(primitive(pseudo_divmod(p, chain[-1])[0]))
@@ -87,3 +90,87 @@ def variations(chain: list, num: int, den: int) -> int:
     """Sign changes along the chain at num / den, den > 0, zeros skipped."""
     signs = [v > 0 for v in (scaled_value(s, num, den) for s in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def root_brackets(c: list, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Rational brackets of the distinct real roots of a nonzero c in [lo, hi].
+
+    The square-free part q = c / gcd(c, c') has the roots of c, each simple;
+    its Sturm chain counts them in any (a, b], and bisection separates them
+    and narrows each until every point strictly inside its bracket rounds
+    to one double.  Brackets ascend, each (r, r) for a root r met exactly or
+    (a, b) with a < r < b and q(a), q(b) != 0, so a point strictly between
+    two consecutive roots lies in [b_i, a_{i+1}].  Every end is N / den with
+    den = odd * 2**k, odd the odd part of the common denominator of lo and
+    hi: a bisection point or a rounding boundary only raises k.
+    """
+    chain = sturm_chain(c)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b = int(lo * den), int(hi * den)
+    out = [(lo, lo)] if not scaled_value(chain[0], a, den) else []
+    # roots in (a, b]: va - vb
+    pending = [(a, b, den, variations(chain, a, den), variations(chain, b, den))]
+    while pending:
+        a, b, den, va, vb = pending.pop()
+        if va - vb == 1:
+            out.append(_narrow(chain[0], a, b, den))
+        elif va - vb > 1:
+            vm = variations(chain, a + b, 2 * den)
+            pending += [(a + b, 2 * b, 2 * den, vm, vb),
+                        (2 * a, a + b, 2 * den, va, vm)]  # left half first
+    return out
+
+
+def positive_on(c: list, lo: Fraction, hi: Fraction) -> bool:
+    """Strict positivity of a nonzero c on [lo, hi]: c(lo) > 0 and no root
+    in (lo, hi], by the Sturm count alone."""
+    chain, a, b = sturm_chain(c), lo.as_integer_ratio(), hi.as_integer_ratio()
+    return scaled_value(c, *a) > 0 and variations(chain, *a) == variations(chain, *b)
+
+
+def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
+    """Bisect the one simple root of q in (a / den, b / den] to a bracket as
+    promised by root_brackets; a starts on a root of q only if it is the one
+    before.  Once a and b round to adjacent doubles, the next point is the
+    rounding boundary between them, which a bisection point may never meet
+    (1 + 3*2**-53 in (0, 3)): their midpoint, with +-inf read as +-2**1024.
+    The powers of two that a, b and den share are divided out at each step,
+    so a bracket far from 0 keeps den small.
+    """
+    qa, qb = scaled_value(q, a, den), scaled_value(q, b, den)
+    if not qb:
+        a = b
+    while a < b:
+        x, y = nearest_double(a, den), nearest_double(b, den)
+        if qa and x == y:
+            break
+        if qa and math.nextafter(x, y) == y:
+            m = sum(Fraction(v if math.isfinite(v) else 2 ** 1024 if v > 0 else -2 ** 1024)
+                    for v in (x, y)) / 2
+            m, a, b, den = (m.numerator * den, a * m.denominator, b * m.denominator,
+                            den * m.denominator)
+            if not a < m < b:
+                break
+        else:
+            m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        qm = scaled_value(q, m, den)
+        if not qm:
+            a = b = m
+        elif (qm > 0) == (qb > 0):
+            b = m
+        else:
+            a, qa = m, qm
+        low = (a | b | den) & -(a | b | den)  # the largest power of two all three share
+        a, b, den = a // low, b // low, den // low
+    return Fraction(a, den), Fraction(b, den)
+
+
+def nearest_double(x: int | Fraction, den: int = 1) -> float:
+    """x / den rounded to the nearest double, ties to even, for an int or
+    Fraction x and an int den > 0 (int / int true division rounds
+    correctly); beyond the float range, +-inf."""
+    num, d = x.as_integer_ratio()
+    try:
+        return num / (d * den)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf

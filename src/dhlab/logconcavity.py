@@ -21,8 +21,9 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .exterior import DimensionError, Poly, _dense, _round, positive_on, root_brackets
-from .intpoly import derivative, product, scaled_value
+from . import intpoly
+from .exterior import DimensionError, Poly
+from .intpoly import derivative, nearest_double, product, scaled_value
 
 # The samples discrete_logconcavity accepts: within this range the products
 # f(s-h) f(s+h) and f(s)^2 are finite normal floats.
@@ -71,9 +72,7 @@ def concavity_discriminant(f: Poly) -> Poly:
     if f.nvars != 1:
         raise DimensionError("concavity discriminant needs a univariate polynomial")
     s, c = _dense(f)
-    d1 = derivative(c)
-    g = [u - v for u, v in zip_longest(product(c, derivative(d1)), product(d1, d1), fillvalue=0)]
-    return Poly(1, {(e,): Fraction(v, s * s) for e, v in enumerate(g) if v})
+    return Poly(1, {(e,): Fraction(v, s * s) for e, v in enumerate(_discriminant(c)) if v})
 
 
 def discrete_logconcavity(samples: Sequence[tuple[float, float]],
@@ -120,37 +119,36 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
     return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
 
 
-def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationReport:
+def analytic_logconcavity(f: Poly, interval: tuple) -> ViolationReport:
     """Exact log-concavity analysis of a positive polynomial density.
 
-    Positivity is certified exactly (f(lo) > 0 and no root in [lo, hi]).
-    The roots of the concavity discriminant g are bracketed in rational
-    arithmetic until each rounds to one double, and the sign of g between
+    Positivity is certified exactly on the window as given (f(lo) > 0 and
+    no root in [lo, hi]).  The roots of the concavity discriminant g are
+    bracketed until each rounds to one double, and the sign of g between
     two roots is that of g at a rational point proven to lie between them.
     Reported are the maximal subintervals where g > 0, with the correctly
-    rounded roots or the window ends as ends and the sampled point of
-    largest g as witness.
+    rounded roots or window ends as ends and the point of largest g
+    sampled there as witness.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not f or not positive_on(f, (lo, hi)):  # positive_on checks f and the interval
-        raise DomainError(f"density is not strictly positive on [{lo}, {hi}]")
-
-    g = concavity_discriminant(f)
+    s, c, lo, hi = _exact(f, interval)
+    if not c or not intpoly.positive_on(c, lo, hi):
+        raise DomainError(f"density is not strictly positive on "
+                          f"[{nearest_double(lo)}, {nearest_double(hi)}]")
+    g = _discriminant(c)  # s**2 (f f'' - f'^2)
     if not g:
         return ViolationReport(True, (), ())
 
-    brackets = root_brackets(g, (lo, hi))
-    ends = [lo, *(_round((a + b) / 2) for a, b in brackets), hi]
-    fences = [Fraction(lo), *(x for bracket in brackets for x in bracket), Fraction(hi)]
-    scale, dense = _dense(g)
+    brackets = intpoly.root_brackets(g, lo, hi)
+    ends = [nearest_double(x) for x in (lo, *((a + b) / 2 for a, b in brackets), hi)]
+    fences = [lo, *(x for bracket in brackets for x in bracket), hi]
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[Fraction, Fraction]] = []  # (g(x), x)
     for a, b, u, v in zip(ends, ends[1:], fences[::2], fences[1::2]):
         x = (u + v) / 2  # strictly between the roots at a and b; on a root if a == b
-        scaled = scaled_value(dense, x.numerator, x.denominator)  # of the sign of g(x)
+        scaled = scaled_value(g, x.numerator, x.denominator)  # of the sign of g(x)
         if scaled <= 0:
             continue
-        gx = Fraction(scaled, scale * x.denominator ** (len(dense) - 1))
+        gx = Fraction(scaled, s * s * x.denominator ** (len(g) - 1))
         if intervals and a <= intervals[-1][1]:  # g > 0 on both sides of a root
             intervals[-1] = (intervals[-1][0], b)
             witnesses[-1] = max(witnesses[-1], (gx, x))
@@ -158,12 +156,58 @@ def analytic_logconcavity(f: Poly, interval: tuple[float, float]) -> ViolationRe
             intervals.append((a, b))
             witnesses.append((gx, x))
     return ViolationReport(not intervals, tuple(intervals),
-                           tuple((_round(x), _round(gx)) for gx, x in witnesses))
+                           tuple((nearest_double(x), nearest_double(gx)) for gx, x in witnesses))
+
+
+def root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fraction]]:
+    """Rational brackets of the distinct real roots of a univariate p in a
+    closed interval, as :func:`dhlab.intpoly.root_brackets` gives them."""
+    return intpoly.root_brackets(*_exact(p, interval)[1:])
+
+
+def isolate_roots(p: Poly, interval: tuple[float, float]) -> list[float]:
+    """Distinct real roots of a univariate polynomial in a closed interval,
+    ascending, each correctly rounded to a double (ties to even; beyond the
+    float range, +-inf); see :func:`root_brackets`."""
+    return [nearest_double((a + b) / 2) for a, b in root_brackets(p, interval)]
+
+
+def positive_on(p: Poly, interval: tuple) -> bool:
+    """Exact strict positivity on [lo, hi]: p(lo) > 0 and no root in (lo, hi] (Sturm count)."""
+    return intpoly.positive_on(*_exact(p, interval)[1:])
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _exact(p: Poly, interval: tuple) -> tuple[int, list, Fraction, Fraction]:
+    """_dense(p) for a univariate p, and the ends lo < hi of a closed
+    interval as Fractions; dhlab.intpoly refuses a zero p."""
+    if p.nvars != 1:
+        raise DimensionError("root isolation needs a univariate polynomial")
+    try:
+        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    except (OverflowError, ValueError):  # an infinite or NaN end
+        raise ValueError(f"interval {tuple(interval)} has an end that is not finite") from None
+    if not lo < hi:
+        raise ValueError(f"empty interval ({nearest_double(lo)}, {nearest_double(hi)})")
+    return (*_dense(p), lo, hi)
+
+
+def _dense(p: Poly) -> tuple[int, list]:
+    """A common denominator s of a univariate p's coefficients, and p times
+    s as integer coefficients, constant first, with no trailing zeros."""
+    dense = [p.terms.get((e,), 0) for e in range(p.degree_in(0) + 1)] if p else []
+    s = math.lcm(*(c.denominator for c in dense))
+    return s, [c.numerator * (s // c.denominator) for c in dense]
+
+
+def _discriminant(c: list) -> list:
+    """c c'' - c'^2, which leads with -n a**2 for c = a t**n + ..., n >= 1."""
+    d1 = derivative(c)
+    return [u - v for u, v in zip_longest(product(c, derivative(d1)), product(d1, d1), fillvalue=0)]
+
 
 def _runs(indices: list[int]) -> list[list[int]]:
     runs: list[list[int]] = []

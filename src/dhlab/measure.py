@@ -27,7 +27,8 @@ import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
-from .exterior import Poly, _round
+from .exterior import Poly
+from .intpoly import nearest_double
 from .logconcavity import DomainError
 
 GENERATOR_NAME = "philox4x64-10(8 words/sample)"
@@ -225,7 +226,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     bins = len(est.bin_centers)
     edges = [lo + (hi - lo) * k / bins for k in range(bins + 1)]
     scale = bins / ((hi - lo) * mass)
-    ref = np.array([_round(analytic.integrate(a, b) * scale)
+    ref = np.array([nearest_double(analytic.integrate(a, b) * scale)
                     for a, b in zip(edges, edges[1:])])
     if np.any(ref <= 0):
         raise ValueError("analytic density must be strictly positive on the window")
@@ -233,7 +234,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     max_rel = float(np.max(np.abs(diff) / ref))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0, 0.0, diff / est.stderr)
-    centre_values = np.array([_round(analytic.evaluate_exact((c,)) / mass)
+    centre_values = np.array([nearest_double(analytic.evaluate_exact((c,)) / mass)
                               for c in est.bin_centers])
     return ComparisonReport(max_rel, z, int(np.argmax(np.abs(diff))), ref, centre_values)
 
@@ -262,10 +263,10 @@ def _chunk_points(top_poly: Poly, axes: set[int], cfg: SamplerConfig, key: np.nd
 
 
 def _eval_on_points(p: Poly, cols: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Vectorized polynomial evaluation at n points, given by their columns."""
+    """Vectorized evaluation at n points given by their columns, summing terms in sorted order."""
     out = np.zeros(n)
-    for exps, c in p.terms.items():
-        term = np.full(n, _round(c))
+    for exps, c in sorted(p.terms.items()):
+        term = np.full(n, nearest_double(c))
         for ax, e in enumerate(exps):
             if e == 1:
                 term *= cols[ax]

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exterior import _round
+from .intpoly import nearest_double
 from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
 
 
@@ -91,7 +91,7 @@ class HPolytope:
         pivots, _ = _rref([(*v, 1) for v in vertices], self.dim + 1)
         if len(pivots) <= self.dim:
             return np.empty((0, self.dim))
-        rounded = np.array([[_round(x) for x in v] for v in vertices])
+        rounded = np.array([[nearest_double(x) for x in v] for v in vertices])
         beyond = np.flatnonzero(~np.isfinite(rounded).all(axis=0))
         if beyond.size:
             raise DomainError(f"a vertex lies beyond the float range along axis {beyond[0]}")
@@ -149,7 +149,7 @@ def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     vertices, directions = p._vrep
     _check_bounded(directions, axis)
     coords = [v[axis] for v in vertices]
-    return _round(min(coords)), _round(max(coords))
+    return nearest_double(min(coords)), nearest_double(max(coords))
 
 
 def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,

@@ -12,7 +12,7 @@ import numpy as np
 from dhlab import (Chart, CutWindow, Form, HPolytope, OmegaParams, Poly, SamplerConfig,
                    ViolationReport, canonical_chart, wedge)
 from dhlab.construction import DIM, T_AXIS
-from dhlab.exterior import root_brackets
+from dhlab.logconcavity import root_brackets
 from dhlab.toric import _BOX_PAD, _mc_slicer, _rng, _slice_extent
 
 WINDOW = CutWindow(0.5, 4.5)
@@ -290,7 +290,7 @@ def reference_root_brackets(p: Poly, interval: tuple) -> list[tuple[Fraction, Fr
     dhlab computed them in Fractions: a Sturm chain from Euclid's algorithm
     over the rationals, bisection on Fraction ends, then narrowing to the
     bisection point or half-ulp rounding boundary.  Shares no code with
-    dhlab.exterior, so tests can use it as an oracle."""
+    dhlab.intpoly, so tests can use it as an oracle."""
     lo, hi, q, variations = _ref_sturm(p, interval)
     out = [(lo, lo)] if not _ref_value(q, lo) else []
     pending = [(lo, hi, variations(lo), variations(hi))]

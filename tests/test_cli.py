@@ -697,6 +697,27 @@ def test_only_the_cli_reads_the_environment():
     assert readers == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name is private to its module: neither imported from
+    # another dhlab module nor read off one imported whole
+    src = Path(dhlab.cli.__file__).parent
+    private = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "dhlab"
+                                                     or node.module.startswith("dhlab.")):
+                if node.module is None:  # from . import module
+                    modules |= {a.asname or a.name for a in node.names}
+                private += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+        private += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) in modules and node.attr.startswith("_")]
+    assert private == []
+
+
 def test_certify_commands_run_without_numpy(tmp_path):
     # a None entry in sys.modules makes every "import numpy" raise
     samples = tmp_path / "samples.csv"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dhlab.exterior
+import dhlab.intpoly
 from dhlab import (
     DomainError,
     Poly,
@@ -18,7 +18,7 @@ from dhlab import (
     discrete_logconcavity,
     isolate_roots,
 )
-from dhlab.exterior import positive_on, root_brackets
+from dhlab.logconcavity import positive_on, root_brackets
 from helpers import (
     reference_analytic_logconcavity,
     reference_concavity_discriminant,
@@ -199,7 +199,7 @@ def test_positive_on_narrows_no_bracket(monkeypatch):
     def narrow(*args):
         raise AssertionError("positive_on narrowed a root bracket")
 
-    monkeypatch.setattr(dhlab.exterior, "_narrow", narrow)
+    monkeypatch.setattr(dhlab.intpoly, "_narrow", narrow)
     rng = random.Random(11)
     for _ in range(100):
         p, interval = _random_product(rng)
@@ -494,6 +494,29 @@ def test_analytic_rejects_nonpositive_density():
         analytic_logconcavity(Poly.constant(1, -1), (0.0, 1.0))
 
 
+def test_analytic_certifies_the_window_it_is_given():
+    # r lies strictly between 1/3 and its nearest double, so the window
+    # [1/3, 1] misses the root that its rounded copy holds
+    t = Poly.variable(1, 0)
+    r = (Fraction(1 / 3) + Fraction(1, 3)) / 2
+    f = (t - r) * (t + 5)
+    assert positive_on(f, (Fraction(1, 3), 1)) and not positive_on(f, (1 / 3, 1))
+    report = analytic_logconcavity(f, (Fraction(1, 3), 1))
+    assert report.log_concave and report.violation_intervals == ()
+    # a refused window is named by the nearest doubles of its ends
+    with pytest.raises(DomainError, match=r"on \[0\.3333333333333333, 1\.0\]$"):
+        analytic_logconcavity(f, (1 / 3, 1))
+    with pytest.raises(DomainError, match=r"on \[0\.3333333333333333, 1\.0\]$"):
+        analytic_logconcavity(t - Fraction(1, 2), (Fraction(1, 3), 1))
+
+
+def test_analytic_accepts_ends_beyond_the_float_range():
+    # the window isolate_roots accepts: no bare OverflowError from reading it
+    assert analytic_logconcavity(RHO, (0, 2 ** 1100)) == analytic_logconcavity(RHO, (0, 5))
+    with pytest.raises(DomainError, match=r"on \[0\.0, inf\]$"):
+        analytic_logconcavity(Poly.variable(1, 0) - 1, (0, 2 ** 1100))
+
+
 def test_analytic_scale_invariance():
     scaled = RHO * 64
     r1 = analytic_logconcavity(RHO, (0.5, 4.5))
@@ -639,9 +662,7 @@ def test_family_boundary_double_root(c1, c2):
     for window in ((mid + Fraction(1, 2), mid + 2), (mid - 2, mid - Fraction(1, 10**9))):
         report = analytic_logconcavity(f, window)
         assert report.log_concave and report.violation_intervals == ()
-    # window ends are read as floats, so a window may end on the root only
-    # where s/2 is one
-    touching = ((mid, mid + 1), (mid - 1, mid)) if float(mid) == mid else ()
-    for window in ((mid - 1, mid + 1), *touching):
+    # window ends are read exactly, so a window ending on the root holds it
+    for window in ((mid - 1, mid + 1), (mid, mid + 1), (mid - 1, mid)):
         with pytest.raises(DomainError):
             analytic_logconcavity(f, window)

@@ -13,6 +13,7 @@ from dhlab import (
     DomainError,
     EmptyMeasureError,
     Histogram,
+    OmegaParams,
     Poly,
     SamplerConfig,
     analytic_dh_density,
@@ -182,6 +183,17 @@ def test_chunk_size_invariance():
         rel = np.abs(other.weight_sums - hists[0].weight_sums) / hists[0].weight_sums
         assert np.max(rel) <= 1e-10
         assert abs(other.total_weight / hists[0].total_weight - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("params", [OmegaParams(2, 3), OmegaParams(1, 3)])
+def test_histogram_does_not_depend_on_term_order(params):
+    # the sampler sums a weight's terms in a fixed order, not in dict order
+    _, _, omega = standard_construction(WINDOW, params)
+    top = verify_construction(omega, WINDOW, params).top_power_poly
+    flipped = Poly(top.nvars, reversed(list(top.terms.items())))
+    assert flipped == top and list(flipped.terms) == list(reversed(top.terms))
+    cfg = SamplerConfig(200_000, 40, WINDOW, seed=7)
+    assert sample_pushforward(flipped, cfg) == sample_pushforward(top, cfg)
 
 
 def test_thread_count_invariance():
