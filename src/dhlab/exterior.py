@@ -8,11 +8,11 @@ forms are stored in the canonical basis: a k-form is a map from strictly
 ascending k-tuples of variable indices to polynomial coefficients, with
 permutation signs normalized away at construction time.
 
-The arithmetic underneath runs on integers where it can, with the same
-results bit for bit.  ``wedge``, ``exterior_derivative`` and
-``power_coefficient`` multiply and sum integer numerators over a common
-denominator and turn them into Fractions once at the end, so terms come in
-the same order as when summing Polys.
+``exterior_derivative`` and ``power_coefficient`` run on integer numerators
+over a common denominator and turn them into Fractions once at the end;
+``wedge`` multiplies and sums ``Poly`` coefficients.  The order of the
+entries of a term map carries no meaning: equal values compare equal, and
+every output sorts what it reads.
 
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
@@ -128,8 +128,7 @@ class Poly:
 
     @staticmethod
     def variable(nvars: int, axis: int) -> "Poly":
-        if not 0 <= axis < nvars:
-            raise DimensionError(f"axis {axis} out of range for {nvars} variables")
+        _check_axis(axis, nvars)
         exps = tuple(1 if i == axis else 0 for i in range(nvars))
         return Poly(nvars, {exps: Fraction(1)})
 
@@ -201,11 +200,11 @@ class Poly:
 
     def partial(self, axis: int) -> "Poly":
         """Exact partial derivative with respect to the given variable."""
-        if not 0 <= axis < self.nvars:
-            raise DimensionError(f"axis {axis} out of range")
+        _check_axis(axis, self.nvars)
         return _raw_poly(self.nvars, _partial(self.terms, axis))
 
     def degree_in(self, axis: int) -> int:
+        _check_axis(axis, self.nvars)
         return max((e[axis] for e in self.terms), default=0)
 
     def is_constant(self) -> bool:
@@ -228,6 +227,7 @@ class Poly:
 
         Fails unless every term depends on that axis alone.
         """
+        _check_axis(axis, self.nvars)
         if not self.uses_only([axis]):
             raise ValueError(f"polynomial involves variables other than axis {axis}")
         return Poly(1, {(exps[axis],): c for exps, c in self.terms.items()})
@@ -254,10 +254,7 @@ class Poly:
         a NaN or infinite coordinate raises ValueError."""
         if len(point) != self.nvars:
             raise DimensionError(f"point of length {len(point)}, expected {self.nvars}")
-        try:
-            point = [Fraction(x) for x in point]
-        except OverflowError as exc:  # Fraction raises ValueError for NaN itself
-            raise ValueError(str(exc)) from None
+        point = [_fraction(x) for x in point]
         total = _ZERO
         for exps, c in self.terms.items():
             for x, e in zip(point, exps):
@@ -267,10 +264,11 @@ class Poly:
         return total
 
     def integrate(self, lo, hi) -> Fraction:
-        """Exact definite integral of a univariate polynomial over [lo, hi]."""
+        """Exact definite integral of a univariate polynomial over [lo, hi];
+        a NaN or infinite end raises ValueError."""
         if self.nvars != 1:
             raise DimensionError("definite integration requires a univariate polynomial")
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = _fraction(lo), _fraction(hi)
         total = Fraction(0)
         for (e,), c in self.terms.items():
             total += c * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
@@ -298,12 +296,22 @@ class Poly:
 _ZERO = Fraction(0)
 
 
-def _collect(pairs: Iterable[tuple]) -> dict:
-    """Sum (key, coefficient) pairs by key into a term map without zeros.
+def _check_axis(axis: int, nvars: int) -> None:
+    if not 0 <= axis < nvars:
+        raise DimensionError(f"axis {axis} out of range for {nvars} variables")
 
-    A key whose sum cancels leaves the map and re-enters at the end if a
-    later pair brings it back; a first value is stored as it is.
-    """
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction (floats convert exactly); NaN or infinity raises ValueError."""
+    try:
+        return Fraction(x)
+    except OverflowError as exc:  # Fraction raises ValueError for NaN itself
+        raise ValueError(str(exc)) from None
+
+
+def _collect(pairs: Iterable[tuple]) -> dict:
+    """Sum (key, coefficient) pairs by key into a term map without zeros;
+    a first value is stored as it is."""
     acc: dict = {}
     for k, v in pairs:
         if k in acc:
@@ -318,8 +326,7 @@ def _collect(pairs: Iterable[tuple]) -> dict:
 
 
 def _product(s: dict, t: dict) -> dict:
-    """The term map of the product of two term maps, terms in the order of
-    their first product, as _collect sums them."""
+    """The term map of the product of two term maps."""
     return _collect((tuple(map(add, e1, e2)), c1 * c2)
                     for e1, c1 in s.items() for e2, c2 in t.items())
 
@@ -369,8 +376,7 @@ class Form:
     """A degree-graded differential form on a chart.
 
     ``terms`` maps strictly ascending index tuples of length ``degree`` to
-    nonzero ``Poly`` coefficients; :func:`_collect` builds every such map
-    and is the one place where zero terms are dropped.
+    nonzero ``Poly`` coefficients; no operation stores a zero one.
     Equality is structural equality of the normalized term maps, which is
     exact because the canonical representation is unique.
     """
@@ -533,15 +539,15 @@ def _normalize_indices(idx: tuple[int, ...]):
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product.  Bilinear, associative, graded-commutative."""
     a._check_chart(b)
-    (da, ta), (db, tb) = _integer_terms(a), _integer_terms(b)
-    parts = []
-    for ia, pa in ta.items():
-        for ib, pb in tb.items():
+    pairs = []
+    for ia, pa in a.terms.items():
+        for ib, pb in b.terms.items():
             merged = _normalize_indices(ia + ib)
             if merged is not None:
                 sign, key = merged
-                parts.append((key, _product(pa, {e: sign * c for e, c in pb.items()})))
-    return _sum_parts(a.chart, a.degree + b.degree, parts, da * db)
+                p = pa * pb
+                pairs.append((key, p if sign > 0 else -p))
+    return _raw_form(a.chart, a.degree + b.degree, _collect(pairs))
 
 
 def power_coefficient(a: Form, indices: Sequence[int]) -> Poly:
@@ -585,18 +591,21 @@ def exterior_derivative(a: Form) -> Form:
     """Exterior derivative, raising the degree by one.
 
     Computed term-wise via exact partial differentiation of the coefficient
-    polynomials; the derivative of a top-degree form is the zero form.
+    polynomials, summed per index tuple on integer numerators over a common
+    denominator; the derivative of a top-degree form is the zero form.
     """
     den, terms = _integer_terms(a)
-    parts = []
+    parts: dict = {}
     for idx, p in terms.items():
         for v in range(a.chart.dim):
             merged = _normalize_indices((v,) + idx)
-            dp = _partial(p, v) if merged is not None else None
-            if dp:  # an empty part would change no term map and no order
+            if merged is not None and (dp := _partial(p, v)):
                 sign, key = merged
-                parts.append((key, {e: sign * c for e, c in dp.items()}))
-    return _sum_parts(a.chart, a.degree + 1, parts, den)
+                parts.setdefault(key, []).extend((e, sign * c) for e, c in dp.items())
+    sums = ((key, _collect(pairs)) for key, pairs in parts.items())
+    return _raw_form(a.chart, a.degree + 1, {
+        key: _raw_poly(a.chart.dim, {e: Fraction(c, den) for e, c in t.items()})
+        for key, t in sums if t})
 
 
 def _integer_terms(a: Form) -> tuple[int, dict]:
@@ -604,26 +613,6 @@ def _integer_terms(a: Form) -> tuple[int, dict]:
     den = math.lcm(*(c.denominator for p in a.terms.values() for c in p.terms.values()))
     return den, {idx: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
                  for idx, p in a.terms.items()}
-
-
-def _sum_parts(chart: Chart, degree: int, parts: Iterable[tuple], den: int) -> Form:
-    """The form summing (index tuple, term map) parts of integer numerators
-    over den, with no Poly built on the way.
-
-    Each part's terms are summed into its tuple's term map as Poly.__add__
-    sums two Polys, and a tuple whose map cancels leaves the form as in
-    _collect.  A numerator vanishes exactly where the rational does, so
-    terms and tuples come in the order, and cancel with the re-entries, of
-    summing the parts as Polys of Fractions.
-    """
-    acc: dict = {}
-    for key, terms in parts:
-        acc[key] = _collect([*acc.get(key, {}).items(), *terms.items()])
-        if not acc[key]:
-            del acc[key]
-    polys = {k: _raw_poly(chart.dim, {e: Fraction(c, den) for e, c in t.items()})
-             for k, t in acc.items()}
-    return _raw_form(chart, degree, polys)
 
 
 def interior_product(a: Form, axis: int) -> Form:

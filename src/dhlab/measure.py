@@ -12,10 +12,11 @@ owns the 8 consecutive 64-bit draws starting at counter block 2*s (the
 first six are the chart coordinates, two are discarded to keep blocks
 aligned; only the words the weight reads, and t, are converted).  A
 chunk covering samples [s0, s1) therefore regenerates exactly the draws a
-single-shot run would produce, so the merged histogram is bit-identical for
-any chunk size and any worker count; per-bin accumulation across chunks is
-compensated (Kahan), keeping totals reproducible to well below 1e-10
-relative even though chunk boundaries regroup the floating-point sums.
+single-shot run would produce.  The merge order is fixed, so the merged
+histogram is bit-identical across thread counts.  Across chunk sizes it is
+equal to rounding: chunk boundaries regroup the floating-point sums, and
+the compensated (Kahan) per-bin merge keeps the difference near 1e-15
+relative.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ axis, axis ranges and whether the polytope has interior are all read from
 that enumeration, so no float solver decides them.  Monte-Carlo slicing
 takes each bin's bounding box from where segments between vertices cross
 the slicing hyperplane, so no bin solves anything, and builds what does not
-depend on the bin (rows, vertex columns) once per profile.  Exact 2-d
-slicing computes every bin's chord in one pass per profile.
+depend on the bin (rows, vertex columns) once per profile.  2-d slicing
+computes every bin's chord in one float pass per profile; each half-space's
+crossing rounds before the chord's subtraction, so a chord can differ from
+the exact one rounded once in its last bits.
 """
 
 from __future__ import annotations

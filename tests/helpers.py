@@ -106,9 +106,8 @@ def _ref_sorted_indices(idx: tuple):
 
 
 def _ref_sum(pairs) -> dict:
-    """Sum (index tuple, Poly) pairs with Poly.__add__: a tuple whose sum
-    cancels leaves the map and re-enters at the end if a later pair brings
-    it back."""
+    """Sum (index tuple, Poly) pairs with Poly.__add__, dropping a tuple
+    whose sum cancels."""
     acc: dict = {}
     for k, v in pairs:
         if k in acc:
@@ -120,17 +119,6 @@ def _ref_sum(pairs) -> dict:
             continue
         acc[k] = v
     return acc
-
-
-def reference_wedge(a: Form, b: Form) -> dict:
-    """The term map of a ^ b, built from Poly products and sums alone."""
-    pairs = []
-    for ia, pa in a.terms.items():
-        for ib, pb in b.terms.items():
-            merged = _ref_sorted_indices(ia + ib)
-            if merged is not None:
-                pairs.append((merged[1], pa * pb if merged[0] > 0 else -(pa * pb)))
-    return _ref_sum(pairs)
 
 
 def reference_exterior_derivative(a: Form) -> dict:
@@ -145,9 +133,8 @@ def reference_exterior_derivative(a: Form) -> dict:
 
 
 def reference_build_omega(theta: Form, params: OmegaParams) -> Form:
-    """omega summed from basis forms one at a time, in the order that fixes
-    its tuples and terms: dx1^dx2, dx3^dx4, (c1-t) dx1^dx4, (c2-t) dx2^dx3,
-    dt^Theta."""
+    """omega summed from basis forms one at a time: dx1^dx2, dx3^dx4,
+    (c1-t) dx1^dx4, (c2-t) dx2^dx3, dt^Theta."""
     chart = theta.chart
     t = Poly.variable(chart.dim, T_AXIS)
     dt = Form.basis(chart, T_AXIS)

@@ -1,6 +1,8 @@
 """Monte-Carlo pushforward sampler: correctness, determinism, error bars."""
 
+import json
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +14,13 @@ from dhlab import (
     DensityEstimate,
     DomainError,
     EmptyMeasureError,
+    Form,
     Histogram,
     OmegaParams,
     Poly,
     SamplerConfig,
     analytic_dh_density,
+    analytic_logconcavity,
     compare,
     normalize,
     sample_pushforward,
@@ -194,6 +198,33 @@ def test_histogram_does_not_depend_on_term_order(params):
     assert flipped == top and list(flipped.terms) == list(reversed(top.terms))
     cfg = SamplerConfig(200_000, 40, WINDOW, seed=7)
     assert sample_pushforward(flipped, cfg) == sample_pushforward(top, cfg)
+
+
+def _reversed_terms(p: Poly) -> Poly:
+    return Poly(p.nvars, reversed(list(p.terms.items())))
+
+
+@pytest.mark.parametrize("params", [OmegaParams(2, 3), OmegaParams(Fraction(7, 3), Fraction(11, 4)),
+                                    OmegaParams(Fraction(1, 2), 1)])
+def test_no_output_depends_on_term_order(params):
+    # omega and the top power rebuilt with every tuple and term map reversed
+    chart, _, omega = standard_construction(WINDOW, params)
+    flipped = Form(chart, 2, [(idx, _reversed_terms(p)) for idx, p in reversed(omega.terms.items())])
+    assert flipped == omega and list(flipped.terms) == list(reversed(omega.terms))
+    report = verify_construction(omega, WINDOW, params)
+    top = _reversed_terms(report.top_power_poly)
+    assert list(top.terms) == list(reversed(report.top_power_poly.terms))
+    reports = [report, verify_construction(flipped, WINDOW, params),
+               replace(report, top_power_poly=top)]
+    cfg = SamplerConfig(100_000, 40, WINDOW, seed=7)
+    outputs = []
+    for r in reports:
+        density = analytic_dh_density(r, WINDOW)
+        outputs.append((json.dumps(r.to_json_dict()), r.text_table(), density, str(density),
+                        json.dumps(analytic_logconcavity(density, (WINDOW.lo, WINDOW.hi))
+                                   .to_json_dict()),
+                        sample_pushforward(r.top_power_poly, cfg)))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_thread_count_invariance():
