@@ -50,6 +50,7 @@ from .exterior import (
     power_coefficient,
     wedge,
 )
+from .intpoly import nearest_double, rational
 from .logconcavity import DomainError, positive_on
 
 # Canonical chart layout: four periodic base coordinates, then the moment
@@ -79,12 +80,15 @@ class DegenerateWindowError(DomainError):
 
 @dataclass(frozen=True)
 class CutWindow:
-    """A moment-map window [lo, hi] with finite ends 0 < lo < hi."""
+    """A moment-map window [lo, hi] with finite ends 0 < lo < hi, each held
+    as the nearest double to the end given (a float end is kept as it is)."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", nearest_double(self.lo))
+        object.__setattr__(self, "hi", nearest_double(self.hi))
         if not 0 < self.lo < self.hi < math.inf:
             raise ValueError(f"cut window needs finite 0 < A < B, got ({self.lo}, {self.hi})")
 
@@ -97,8 +101,8 @@ class OmegaParams:
     c2: Fraction = Fraction(3)
 
     def __post_init__(self):
-        object.__setattr__(self, "c1", Fraction(self.c1))
-        object.__setattr__(self, "c2", Fraction(self.c2))
+        object.__setattr__(self, "c1", rational(self.c1))
+        object.__setattr__(self, "c2", rational(self.c2))
 
 
 def canonical_chart() -> Chart:
@@ -122,7 +126,7 @@ def canonical_gauge(chart: Chart) -> Form:
 
 def shifted_gauge(a: Form, coeffs) -> Form:
     """Shift a gauge potential by the closed 1-form sum_i coeffs[i] dx_i."""
-    return a + Form(a.chart, 1, {(i,): Fraction(c) for i, c in zip(X_AXES, coeffs)})
+    return a + Form(a.chart, 1, {(i,): c for i, c in zip(X_AXES, coeffs)})
 
 
 def build_connection(a: Form) -> Form:

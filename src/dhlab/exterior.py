@@ -2,8 +2,10 @@
 
 Coefficients live in the rational numbers (``fractions.Fraction``), so wedge
 products, exterior derivatives and interior products are computed without any
-rounding; floating point enters only when ``Poly.evaluate`` rounds a
-polynomial's exact value at a numeric point once to a float.  Differential
+rounding.  Every number enters through ``intpoly.rational`` (a float converts
+exactly; NaN or infinity raises ValueError), and floating point comes back
+only when ``Poly.evaluate`` rounds a polynomial's exact value at a numeric
+point once to a float with ``intpoly.nearest_double``.  Differential
 forms are stored in the canonical basis: a k-form is a map from strictly
 ascending k-tuples of variable indices to polynomial coefficients, with
 permutation signs normalized away at construction time.
@@ -27,7 +29,7 @@ from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
-from .intpoly import nearest_double
+from .intpoly import nearest_double, rational
 
 Scalar = Union[int, Fraction]
 
@@ -113,7 +115,7 @@ class Poly:
                     raise DimensionError(f"exponent vector {exps} has length != {nvars}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                pairs.append((exps, Fraction(coeff)))
+                pairs.append((exps, rational(coeff)))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", _collect(pairs))
 
@@ -124,13 +126,13 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, value: Scalar) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: Fraction(value)})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, axis: int) -> "Poly":
         _check_axis(axis, nvars)
         exps = tuple(1 if i == axis else 0 for i in range(nvars))
-        return Poly(nvars, {exps: Fraction(1)})
+        return Poly(nvars, {exps: 1})
 
     # -- ring structure ------------------------------------------------------
 
@@ -254,7 +256,7 @@ class Poly:
         a NaN or infinite coordinate raises ValueError."""
         if len(point) != self.nvars:
             raise DimensionError(f"point of length {len(point)}, expected {self.nvars}")
-        point = [_fraction(x) for x in point]
+        point = [rational(x) for x in point]
         total = _ZERO
         for exps, c in self.terms.items():
             for x, e in zip(point, exps):
@@ -268,7 +270,7 @@ class Poly:
         a NaN or infinite end raises ValueError."""
         if self.nvars != 1:
             raise DimensionError("definite integration requires a univariate polynomial")
-        lo, hi = _fraction(lo), _fraction(hi)
+        lo, hi = rational(lo), rational(hi)
         total = Fraction(0)
         for (e,), c in self.terms.items():
             total += c * (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
@@ -299,14 +301,6 @@ _ZERO = Fraction(0)
 def _check_axis(axis: int, nvars: int) -> None:
     if not 0 <= axis < nvars:
         raise DimensionError(f"axis {axis} out of range for {nvars} variables")
-
-
-def _fraction(x) -> Fraction:
-    """x as a Fraction (floats convert exactly); NaN or infinity raises ValueError."""
-    try:
-        return Fraction(x)
-    except OverflowError as exc:  # Fraction raises ValueError for NaN itself
-        raise ValueError(str(exc)) from None
 
 
 def _collect(pairs: Iterable[tuple]) -> dict:
@@ -623,8 +617,7 @@ def interior_product(a: Form, axis: int) -> Form:
     contributes (-1)^j, j counted from zero.  A 0-form contracts to the
     zero form (not an error).
     """
-    if not 0 <= axis < a.chart.dim:
-        raise DimensionError(f"axis {axis} out of range for chart dim {a.chart.dim}")
+    _check_axis(axis, a.chart.dim)
     if a.degree == 0:
         return Form(a.chart, 0)
     pairs = []
@@ -648,8 +641,7 @@ def integrate_over_face(a: Form, axes: tuple[int, int]) -> Fraction:
     if a.degree != 2:
         raise ValueError(f"face integration expects a 2-form, got degree {a.degree}")
     for ax in (i, j):
-        if not 0 <= ax < a.chart.dim:
-            raise DimensionError(f"axis {ax} out of range")
+        _check_axis(ax, a.chart.dim)
         if not a.chart.variables[ax].periodic:
             raise ValueError(f"axis {a.chart.names[ax]} is not periodic; not a closed face")
     key = (min(i, j), max(i, j))

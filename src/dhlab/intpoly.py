@@ -4,7 +4,8 @@ A polynomial is a list of ints, constant first, with no trailing zeros; the
 zero polynomial is the empty list.  Sturm chains come from integer
 pseudo-remainders and roots are bracketed by bisection on integer
 numerators, so Fractions appear only as interval and bracket ends.
-nearest_double is the one correctly rounded conversion to a float.
+rational is the one way a number enters exact arithmetic, and nearest_double
+the one correctly rounded conversion of an exact value to a float.
 """
 
 from __future__ import annotations
@@ -165,10 +166,22 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     return Fraction(a, den), Fraction(b, den)
 
 
-def nearest_double(x: int | Fraction, den: int = 1) -> float:
+def rational(x) -> Fraction:
+    """x, an int, Fraction, float or numeric string, as a Fraction; a float
+    converts exactly, and NaN or infinity raises ValueError."""
+    try:
+        return Fraction(x)
+    except OverflowError as exc:  # Fraction raises ValueError for NaN itself
+        raise ValueError(str(exc)) from None
+
+
+def nearest_double(x: int | Fraction | float, den: int = 1) -> float:
     """x / den rounded to the nearest double, ties to even, for an int or
     Fraction x and an int den > 0 (int / int true division rounds
-    correctly); beyond the float range, +-inf."""
+    correctly); beyond the float range, +-inf.  A float x with den 1 comes
+    back unchanged, NaN and +-inf included."""
+    if isinstance(x, float) and den == 1:
+        return float(x)
     num, d = x.as_integer_ratio()
     try:
         return num / (d * den)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from . import intpoly
 from .exterior import DimensionError, Poly
-from .intpoly import derivative, nearest_double, product, scaled_value
+from .intpoly import derivative, nearest_double, product, rational, scaled_value
 
 # The samples discrete_logconcavity accepts: within this range the products
 # f(s-h) f(s+h) and f(s)^2 are finite normal floats.
@@ -187,8 +187,8 @@ def _exact(p: Poly, interval: tuple) -> tuple[int, list, Fraction, Fraction]:
     if p.nvars != 1:
         raise DimensionError("root isolation needs a univariate polynomial")
     try:
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
-    except (OverflowError, ValueError):  # an infinite or NaN end
+        lo, hi = rational(interval[0]), rational(interval[1])
+    except ValueError:  # an infinite or NaN end
         raise ValueError(f"interval {tuple(interval)} has an end that is not finite") from None
     if not lo < hi:
         raise ValueError(f"empty interval ({nearest_double(lo)}, {nearest_double(hi)})")

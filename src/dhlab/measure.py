@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
 from .exterior import Poly
-from .intpoly import nearest_double
+from .intpoly import nearest_double, rational
 from .logconcavity import DomainError
 
 GENERATOR_NAME = "philox4x64-10(8 words/sample)"
@@ -220,7 +219,7 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     """
     if analytic.nvars != 1:
         raise ValueError("analytic density must be univariate in the moment value")
-    lo, hi = Fraction(window.lo), Fraction(window.hi)
+    lo, hi = rational(window.lo), rational(window.hi)
     mass = analytic.integrate(lo, hi)
     if mass <= 0:
         raise ValueError("analytic density must have positive mass on the window")

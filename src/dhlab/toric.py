@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .intpoly import nearest_double
+from .intpoly import nearest_double, primitive, rational
 from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
 
 
@@ -275,7 +275,7 @@ def _enumerate(dim: int, halfspaces) -> tuple[list[tuple[Fraction, ...]],
     R^dim, the lines are a basis of their null space; the polytope is cut
     to the normals' span (x orthogonal to each line) so the cone is pointed.
     """
-    rows = [_integer_row([*map(Fraction, normal), -Fraction(offset)])
+    rows = [_integer_row([*map(rational, normal), -rational(offset)])
             for normal, offset in halfspaces]
     rows = [row for row in rows if any(row)]
     lines = _null_space([row[:dim] for row in rows], dim)
@@ -329,7 +329,7 @@ def _double_description(rows: list[tuple[int, ...]], width: int) -> list[tuple[i
                         if k != p and k != n):
                     continue
                 sn = signs[n]
-                kept.append((_primitive([sp * b - sn * a for a, b in zip(yp, yn)]),
+                kept.append((tuple(primitive([sp * b - sn * a for a, b in zip(yp, yn)])),
                              common | bit))
         rays = kept
     return [y for y, _ in rays]
@@ -339,15 +339,10 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _primitive(v: list[int]) -> tuple[int, ...]:
-    g = math.gcd(*v)
-    return tuple(x // g for x in v) if g else tuple(v)
-
-
 def _integer_row(values: list[Fraction]) -> tuple[int, ...]:
     """The primitive integer multiple of a rational vector."""
     den = math.lcm(*(v.denominator for v in values))
-    return _primitive([v.numerator * (den // v.denominator) for v in values])
+    return tuple(primitive([v.numerator * (den // v.denominator) for v in values]))
 
 
 def _rref(rows, width: int) -> tuple[dict[int, int], list[list[Fraction]]]:

@@ -491,6 +491,8 @@ _BAD_INPUTS = {
                             "bad samples file: 'utf-8' codec can't decode"),
     "malformed samples": (["logconcavity", "--input", "{tmp}/short.csv"], None, 2,
                           "bad samples file: line 2: expected 's,f' columns"),
+    "two samples": (["logconcavity", "--input", "{tmp}/two.csv"], None, 2,
+                    "bad samples file: need at least 3 samples, got 2"),
     "off-grid samples": (["logconcavity", "--input", "{tmp}/offgrid.csv"], None, 2,
                          "bad samples file: samples must sit on an ascending uniform grid"),
     "malformed polytope": (["toric", "--input", "{tmp}/bad.json"], None, 2,
@@ -549,6 +551,7 @@ _BAD_INPUTS = {
 _BAD_INPUT_FILES = {
     "latin1.csv": "s,f\n0,1\n1,\xe9\n".encode("latin-1"),
     "short.csv": b"0,1\n1\n2,1\n",
+    "two.csv": b"s,f\n0,1\n1,1\n",
     "offgrid.csv": b"0,1\n1e-12,1\n6e-10,1\n9e-10,5\n9.5e-10,1\n",
     "bad.json": b"{not json",
     "nan.json": b'{"dim": 1, "halfspaces": [{"a": [NaN], "b": 1}]}',

@@ -1,5 +1,6 @@
 """Verification battery for the chart, connection and symplectic form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +38,17 @@ def _expected_top() -> Poly:
     # 6 + 6 (c1 - t)(c2 - t) with (c1, c2) = (2, 3):  6 t^2 - 30 t + 42
     t = {(0, 0, 0, 0, k, 0): c for k, c in [(2, 6), (1, -30), (0, 42)]}
     return Poly(CHART.dim, t)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_a_nonfinite_number_never_enters_exact_arithmetic(x):
+    # each of these converts through dhlab.intpoly.rational
+    entries = [lambda: Poly(1, {(0,): x}), lambda: Poly.constant(6, x),
+               lambda: Form.basis(CHART, 0, coeff=x), lambda: OmegaParams(x, 2),
+               lambda: shifted_gauge(canonical_gauge(CHART), [x, 0, 0, 0])]
+    for entry in entries:
+        with pytest.raises(ValueError):
+            entry()
 
 
 # ---------------------------------------------------------------------------

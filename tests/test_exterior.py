@@ -407,9 +407,12 @@ def test_integrate_rejects_a_nonfinite_end(lo, hi):
 @pytest.mark.parametrize("axis", [-1, 6, 10])
 def test_axis_queries_reject_an_axis_off_the_chart(axis):
     t, five = Poly.variable(CHART.dim, 4), Poly.constant(CHART.dim, 5)
+    face = Form.basis(CHART, 0, 1)
     for query in (t.partial, t.degree_in, t.univariate, five.degree_in, five.univariate,
-                  lambda a: Poly.variable(CHART.dim, a)):
-        with pytest.raises(DimensionError):
+                  lambda a: Poly.variable(CHART.dim, a), lambda a: interior_product(face, a),
+                  lambda a: integrate_over_face(face, (0, a)),
+                  lambda a: integrate_over_face(face, (a, 1))):
+        with pytest.raises(DimensionError, match=f"^axis {axis} out of range for 6 variables$"):
             query(axis)
 
 

@@ -227,6 +227,18 @@ def test_no_output_depends_on_term_order(params):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_a_window_holds_the_nearest_doubles_of_its_ends():
+    window = CutWindow(Fraction(1, 2), Fraction(9, 2))
+    assert (window.lo, window.hi) == (0.5, 4.5)
+    assert type(window.lo) is float and type(window.hi) is float
+    _, _, omega = standard_construction(window)
+    report, want = verify_construction(omega, window), verify_construction(omega, WINDOW)
+    assert json.dumps(report.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert report.text_table() == want.text_table()
+    assert (sample_pushforward(VERIFIED_TOP, SamplerConfig(50_000, 20, window, seed=3))
+            == sample_pushforward(VERIFIED_TOP, SamplerConfig(50_000, 20, WINDOW, seed=3)))
+
+
 def test_thread_count_invariance():
     cfg = SamplerConfig(120_000, 20, WINDOW, seed=17, chunk_size=1 << 13)
     serial = sample_pushforward(VERIFIED_TOP, cfg, threads=1)
