@@ -81,14 +81,19 @@ class DegenerateWindowError(DomainError):
 @dataclass(frozen=True)
 class CutWindow:
     """A moment-map window [lo, hi] with finite ends 0 < lo < hi, each held
-    as the nearest double to the end given (a float end is kept as it is)."""
+    as the nearest double to the end given (a float end is kept as it is).
+    An end without an exact ratio of its own (a numpy integer, a numeric
+    string) enters through rational, which refuses a malformed one."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", nearest_double(self.lo))
-        object.__setattr__(self, "hi", nearest_double(self.hi))
+        for name in ("lo", "hi"):
+            end = getattr(self, name)
+            if not hasattr(end, "as_integer_ratio"):
+                end = rational(end)
+            object.__setattr__(self, name, nearest_double(end))
         if not 0 < self.lo < self.hi < math.inf:
             raise ValueError(f"cut window needs finite 0 < A < B, got ({self.lo}, {self.hi})")
 
@@ -160,7 +165,8 @@ def build_omega(theta: Form, params: OmegaParams) -> Form:
 def standard_construction(window: CutWindow,
                           params: OmegaParams = OmegaParams()) -> tuple[Chart, Form, Form]:
     """Chart, connection and symplectic form in the canonical gauge; every
-    call shares the one chart and connection, which are immutable."""
+    call shares the one chart and connection, which are immutable.  The
+    form does not depend on ``window``, which this does not read."""
     chart, theta = _canonical_connection()
     return chart, theta, build_omega(theta, params)
 
@@ -296,4 +302,4 @@ def _pretty_top(top: Poly) -> str:
     try:
         return poly_str(top.univariate(T_AXIS), ["t"])
     except ValueError:
-        return poly_str(top, ("x1", "x2", "x3", "x4", "t", "theta"))
+        return poly_str(top, canonical_chart().names)

@@ -135,8 +135,6 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
     before.  Once a and b round to adjacent doubles, the next point is the
     rounding boundary between them, which a bisection point may never meet
     (1 + 3*2**-53 in (0, 3)): their midpoint, with +-inf read as +-2**1024.
-    The powers of two that a, b and den share are divided out at each step,
-    so a bracket far from 0 keeps den small.
     """
     qa, qb = scaled_value(q, a, den), scaled_value(q, b, den)
     if not qb:
@@ -161,18 +159,18 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
             b = m
         else:
             a, qa = m, qm
-        low = (a | b | den) & -(a | b | den)  # the largest power of two all three share
-        a, b, den = a // low, b // low, den // low
     return Fraction(a, den), Fraction(b, den)
 
 
 def rational(x) -> Fraction:
-    """x, an int, Fraction, float or numeric string, as a Fraction; a float
-    converts exactly, and NaN or infinity raises ValueError."""
+    """x, an int, Fraction, float or numeric string, as a Fraction of Python
+    ints; a float converts exactly, and NaN or infinity raises ValueError.
+    A numpy integer's numerator becomes an int, so it cannot overflow."""
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except OverflowError as exc:  # Fraction raises ValueError for NaN itself
         raise ValueError(str(exc)) from None
+    return q if type(q.numerator) is int else Fraction(int(q.numerator), int(q.denominator))
 
 
 def nearest_double(x: int | Fraction | float, den: int = 1) -> float:

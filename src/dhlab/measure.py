@@ -12,11 +12,12 @@ owns the 8 consecutive 64-bit draws starting at counter block 2*s (the
 first six are the chart coordinates, two are discarded to keep blocks
 aligned; only the words the weight reads, and t, are converted).  A
 chunk covering samples [s0, s1) therefore regenerates exactly the draws a
-single-shot run would produce.  The merge order is fixed, so the merged
-histogram is bit-identical across thread counts.  Across chunk sizes it is
-equal to rounding: chunk boundaries regroup the floating-point sums, and
-the compensated (Kahan) per-bin merge keeps the difference near 1e-15
-relative.
+single-shot run would produce.  The chunk histograms are added in chunk
+order, so the merged histogram is bit-identical across thread counts.
+Across chunk sizes it is equal to rounding: chunk boundaries regroup the
+floating-point sums.  At 200,000 samples and 30 bins, chunk sizes 999 to
+2**15 differ from a single chunk by at most 7e-15 relative in the bin sums
+and their squares.
 """
 
 from __future__ import annotations
@@ -160,16 +161,14 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         partials = list(pool.map(one_chunk, starts))
 
-    # merge in ascending chunk order, compensated per bin; normalize sums the
-    # bins and squares each bin's sum, so those must be finite too
+    # merge in ascending chunk order; normalize sums the bins and squares
+    # each bin's sum, so those must be finite too
     sums = np.zeros(cfg.bins)
-    sums_c = np.zeros(cfg.bins)
     sq = np.zeros(cfg.bins)
-    sq_c = np.zeros(cfg.bins)
     with np.errstate(over="ignore", invalid="ignore"):
         for ws, w2 in partials:
-            _kahan_add(sums, sums_c, ws)
-            _kahan_add(sq, sq_c, w2)
+            sums += ws
+            sq += w2
         if not np.isfinite(np.r_[np.sum(sums), sq, sums * sums]).all():
             j = int(np.argmax([w2.max() for _, w2 in partials]))  # first NaN, else largest
             t, w = _chunk_points(top_poly, axes, cfg, key, starts[j])
@@ -274,10 +273,3 @@ def _eval_on_points(p: Poly, cols: dict[int, np.ndarray], n: int) -> np.ndarray:
                 term *= cols[ax] ** e
         out += term
     return out
-
-
-def _kahan_add(acc: np.ndarray, comp: np.ndarray, values: np.ndarray) -> None:
-    y = values - comp
-    t = acc + y
-    comp[:] = (t - acc) - y
-    acc[:] = t

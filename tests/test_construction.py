@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dhlab import (
@@ -49,6 +50,15 @@ def test_a_nonfinite_number_never_enters_exact_arithmetic(x):
     for entry in entries:
         with pytest.raises(ValueError):
             entry()
+
+
+def test_a_numpy_integer_enters_exact_arithmetic_as_an_int():
+    # a numpy numerator would wrap around at 2**63 in the exact algebra
+    big, want = OmegaParams(np.int64(2 ** 62), np.int64(3)), OmegaParams(2 ** 62, 3)
+    assert type(big.c1.numerator) is int and big == want
+    tops = [verify_construction(standard_construction(WINDOW, p)[2], WINDOW, p).top_power_poly
+            for p in (big, want)]
+    assert tops[0] == tops[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +334,14 @@ def test_report_json_shape():
     assert doc["top_power_str"] == "6*t^2 - 30*t + 42"
     assert doc["chern_numbers"]["x1^x4"] == {"num": -1, "den": 1}
     assert Poly.from_json(CHART.dim, doc["top_power_poly"]) == report.top_power_poly
+
+
+def test_a_top_power_off_t_alone_prints_in_the_chart_names():
+    _, _, omega = standard_construction(WINDOW)
+    x1 = Poly.variable(CHART.dim, 0)
+    report = verify_construction(omega + Form(CHART, 2, {(1, 2): x1}), WINDOW)
+    want = "6*t^2 - 6*x1*t - 30*t + 12*x1 + 42"
+    row = [line for line in report.text_table().splitlines()
+           if line.startswith("top power coefficient ")]
+    assert [line.split("  ", 1)[1].strip() for line in row] == [want]
+    assert report.to_json_dict()["top_power_str"] == want
