@@ -163,12 +163,17 @@ def _narrow(q: list, a: int, b: int, den: int) -> tuple[Fraction, Fraction]:
 
 
 def rational(x) -> Fraction:
-    """x, an int, Fraction, float or numeric string, as a Fraction of Python
-    ints; a float converts exactly, and NaN or infinity raises ValueError.
-    A numpy integer's numerator becomes an int, so it cannot overflow."""
+    """x, an int, Fraction, numeric string or float of any width (numpy's too)
+    as a Fraction of Python ints; a float converts exactly, and NaN or infinity
+    raises ValueError.  A numpy integer's numerator becomes an int, so it cannot overflow."""
     try:
-        q = Fraction(x)
-    except OverflowError as exc:  # Fraction raises ValueError for NaN itself
+        try:
+            q = Fraction(x)
+        except TypeError:  # numpy floats other than float64 are no Rational
+            if not hasattr(x, "as_integer_ratio"):
+                raise
+            q = Fraction(*x.as_integer_ratio())
+    except OverflowError as exc:  # NaN raises ValueError by itself
         raise ValueError(str(exc)) from None
     return q if type(q.numerator) is int else Fraction(int(q.numerator), int(q.denominator))
 

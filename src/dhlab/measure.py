@@ -7,17 +7,17 @@ assumes the density depends on t alone) and bins by the moment-map value t.
 
 Reproducibility contract
 ------------------------
-The random stream is Philox (counter-based), indexed per sample: sample s
-owns the 8 consecutive 64-bit draws starting at counter block 2*s (the
-first six are the chart coordinates, two are discarded to keep blocks
-aligned; only the words the weight reads, and t, are converted).  A
-chunk covering samples [s0, s1) therefore regenerates exactly the draws a
-single-shot run would produce.  The chunk histograms are added in chunk
-order, so the merged histogram is bit-identical across thread counts.
-Across chunk sizes it is equal to rounding: chunk boundaries regroup the
-floating-point sums.  At 200,000 samples and 30 bins, chunk sizes 999 to
-2**15 differ from a single chunk by at most 7e-15 relative in the bin sums
-and their squares.
+The stream is Philox (counter-based) under one key, one counter range per
+chart axis: axis ax of sample s is word s mod 4 of what numpy's Philox
+draws from the 256-bit counter s div 4 + ax * 2**64 (numpy steps the
+counter before encrypting it).  Only t and the axes the weight reads are
+drawn, a word per sample each, so a chunk of samples [s0, s1) regenerates
+exactly the draws of a single-shot run.  Chunk histograms are added in
+chunk order, so the merged histogram is bit-identical across thread
+counts.  Across chunk sizes it is equal to rounding, as chunk boundaries
+regroup the float sums: at 200,000 samples and 30 bins, chunk sizes 999
+to 2**15 differ from a single chunk by at most 7e-15 relative in the bin
+sums and their squares.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .exterior import Poly
 from .intpoly import nearest_double, rational
 from .logconcavity import DomainError
 
-GENERATOR_NAME = "philox4x64-10(8 words/sample)"
-_WORDS_PER_SAMPLE = 8
-_TICKS_PER_SAMPLE = 2  # 8 words = 2 philox counter blocks of 4
+GENERATOR_NAME = "philox4x64-10(counter=s/4+axis*2^64)"
 
 
 class EmptyMeasureError(DomainError):
@@ -56,11 +54,13 @@ class SamplerConfig:
     chunk_size: int = 1 << 16
 
     def __post_init__(self):
+        for name in ("sample_count", "bins", "seed", "chunk_size"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.bins < 2:
             raise ValueError(f"need at least 2 bins, got {self.bins}")
         if self.sample_count < self.bins:
-            raise ValueError(
-                f"sample_count {self.sample_count} must be >= bins {self.bins}")
+            raise ValueError(f"sample_count {self.sample_count} must be >= bins {self.bins}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.chunk_size < 1:
@@ -138,7 +138,7 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     if not np.isfinite(scale):
         raise DomainError(f"window [{lo!r}, {hi!r}] is too narrow for {cfg.bins} float bins")
     starts = list(range(0, cfg.sample_count, cfg.chunk_size))
-    key = _philox_key(cfg.seed)
+    key = SeedSequence(int(cfg.seed)).generate_state(2, np.uint64)
     axes = {T_AXIS, *(ax for exps in top_poly.terms for ax, e in enumerate(exps) if e)}
 
     def one_chunk(start: int):
@@ -242,21 +242,16 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
 # sampling internals
 # ---------------------------------------------------------------------------
 
-def _philox_key(seed: int) -> np.ndarray:
-    return SeedSequence(int(seed)).generate_state(2, np.uint64)
-
-
 def _chunk_points(top_poly: Poly, axes: set[int], cfg: SamplerConfig, key: np.ndarray,
                   start: int) -> tuple[np.ndarray, np.ndarray]:
     """The t column and the weights of the samples [start, start+chunk).
 
-    Only the words of ``axes`` (every chart axis top_poly reads, and T_AXIS)
-    become doubles, by Generator.random's rule: the top 53 bits times 2**-53.
+    Draws the streams of ``axes`` alone (every chart axis top_poly reads, and
+    T_AXIS), a word per sample, each made a double by Generator.random's rule.
     """
-    n = min(cfg.chunk_size, cfg.sample_count - start)
-    bg = Philox(key=key, counter=_TICKS_PER_SAMPLE * start)
-    words = bg.random_raw(_WORDS_PER_SAMPLE * n).reshape(n, _WORDS_PER_SAMPLE)
-    cols = {ax: (words[:, ax] >> 11) * 2.0 ** -53 for ax in axes}
+    n, skip = min(cfg.chunk_size, cfg.sample_count - start), start % 4
+    cols = {ax: (Philox(key=key, counter=(start >> 2) + (ax << 64)).random_raw(skip + n)[skip:]
+                 >> 11) * 2.0 ** -53 for ax in axes}
     cols[T_AXIS] = cfg.window.lo + (cfg.window.hi - cfg.window.lo) * cols[T_AXIS]
     return cols[T_AXIS], _eval_on_points(top_poly, cols, n)
 

@@ -299,26 +299,30 @@ def reference_positive_on(p: Poly, interval: tuple) -> bool:
 
 def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
     """Yield (points, weights) chunk by chunk, rebuilt from the documented
-    stream alone: sample s owns the 8 doubles that Philox draws from counter
-    block 2*s, the first six are its chart point, and t is rescaled to the
-    window.  Shares no code with the sampler, so tests can use it as an oracle."""
+    stream alone: chart axis ax of every sample is drawn once for the whole
+    run by Generator.random from Philox started at counter ax * 2**64, the
+    s-th double is sample s's coordinate, and t is rescaled to the window.
+    Shares no code or offset arithmetic with the sampler, so tests can use
+    it as an oracle."""
     key = np.random.SeedSequence(cfg.seed).generate_state(2, np.uint64)
     lo, hi = cfg.window.lo, cfg.window.hi
+    pts = np.column_stack([
+        np.random.Generator(np.random.Philox(key=key, counter=ax << 64)).random(cfg.sample_count)
+        for ax in range(DIM)])
+    pts[:, T_AXIS] = lo + (hi - lo) * pts[:, T_AXIS]
     for start in range(0, cfg.sample_count, cfg.chunk_size):
-        n = min(cfg.chunk_size, cfg.sample_count - start)
-        bg = np.random.Philox(key=key, counter=2 * start)
-        pts = np.random.Generator(bg).random((n, 8))[:, :DIM]
-        pts[:, T_AXIS] = lo + (hi - lo) * pts[:, T_AXIS]
+        chunk = pts[start:start + cfg.chunk_size]
+        n = len(chunk)
         weights = np.zeros(n)
         for exps, c in top_poly.terms.items():
             term = np.full(n, float(c))
             for ax, e in enumerate(exps):
                 if e == 1:
-                    term *= pts[:, ax]
+                    term *= chunk[:, ax]
                 elif e > 1:
-                    term *= pts[:, ax] ** e
+                    term *= chunk[:, ax] ** e
             weights += term
-        yield pts, weights
+        yield chunk, weights
 
 
 def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:

@@ -188,8 +188,8 @@ def test_density_non_integer_threads_is_usage_error(capsys, monkeypatch, threads
 
 def test_density_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["density", "--samples", "100000", "--bins", "10", "--seed", "11"]
-    # this run misses the 3% gate: bin 3 lies 3.2 standard errors (3.04%)
+    argv = ["density", "--samples", "100000", "--bins", "10", "--seed", "160"]
+    # this run misses the 3% gate: bin 5 lies 3.4 standard errors (3.22%)
     # below its exact bin average; the CSV is written all the same
     assert main(argv + ["--output", str(a)]) == 1
     assert main(argv + ["--output", str(b)]) == 1
@@ -447,7 +447,7 @@ from dhlab.cli import main
 simplex3 = Path(tempfile.mkdtemp()) / "simplex3.json"
 simplex3.write_text({simplex3!r})
 for argv, want in ((["verify"], 0), (["logconcavity", "--analytic"], 3),
-                  (["density", "--samples", "20000", "--bins", "8"], 1),
+                  (["density", "--samples", "20000", "--bins", "8"], 0),
                   (["toric", "--input", str(simplex3), "--bins", "8", "--samples", "2000"], 0),
                   (["toric", "--input", {str(GOLDEN / "polygon.json")!r},
                     "--method", "exact2d"], 0)):
@@ -781,8 +781,9 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
                  "--method", "exact2d"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "toric.stdout").read_bytes()
 
-    # 20000 samples miss the 3% gate (exit 1) but still print the full CSV
-    assert main(["density", "--samples", "20000", "--bins", "8"]) == 1
+    # 20000 samples at seed 42 pass the 3% gate (1.94% in bin 1); the run
+    # at seed 160 of test_density_byte_identical_reruns pins a miss
+    assert main(["density", "--samples", "20000", "--bins", "8"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "density.stdout").read_bytes()
 
     # 200000 samples span 4 chunks, so the chunk merge is pinned too

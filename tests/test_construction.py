@@ -41,7 +41,8 @@ def _expected_top() -> Poly:
     return Poly(CHART.dim, t)
 
 
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float32("nan"),
+                               np.float16("inf"), np.longdouble("-inf")])
 def test_a_nonfinite_number_never_enters_exact_arithmetic(x):
     # each of these converts through dhlab.intpoly.rational
     entries = [lambda: Poly(1, {(0,): x}), lambda: Poly.constant(6, x),
@@ -59,6 +60,17 @@ def test_a_numpy_integer_enters_exact_arithmetic_as_an_int():
     tops = [verify_construction(standard_construction(WINDOW, p)[2], WINDOW, p).top_power_poly
             for p in (big, want)]
     assert tops[0] == tops[1]
+
+
+@pytest.mark.parametrize("x", [np.float16(0.25), np.float32(0.1), np.longdouble(-2.75)])
+def test_a_numpy_float_enters_exact_arithmetic_as_its_binary_fraction(x):
+    # every float16, float32 or longdouble is a finite binary fraction, though
+    # Fraction() takes none of them; these three are doubles, so float() is exact
+    want = Fraction(float(x))
+    assert Poly.constant(6, x) == Poly.constant(6, want)
+    assert Form.basis(CHART, 0, coeff=x) == Form.basis(CHART, 0, coeff=want)
+    params = OmegaParams(x, 3)
+    assert params == OmegaParams(want, 3) and type(params.c1.numerator) is int
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dhlab.measure as measure
 from dhlab import (
     CutWindow,
     DegenerateWindowError,
@@ -101,6 +102,23 @@ def test_sampler_preconditions():
         SamplerConfig(5, 10, WINDOW, seed=1)  # fewer samples than bins
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("bins", 10.5), ("sample_count", 1000.7), ("chunk_size", 100.5),
+    ("seed", True), ("bins", np.float64(10.0)), ("chunk_size", np.bool_(True))])
+def test_sampler_config_refuses_a_field_that_is_no_integer(field, value):
+    # seed=1.5 would run seed 1's stream while the provenance printed 1.5
+    fields = {"sample_count": 1_000, "bins": 10, "seed": 1, "chunk_size": 100, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        SamplerConfig(window=WINDOW, **fields)
+
+
+def test_sampler_config_takes_numpy_integers():
+    cfg = SamplerConfig(np.int64(1_000), np.int32(10), WINDOW, seed=np.uint64(1),
+                        chunk_size=np.int16(300))
+    assert (sample_pushforward(VERIFIED_TOP, cfg)
+            == sample_pushforward(VERIFIED_TOP, SamplerConfig(1_000, 10, WINDOW, 1, 300)))
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_sampler_rejects_fewer_than_one_thread(threads):
     cfg = SamplerConfig(1_000, 10, WINDOW, seed=1)
@@ -109,7 +127,7 @@ def test_sampler_rejects_fewer_than_one_thread(threads):
 
 
 def test_sampler_rejects_a_weight_beyond_the_chart():
-    # axes 6 and 7 would read the two alignment words of each sample
+    # an axis 6 would read a counter range that no chart coordinate owns
     beyond = Poly(7, {(0, 0, 0, 0, 0, 0, 1): 1})
     with pytest.raises(ValueError, match="top_poly has 7 variables; the chart has 6"):
         sample_pushforward(beyond, SamplerConfig(1_000, 10, WINDOW, seed=1))
@@ -333,6 +351,34 @@ def test_sampler_matches_the_stream_oracle(top, chunk_size, threads):
     assert h.weight_sums.tobytes() == sums.tobytes()
     assert h.weight_sq_sums.tobytes() == sq.tobytes()
     assert h.total_weight == float(np.sum(sums))
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sampler_draws_one_word_per_axis_it_reads(monkeypatch, threads):
+    words, philox = [], measure.Philox
+
+    class CountingPhilox:
+        def __init__(self, *args, **kwargs):
+            self._bg = philox(*args, **kwargs)
+
+        def random_raw(self, size):
+            words.append(size)
+            return self._bg.random_raw(size)
+
+    monkeypatch.setattr(measure, "Philox", CountingPhilox)
+    cfg = SamplerConfig(250_000, 20, WINDOW, seed=29, chunk_size=77_777)
+    chunks = -(-cfg.sample_count // cfg.chunk_size)
+    drawn = {}
+    for top, poly in [("verified", VERIFIED_TOP), ("flat", FLAT_TOP),
+                      ("fiber", (Poly.constant(6, 1) + Poly.variable(6, 0)) * VERIFIED_TOP)]:
+        words.clear()
+        sample_pushforward(poly, cfg, threads=threads)
+        drawn[top] = sum(words)
+    # t is all the paper's weight reads: one word per sample, and at most 3
+    # words per chunk before its first sample
+    assert cfg.sample_count <= drawn["verified"] <= cfg.sample_count + 3 * chunks
+    assert drawn["flat"] == drawn["verified"]
+    assert drawn["fiber"] == 2 * drawn["verified"]  # t and x1
 
 
 # ---------------------------------------------------------------------------
