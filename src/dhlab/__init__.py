@@ -4,10 +4,13 @@ log-concavity analysis and the toric slice-volume baseline.
 
 The exact modules (``construction``, ``exterior``, ``logconcavity``) are
 imported with the package.  The names from ``measure`` and ``toric`` are
-resolved on first access through a module ``__getattr__``, because those
-modules import numpy: ``import dhlab``, ``dhlab verify`` and ``dhlab
-logconcavity`` run without loading it, while ``from dhlab import
-HPolytope`` and ``from dhlab import *`` work as before."""
+resolved on first access through a module ``__getattr__``: ``measure``
+imports numpy, so ``import dhlab``, ``dhlab verify`` and ``dhlab
+logconcavity`` run without loading it.  ``toric`` loads numpy only when it
+builds a profile, so ``from dhlab import HPolytope, projection_range`` loads
+none; it stays lazy all the same, because importing it eagerly would add its
+compile to the start of every command.  ``from dhlab import *`` works as
+before."""
 
 from importlib import import_module
 
@@ -50,7 +53,7 @@ from .logconcavity import (
     isolate_roots,
 )
 
-# public name -> the numpy-backed submodule that defines it
+# public name -> the submodule, imported on first access, that defines it
 _LAZY = {
     name: module
     for module, names in (

@@ -145,8 +145,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    # .measure and .toric import numpy, so only density and toric import them,
-    # and verify and logconcavity start without it
+    # .measure imports numpy, so only density imports it, and verify and
+    # logconcavity start without it; .toric loads numpy only to build a profile
     from .measure import GENERATOR_NAME, SamplerConfig, compare, normalize, sample_pushforward
 
     _, report = _construct_and_verify(args)

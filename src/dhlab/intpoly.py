@@ -6,11 +6,13 @@ pseudo-remainders and roots are bracketed by bisection on integer
 numerators, so Fractions appear only as interval and bracket ends.
 rational is the one way a number enters exact arithmetic, and nearest_double
 the one correctly rounded conversion of an exact value to a float.
+integer is the one check of an integer argument.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -176,6 +178,17 @@ def rational(x) -> Fraction:
     except OverflowError as exc:  # NaN raises ValueError by itself
         raise ValueError(str(exc)) from None
     return q if type(q.numerator) is int else Fraction(int(q.numerator), int(q.denominator))
+
+
+def integer(name: str, value) -> int:
+    """value, an int or a numpy integer, as an int; a float, a bool or
+    anything else raises ValueError naming the field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def nearest_double(x: int | Fraction | float, den: int = 1) -> float:

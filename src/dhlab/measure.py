@@ -29,7 +29,7 @@ from numpy.random import Philox, SeedSequence
 
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
 from .exterior import Poly
-from .intpoly import nearest_double, rational
+from .intpoly import integer, nearest_double, rational
 from .logconcavity import DomainError
 
 GENERATOR_NAME = "philox4x64-10(counter=s/4+axis*2^64)"
@@ -55,8 +55,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("sample_count", "bins", "seed", "chunk_size"):
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.bins < 2:
             raise ValueError(f"need at least 2 bins, got {self.bins}")
         if self.sample_count < self.bins:

@@ -21,6 +21,10 @@ depend on the bin (rows, vertex columns) once per profile.  2-d slicing
 computes every bin's chord in one float pass per profile; each half-space's
 crossing rounds before the chord's subtraction, so a chord can differ from
 the exact one rounded once in its last bits.
+
+Construction, JSON validation, the enumeration, ``projection_range`` and
+every argument check of ``slice_profile`` run in Python integers and floats;
+numpy loads only when a profile's arrays are built.
 """
 
 from __future__ import annotations
@@ -31,11 +35,16 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .intpoly import nearest_double, primitive, rational
+from .intpoly import integer, nearest_double, primitive, rational
 from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
+
+# numpy is imported in each function that builds or reads an array, so that
+# polytopes, their vertices and ranges, and every input error of slice_profile
+# cost no numpy import
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class UnboundedPolytopeError(DomainError):
@@ -58,6 +67,7 @@ class HPolytope:
     halfspaces: tuple[tuple[tuple[float, ...], float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", integer("dim", self.dim))
         if self.dim < 1:
             raise ValueError("polytope dimension must be >= 1")
         hs = []
@@ -87,6 +97,8 @@ class HPolytope:
         and DomainError naming the first axis where a vertex is beyond the
         float range; has no rows if the vertices' exact affine rank is < dim.
         """
+        import numpy as np
+
         vertices, directions = self._vrep
         for axis in range(self.dim):
             _check_bounded(directions, axis)
@@ -146,6 +158,7 @@ def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     EmptyPolytopeError if the polytope is empty, and UnboundedPolytopeError
     if a recession ray or line moves along the axis; the other axes may
     still be unbounded."""
+    axis = integer("axis", axis)
     if not 0 <= axis < p.dim:
         raise ValueError(f"axis {axis} out of range for dim {p.dim}")
     vertices, directions = p._vrep
@@ -164,6 +177,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     (seed, axis, bin), so the profile does not depend on evaluation order.
     A polytope flat along the axis has no profile: InsufficientDataError.
     """
+    axis, bins = integer("axis", axis), integer("bins", bins)
+    mc_n, seed = integer("mc_n", mc_n), integer("seed", seed)
     if method is None:
         method = "exact2d" if p.dim == 2 else "mc"
     if method not in ("exact2d", "mc"):
@@ -182,6 +197,10 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     if not math.isfinite(hi - lo):
         raise DomainError(f"polytope's projection along axis {axis} is wider than the "
                           f"float range: [{lo}, {hi}]")
+    for other in range(p.dim):  # the slices must be bounded too
+        _check_bounded(p._vrep[1], other)
+    import numpy as np
+
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     errs = np.zeros(bins)
@@ -201,6 +220,8 @@ def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
     undefined there) and recorded in the report; at least 3 positive bins
     must remain.
     """
+    import numpy as np
+
     vols = np.asarray(f.volumes, dtype=float)
     pos = vols > 0
     if int(pos.sum()) < 3:
@@ -222,6 +243,8 @@ def suggested_tolerance(f: SliceVolumeFn) -> float:
     1e-9 for exact profiles), capped at 0.9: from r = 0.17 on, that slack
     would reach 1, where the midpoint test flags nothing.
     """
+    import numpy as np
+
     vols = np.asarray(f.volumes, dtype=float)
     pos = vols > 0
     if not pos.any():
@@ -244,6 +267,8 @@ def _is_number(v) -> bool:
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(v) for v in stream))
     return np.random.Generator(np.random.Philox(ss))
@@ -253,9 +278,9 @@ def linprog(*args, **kwargs):
     """Not called by dhlab, which solves no linear program.
 
     perfbench's ``instrument_toric`` wraps this attribute to count LP solves
-    (it reads 0 now), so the name stays until perfbench reads counters from
-    the opt-in run trace (ROADMAP.md, items 3-4) instead of wrapping module
-    attributes; then it goes.  For an LP, call scipy.optimize.linprog.
+    (it reads 0 now), so the name stays until perfbench drops its LP count
+    and stops wrapping it (ROADMAP.md, item 2); then it goes.  For an LP,
+    call scipy.optimize.linprog.
     """
     raise NotImplementedError("dhlab.toric solves no linear programs")
 
@@ -393,11 +418,11 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
 def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
     """Lengths of the slices of a planar polytope at axis = s for each s in
     ``centers``: each half-space bounds the free coordinate on one side, or
-    empties the slice.  Raises UnboundedPolytopeError if the polytope is
-    unbounded along the free axis, and DomainError naming the first s whose
-    length is beyond the float range."""
+    empties the slice; the polytope must be bounded.  Raises DomainError
+    naming the first s whose length is beyond the float range."""
+    import numpy as np
+
     other = 1 - axis
-    _check_bounded(p._vrep[1], other)
     rows = [(normal[axis], normal[other], offset) for normal, offset in p.halfspaces]
     chords = []
     for s in centers.tolist():
@@ -434,6 +459,8 @@ def _slice_extent(t: np.ndarray, rest: np.ndarray,
     in the polytope, and every vertex of the slice lies on an edge of the
     polytope, so this is the slice's bounding box up to rounding.
     """
+    import numpy as np
+
     below, above = t < s, t > s
     frac = (s - t[below])[:, None] / (t[above][None, :] - t[below][:, None])
     lower, upper = rest[below][:, None, :], rest[above][None, :, :]
@@ -463,6 +490,8 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     (decided exactly) gives 0; a slice whose box volume is not finite, or whose
     extents are positive but multiply to 0, raises DomainError naming s.
     """
+    import numpy as np
+
     a, b = map(np.array, zip(*p.halfspaces))
     along = a[:, axis]
     k = p.dim - 1

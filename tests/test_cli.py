@@ -434,8 +434,8 @@ def test_toric_byte_identical_reruns(capsys, tmp_path):
 
 
 def test_no_command_imports_scipy():
-    # the toric core is exact integer arithmetic on numpy, so no command,
-    # toric included, pays for loading scipy
+    # the toric core is exact integer arithmetic, with numpy for profiles, so
+    # no command, toric included, pays for loading scipy
     simplex3 = json.dumps({"dim": 3, "halfspaces": [
         {"a": [-1, 0, 0], "b": 0}, {"a": [0, -1, 0], "b": 0}, {"a": [0, 0, -1], "b": 0},
         {"a": [1, 1, 1], "b": 1}]})
@@ -745,6 +745,52 @@ sys.stdout.write(verify_stdout)
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.encode() == (GOLDEN / "verify.stdout").read_bytes()
+
+
+def test_toric_front_runs_without_numpy(tmp_path):
+    # the polytope, its exact vertices and range, and every input error of
+    # dhlab toric come before the first array, so none of them loads numpy
+    for name, data in _BAD_INPUT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "empty.json").write_text(json.dumps(
+        {"dim": 1, "halfspaces": [{"a": [1], "b": 0}, {"a": [-1], "b": -1}]}))
+    simplex3 = str(GOLDEN / "simplex3.json")
+    cases = [
+        (["--input", f"{tmp_path}/bad.json"], 2, "bad polytope JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["--input", f"{tmp_path}/empty.json"], 1, "error: half-space system is infeasible"),
+        (["--input", f"{tmp_path}/slab.json", "--axis", "1"], 1,
+         "error: polytope is unbounded along axis 1"),
+        (["--input", f"{tmp_path}/slab.json"], 1, "error: polytope is unbounded along axis 1"),
+        (["--input", f"{tmp_path}/flat.json"], 1,
+         "error: polytope is flat along axis 0: it projects to 0.0"),
+        (["--input", simplex3, "--axis", "5"], 2, "usage error: axis 5 out of range for dim 3"),
+        (["--input", simplex3, "--bins", "0"], 2, "usage error: bins must be positive"),
+        (["--input", simplex3, "--samples", "0"], 2,
+         "usage error: sample count must be positive"),
+    ]
+    script = f"""
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import dhlab.toric
+from dhlab import HPolytope, projection_range
+from dhlab.cli import main
+p = HPolytope.from_json(open({simplex3!r}).read())
+vertices, directions = p._vrep
+print(json.dumps([len(vertices), len(directions), projection_range(p, 2)]))
+for argv in {[argv for argv, _, _ in cases]!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["toric", *argv])
+    print(json.dumps([code, err.getvalue()]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    front, *exits = map(json.loads, done.stdout.splitlines())
+    assert front == [4, 0, [0.0, 1.0]]
+    assert exits == [[code, message + "\n"] for _, code, message in cases]
 
 
 def test_lazy_package_names():

@@ -58,6 +58,26 @@ CASES = {
                            "bins must be positive"),
     "projection_range axis": (lambda: projection_range(SQUARE, 2), ValueError,
                               "axis 2 out of range for dim 2"),
+    # an integer field of toric takes a numpy integer but no float or bool:
+    # seed=1.5 ran seed 1's stream, and axis=True read axis 1
+    "slice_profile seed 1.5": (lambda: slice_profile(SQUARE, 0, 4, seed=1.5), ValueError,
+                               "seed must be an integer, got 1.5"),
+    "slice_profile axis 0.5": (lambda: slice_profile(SQUARE, 0.5, 4), ValueError,
+                               "axis must be an integer, got 0.5"),
+    "slice_profile axis True": (lambda: slice_profile(SQUARE, True, 4), ValueError,
+                                "axis must be an integer, got True"),
+    "slice_profile bins 2.5": (lambda: slice_profile(SQUARE, 0, 2.5), ValueError,
+                               "bins must be an integer, got 2.5"),
+    "slice_profile mc_n 1000.5": (lambda: slice_profile(SQUARE, 0, 4, "mc", mc_n=1000.5),
+                                  ValueError, "mc_n must be an integer, got 1000.5"),
+    "projection_range axis 0.5": (lambda: projection_range(SQUARE, 0.5), ValueError,
+                                  "axis must be an integer, got 0.5"),
+    "projection_range axis True": (lambda: projection_range(SQUARE, True), ValueError,
+                                   "axis must be an integer, got True"),
+    "HPolytope dim 2.0": (lambda: HPolytope(2.0, SQUARE.halfspaces), ValueError,
+                          "dim must be an integer, got 2.0"),
+    "HPolytope dim True": (lambda: HPolytope(True, (((1.0,), 1.0), ((-1.0,), 0.0))),
+                           ValueError, "dim must be an integer, got True"),
     "density of an unclosed form": (
         lambda: analytic_dh_density(_unclosed_report(), WINDOW), DegenerateWindowError,
         "form is not closed; no invariant density exists"),

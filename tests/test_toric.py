@@ -433,6 +433,17 @@ def test_profile_method_validation():
         slice_profile(SQUARE, 0, bins=10, method="nope")
 
 
+def test_integer_fields_take_numpy_integers():
+    square = HPolytope(np.int64(2), SQUARE.halfspaces)
+    assert square == SQUARE and type(square.dim) is int
+    assert projection_range(SQUARE, np.int32(1)) == projection_range(SQUARE, 1)
+    got = slice_profile(SIMPLEX3, np.int64(0), np.int16(6), mc_n=np.uint32(500),
+                        seed=np.uint64(3))
+    want = slice_profile(SIMPLEX3, 0, 6, mc_n=500, seed=3)
+    assert got.volumes.tolist() == want.volumes.tolist()
+    assert got.stderrs.tolist() == want.stderrs.tolist()
+
+
 @pytest.mark.parametrize("p, method", [(SEGMENT, "mc"), (SIMPLEX2, "exact2d"),
                                        (SIMPLEX3, "mc"), (_box((0.0,) * 4, (1.0,) * 4), "mc")])
 def test_profile_method_defaults_by_dimension(p, method):
