@@ -10,11 +10,10 @@ forms are stored in the canonical basis: a k-form is a map from strictly
 ascending k-tuples of variable indices to polynomial coefficients, with
 permutation signs normalized away at construction time.
 
-``exterior_derivative`` and ``power_coefficient`` run on integer numerators
-over a common denominator and turn them into Fractions once at the end;
-``wedge`` multiplies and sums ``Poly`` coefficients.  The order of the
-entries of a term map carries no meaning: equal values compare equal, and
-every output sorts what it reads.
+``wedge``, ``exterior_derivative`` and ``power_coefficient`` all multiply,
+differentiate and sum these Fraction term maps; there is no second
+arithmetic.  The order of the entries of a term map carries no meaning:
+equal values compare equal, and every output sorts what it reads.
 
 All objects here are immutable values after construction and all operations
 are pure functions, so they are safe to share between threads.
@@ -550,34 +549,33 @@ def power_coefficient(a: Form, indices: Sequence[int]) -> Poly:
 
     It is (|I|/2)! times the Pfaffian of a's coefficient matrix on I,
     expanded along the smallest remaining index over the (i, j) terms
-    present, on integer numerators over a common denominator.  Like the
-    coefficient of the iterated wedge, it is the zero Poly for a degree
-    other than 2, an odd |I| or a tuple that is not strictly ascending.
+    present.  Like the coefficient of the iterated wedge, it is the zero
+    Poly for a degree other than 2, an odd |I| or a tuple that is not
+    strictly ascending.
     """
     idx = tuple(indices)
     if a.degree != 2 or len(idx) % 2 or any(i >= j for i, j in zip(idx, idx[1:])):
         return Poly(a.chart.dim)
-    den, terms = _integer_terms(a)
-    n = len(idx) // 2
-    scale, den = math.factorial(n), den ** n
-    pf = _pfaffian(idx, terms, (0,) * a.chart.dim)
-    return _raw_poly(a.chart.dim, {e: Fraction(scale * c, den) for e, c in pf.items()})
+    pf = _pfaffian(idx, a.terms, {(0,) * a.chart.dim: Fraction(1)})
+    scale = math.factorial(len(idx) // 2)
+    return _raw_poly(a.chart.dim, {e: c * scale for e, c in pf.items()})
 
 
-def _pfaffian(idx: tuple, terms: dict, one: tuple) -> dict:
-    """The term map of the Pfaffian of the integer 2-form terms on idx:
-    the sum over j of +-a_{i j} Pf(idx without i, j) for i = idx[0], the
-    sign + where j is at an odd position of idx."""
+def _pfaffian(idx: tuple, terms: dict, one: dict) -> dict:
+    """The term map of the Pfaffian of the 2-form terms on idx: the sum
+    over j of +-a_{i j} Pf(idx without i, j) for i = idx[0], the sign +
+    where j is at an odd position of idx; ``one`` is the term map of 1."""
     if not idx:
-        return {one: 1}
+        return one
     i, rest = idx[0], idx[1:]
     parts = []
     for k, j in enumerate(rest):
         p = terms.get((i, j))
         if p is not None:
             sub = _pfaffian(rest[:k] + rest[k + 1:], terms, one)
-            if sub:
-                parts += _product(p, sub if k % 2 == 0 else {e: -c for e, c in sub.items()}).items()
+            if k % 2:
+                sub = {e: -c for e, c in sub.items()}
+            parts += _product(p.terms, sub).items()
     return _collect(parts)
 
 
@@ -585,28 +583,18 @@ def exterior_derivative(a: Form) -> Form:
     """Exterior derivative, raising the degree by one.
 
     Computed term-wise via exact partial differentiation of the coefficient
-    polynomials, summed per index tuple on integer numerators over a common
-    denominator; the derivative of a top-degree form is the zero form.
+    polynomials, summed per index tuple; the derivative of a top-degree
+    form is the zero form.
     """
-    den, terms = _integer_terms(a)
-    parts: dict = {}
-    for idx, p in terms.items():
+    pairs = []
+    for idx, p in a.terms.items():
         for v in range(a.chart.dim):
             merged = _normalize_indices((v,) + idx)
-            if merged is not None and (dp := _partial(p, v)):
+            if merged is not None and (dp := _partial(p.terms, v)):
                 sign, key = merged
-                parts.setdefault(key, []).extend((e, sign * c) for e, c in dp.items())
-    sums = ((key, _collect(pairs)) for key, pairs in parts.items())
-    return _raw_form(a.chart, a.degree + 1, {
-        key: _raw_poly(a.chart.dim, {e: Fraction(c, den) for e, c in t.items()})
-        for key, t in sums if t})
-
-
-def _integer_terms(a: Form) -> tuple[int, dict]:
-    """A common denominator of a's coefficients, and a's term maps times it."""
-    den = math.lcm(*(c.denominator for p in a.terms.values() for c in p.terms.values()))
-    return den, {idx: {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-                 for idx, p in a.terms.items()}
+                dp = _raw_poly(a.chart.dim, dp)
+                pairs.append((key, dp if sign > 0 else -dp))
+    return _raw_form(a.chart, a.degree + 1, _collect(pairs))
 
 
 def interior_product(a: Form, axis: int) -> Form:

@@ -109,10 +109,10 @@ class DensityEstimate:
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Per-bin agreement of an estimate with an exactly normalized analytic
-    density; ``worst_bin`` is the bin of largest absolute deviation,
-    ``reference`` the exact average of the normalized density over each bin,
-    which the errors and z-scores measure against, and ``centre_values``
-    the normalized density at the bin centres."""
+    density; ``worst_bin`` is the bin whose relative error is
+    ``max_rel_error``, ``reference`` the exact average of the normalized
+    density over each bin, which the errors and z-scores measure against,
+    and ``centre_values`` the normalized density at the bin centres."""
 
     max_rel_error: float
     per_bin_z: np.ndarray
@@ -212,8 +212,8 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     rational arithmetic over the exact bin edges; the density at the bin
     centre would differ from it by O(width^2), a bias that more samples
     only resolve better.  Reported are the maximum relative error, per-bin
-    z-scores, and the bin with the largest absolute deviation, all against
-    the bin averages, and the density at the bin centres besides.
+    z-scores, and the bin of that maximum, all against the bin averages,
+    and the density at the bin centres besides.
     """
     if analytic.nvars != 1:
         raise ValueError("analytic density must be univariate in the moment value")
@@ -229,12 +229,13 @@ def compare(est: DensityEstimate, analytic: Poly, window: CutWindow) -> Comparis
     if np.any(ref <= 0):
         raise ValueError("analytic density must be strictly positive on the window")
     diff = est.density - ref
-    max_rel = float(np.max(np.abs(diff) / ref))
+    rel = np.abs(diff) / ref
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(diff == 0, 0.0, diff / est.stderr)
     centre_values = np.array([nearest_double(analytic.evaluate_exact((c,)) / mass)
                               for c in est.bin_centers])
-    return ComparisonReport(max_rel, z, int(np.argmax(np.abs(diff))), ref, centre_values)
+    worst = int(np.argmax(rel))
+    return ComparisonReport(float(rel[worst]), z, worst, ref, centre_values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ that enumeration, so no float solver decides them.  Monte-Carlo slicing
 takes each bin's bounding box from where segments between vertices cross
 the slicing hyperplane, so no bin solves anything, and builds what does not
 depend on the bin (rows, vertex columns) once per profile.  2-d slicing
-computes every bin's chord in one float pass per profile; each half-space's
-crossing rounds before the chord's subtraction, so a chord can differ from
-the exact one rounded once in its last bits.
+computes every bin's chord in one pass per profile in rationals, from the
+exact half-spaces and bin centre, and rounds it once, so each chord is the
+double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range`` and
 every argument check of ``slice_profile`` run in Python integers and floats;
@@ -171,10 +171,11 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
                   mc_n: int = 100_000, seed: int = 0) -> SliceVolumeFn:
     """Slice volumes at bin centers across the projection range.
 
-    ``method`` is "exact2d" (dim = 2 only), whose chords are computed for
-    every bin in one pass per profile, or "mc"; None means "exact2d" in
-    dimension 2, else "mc".  Monte-Carlo bins use independent streams from
-    (seed, axis, bin), so the profile does not depend on evaluation order.
+    ``method`` is "exact2d" (dim = 2 only), whose chords are exact and
+    rounded once, computed for every bin in one pass per profile, or "mc";
+    None means "exact2d" in dimension 2, else "mc".  Monte-Carlo bins use
+    independent streams from (seed, axis, bin), so the profile does not
+    depend on evaluation order.
     A polytope flat along the axis has no profile: InsufficientDataError.
     """
     axis, bins = integer("axis", axis), integer("bins", bins)
@@ -417,18 +418,20 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
 
 def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
     """Lengths of the slices of a planar polytope at axis = s for each s in
-    ``centers``: each half-space bounds the free coordinate on one side, or
-    empties the slice; the polytope must be bounded.  Raises DomainError
-    naming the first s whose length is beyond the float range."""
+    ``centers``, each the exact length rounded once: each half-space bounds
+    the free coordinate on one side, or empties the slice, in rationals; the
+    polytope must be bounded.  Raises DomainError naming the first s whose
+    length is beyond the float range."""
     import numpy as np
 
     other = 1 - axis
-    rows = [(normal[axis], normal[other], offset) for normal, offset in p.halfspaces]
+    rows = [(rational(normal[axis]), rational(normal[other]), rational(offset))
+            for normal, offset in p.halfspaces]
     chords = []
     for s in centers.tolist():
-        lo, hi = -math.inf, math.inf
+        lo, hi, q = -math.inf, math.inf, rational(s)
         for along, across, offset in rows:
-            c = offset - along * s
+            c = offset - along * q
             if across > 0:
                 hi = min(hi, c / across)
             elif across < 0:
@@ -437,7 +440,7 @@ def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
                 chords.append(0.0)
                 break
         else:
-            chords.append(max(hi - lo, 0.0))
+            chords.append(nearest_double(max(hi - lo, 0)))
             if not math.isfinite(chords[-1]):
                 raise DomainError(f"the slice at s={s} has length {chords[-1]}, "
                                   "outside the float range")

@@ -190,8 +190,10 @@ def test_density_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["density", "--samples", "100000", "--bins", "10", "--seed", "160"]
     # this run misses the 3% gate: bin 5 lies 3.4 standard errors (3.22%)
-    # below its exact bin average; the CSV is written all the same
+    # below its exact bin average, and the message names it; the CSV is
+    # written all the same
     assert main(argv + ["--output", str(a)]) == 1
+    assert "max relative error 0.0322 (worst bin 5 at t=2.7)" in capsys.readouterr().out
     assert main(argv + ["--output", str(b)]) == 1
     assert a.read_bytes() == b.read_bytes()
 
@@ -811,6 +813,18 @@ def test_lazy_package_names():
     assert dhlab.HPolytope is dhlab.toric.HPolytope
     with pytest.raises(AttributeError, match="no_such_name"):
         dhlab.no_such_name
+
+
+def test_readme_library_example_runs():
+    # the README's library example, run as a user would paste it: it passes
+    # its own assert and prints a max relative error well inside the 3% gate
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    script, = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0 <= float(done.stdout) < 0.03
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,19 @@ def _cancelling_form(rng, degree: int) -> Form:
     return Form(CHART, degree, [(idx, rng.choice(pool)) for idx in tuples])
 
 
+_LARGE_DENOMINATORS = (2**61 - 1, 3**40, 5**27)  # pairwise coprime
+
+
+def _large_denominators(rng, a: Form) -> Form:
+    """a with each coefficient of each term divided by one of
+    _LARGE_DENOMINATORS, so that sums and products meet denominators with
+    no common factor."""
+    return Form(a.chart, a.degree, {
+        idx: Poly(a.chart.dim, {e: c / rng.choice(_LARGE_DENOMINATORS)
+                                for e, c in p.terms.items()})
+        for idx, p in a.terms.items()})
+
+
 def test_d_matches_the_reference_that_sums_polys():
     omega = standard_construction(WINDOW, OmegaParams(Fraction(7, 3), Fraction(-1, 4)))[2]
     omega2 = wedge(omega, omega)
@@ -113,6 +126,8 @@ def test_d_matches_the_reference_that_sums_polys():
     cases += [(random_form(rng, CHART), random_form(rng, CHART)) for _ in range(150)]
     cases += [(_cancelling_form(rng, rng.randint(1, 2)), _cancelling_form(rng, rng.randint(1, 3)))
               for _ in range(150)]
+    cases += [(_large_denominators(rng, random_form(rng, CHART)),
+               _large_denominators(rng, random_form(rng, CHART))) for _ in range(150)]
     for a, b in cases:
         for x in (a, b, wedge(a, b)):
             assert exterior_derivative(x).terms == reference_exterior_derivative(x), x
@@ -138,10 +153,13 @@ def test_index_memo_stays_within_its_bound():
 # ---------------------------------------------------------------------------
 
 def _two_form(rng, chart: Chart, kind: str) -> Form:
-    """A random 2-form: a few tuples (sparse), every tuple (dense), or a sum
-    of dim/2 - 1 products u ^ v of 1-forms with coefficients from a small
-    pool of Polys (cancelling): its rank is below dim, so the matchings of
-    its top Pfaffian cancel to zero."""
+    """A random 2-form: a few tuples (sparse), every tuple (dense), every
+    tuple over large coprime denominators (coprime), or a sum of dim/2 - 1
+    products u ^ v of 1-forms with coefficients from a small pool of Polys
+    (cancelling): its rank is below dim, so the matchings of its top
+    Pfaffian cancel to zero."""
+    if kind == "coprime":
+        return _large_denominators(rng, _two_form(rng, chart, "dense"))
     if kind == "cancelling":
         one, x, y = (Poly.constant(chart.dim, 1), Poly.variable(chart.dim, 0),
                      Poly.variable(chart.dim, chart.dim - 1))
@@ -163,7 +181,7 @@ def test_power_coefficient_matches_the_wedge_powers():
     cancelled = set()  # (dim, k) where a dense or cancelling a^k has a zero coefficient
     for dim in (2, 4, 6, 8):
         chart = Chart(tuple(Variable(f"y{i}", True) for i in range(dim)))
-        for kind in ("sparse", "dense", "cancelling"):
+        for kind in ("sparse", "dense", "coprime", "cancelling"):
             for _ in range(12):
                 a = _two_form(rng, chart, kind)
                 power = Form.scalar(chart, 1)

@@ -447,13 +447,17 @@ def test_compare_reference_is_the_bin_average():
     assert np.all(np.abs(comp.per_bin_z) <= 3)
 
 
-def test_compare_flat_estimate_worst_bin_at_endpoint():
+def test_compare_flat_estimate_worst_bin_at_the_dip():
     bins = 40
     est = normalize(_manual_histogram([1.0] * bins))
     comp = compare(est, RHO, WINDOW)
-    # absolute deviation peaks where rho is largest: the window endpoints
-    assert comp.worst_bin in (0, bins - 1)
-    assert comp.max_rel_error > 1.0  # relative error peaks at the dip instead
+    # the relative error peaks where rho is smallest: the dip at t = 5/2,
+    # between bins 19 and 20, not the endpoints where the absolute
+    # deviation peaks
+    assert comp.worst_bin in (bins // 2 - 1, bins // 2)
+    rel = np.abs(est.density - comp.reference) / comp.reference
+    assert comp.max_rel_error == rel[comp.worst_bin] == rel.max() > 1.0
+    assert np.argmax(np.abs(est.density - comp.reference)) in (0, bins - 1)
 
 
 def test_compare_statistical_run():

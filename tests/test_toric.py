@@ -99,8 +99,8 @@ def test_exact_slice_of_slab_names_the_unbounded_axis():
 
 
 def test_exact2d_profiles_match_the_exact_vertex_oracle():
-    # every chord is within 1e-13 of the exact chord rounded once; the
-    # oracle shares only the exact vertices with dhlab.toric
+    # every chord is the exact chord rounded once; the oracle shares only
+    # the exact vertices with dhlab.toric
     rng = np.random.default_rng(1606)
     worst = 0.0
     for _ in range(50):
@@ -110,7 +110,7 @@ def test_exact2d_profiles_match_the_exact_vertex_oracle():
         want = np.array([exact_chord_2d(polygon, axis, s) for s in profile.grid.tolist()])
         assert np.all(want > 0)
         worst = max(worst, float(np.max(np.abs(profile.volumes - want) / want)))
-    assert worst <= 1e-13
+    assert worst == 0
 
 
 def test_polygon_without_interior_has_zero_exact2d_profile():
