@@ -217,7 +217,7 @@ def cmd_toric(args: argparse.Namespace) -> int:
     from .toric import HPolytope, prekopa_check, slice_profile, suggested_tolerance
 
     with _input("bad polytope JSON"):  # json.JSONDecodeError is a ValueError
-        polytope = HPolytope.from_json(_read(args.input))
+        polytope = HPolytope.from_json_dict(json.loads(_read(args.input)))
     with _input("usage error"):  # incompatible method/axis/bins for this input
         profile = slice_profile(polytope, args.axis, args.bins, method=args.method,
                                 mc_n=args.samples, seed=args.seed)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -506,23 +507,15 @@ def _raw_form(chart: Chart, degree: int, terms: dict) -> Form:
 
 @lru_cache(maxsize=512)
 def _normalize_indices(idx: tuple[int, ...]):
-    """Sort an index tuple, tracking the permutation sign.
-
-    Returns (sign, ascending tuple), or None if an index repeats.  Memoized
-    with a bounded cache: a chart has few index tuples in use at a time.
+    """Sort an index tuple, with the sign of the permutation: the parity of
+    its inversions.  Returns (sign, ascending tuple), or None if an index
+    repeats.  Memoized with a bounded cache: a chart has few index tuples in
+    use at a time.
     """
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):  # insertion sort; tuples are tiny
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None
-    return sign, tuple(lst)
+    if len(set(idx)) < len(idx):
+        return None
+    inversions = sum(a > b for a, b in combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,15 @@ projections are implemented; for a general direction, rotate the polytope
 first.  Every float is a dyadic rational, so each half-space is an exact
 integer row, and the vertices, recession rays and lines are enumerated once
 per polytope in Python integers by the double-description method (Motzkin
-et al. 1953; Fukuda & Prodon 1996).  Emptiness, boundedness along each
-axis, axis ranges and whether the polytope has interior are all read from
-that enumeration, so no float solver decides them.  Monte-Carlo slicing
-takes each bin's bounding box from where segments between vertices cross
-the slicing hyperplane, so no bin solves anything, and builds what does not
-depend on the bin (rows, vertex columns) once per profile.  2-d slicing
-computes every bin's chord in one pass per profile in rationals, from the
-exact half-spaces and bin centre, and rounds it once, so each chord is the
-double nearest the exact one.
+et al. 1953; Fukuda & Prodon 1996).  Emptiness, boundedness, axis ranges
+and whether the polytope has interior are read from that enumeration, so no
+float solver decides them; ``slice_profile`` checks boundedness on every
+axis once.  Monte-Carlo slicing takes each bin's bounding box from where
+segments between vertices cross the slicing hyperplane, so no bin solves
+anything, and builds what does not depend on the bin (rows, vertex columns)
+once per profile.  2-d slicing computes every bin's chord in one pass per
+profile in rationals, from the exact half-spaces and bin centre, and rounds
+it once, so each chord is the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range`` and
 every argument check of ``slice_profile`` run in Python integers and floats;
@@ -29,7 +29,6 @@ numpy loads only when a profile's arrays are built.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -91,17 +90,16 @@ class HPolytope:
 
     @cached_property
     def _vertices(self) -> np.ndarray:
-        """The vertices, one per row, rounded to floats.
+        """The vertices, one per row, rounded to floats, of a polytope that
+        must be bounded: slice_profile checks every axis before it gets here.
 
-        Raises like projection_range if the polytope is empty or unbounded,
-        and DomainError naming the first axis where a vertex is beyond the
-        float range; has no rows if the vertices' exact affine rank is < dim.
+        Raises EmptyPolytopeError if the polytope is empty, and DomainError
+        naming the first axis where a vertex is beyond the float range; has
+        no rows if the vertices' exact affine rank is < dim.
         """
         import numpy as np
 
-        vertices, directions = self._vrep
-        for axis in range(self.dim):
-            _check_bounded(directions, axis)
+        vertices = self._vrep[0]
         pivots, _ = _rref([(*v, 1) for v in vertices], self.dim + 1)
         if len(pivots) <= self.dim:
             return np.empty((0, self.dim))
@@ -132,10 +130,6 @@ class HPolytope:
             if not _is_number(b):
                 raise ValueError(f'"b" of half-space {k} must be a number, got {b!r}')
         return HPolytope(dim, tuple((tuple(h["a"]), h["b"]) for h in halfspaces))
-
-    @staticmethod
-    def from_json(text: str) -> "HPolytope":
-        return HPolytope.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,6 +171,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     independent streams from (seed, axis, bin), so the profile does not
     depend on evaluation order.
     A polytope flat along the axis has no profile: InsufficientDataError.
+    A projection wider than the float range, or too narrow for its bin
+    centres to ascend strictly in floats, raises DomainError.
     """
     axis, bins = integer("axis", axis), integer("bins", bins)
     mc_n, seed = integer("mc_n", mc_n), integer("seed", seed)
@@ -204,6 +200,9 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
 
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
+    if not (np.diff(centers) > 0).all():
+        raise DomainError(f"polytope's projection along axis {axis} is too narrow for "
+                          f"{bins} float bins: [{lo}, {hi}]")
     errs = np.zeros(bins)
     if method == "exact2d":
         return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), errs)

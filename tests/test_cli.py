@@ -524,6 +524,13 @@ _BAD_INPUTS = {
                           None, 1, "error: the slice at s=0.0625 "),
     "overflowing range": (["toric", "--input", "{tmp}/wide.json", "--bins", "8"], None, 1,
                           "error: polytope's projection along axis 0 is wider than the float"),
+    # bins a few ulps wide: their centres do not ascend strictly in floats
+    "subnormal projection": (["toric", "--input", "{tmp}/subnormal.json", "--bins", "8"], None, 1,
+                             "error: polytope's projection along axis 0 is too narrow for 8 "
+                             "float bins: [0.0, 5e-324]"),
+    "projection of 3 ulps": (["toric", "--input", "{tmp}/ulps.json", "--bins", "8"], None, 1,
+                             "error: polytope's projection along axis 0 is too narrow for 8 "
+                             "float bins: "),
     "far polygon vertex": (["toric", "--input", "{tmp}/far2.json", "--axis", "0"], None, 1,
                            "error: polytope's projection along axis 0 is wider than the float"),
     "far polytope vertex": (["toric", "--input", "{tmp}/far3.json", "--axis", "1", "--bins", "4",
@@ -569,6 +576,12 @@ _BAD_INPUT_FILES = {
                  b' {"a": [0, 0, 1], "b": 1e-200}, {"a": [0, 0, -1], "b": 0}]}',
     # [-1e308, 1e308] x [0, 1]: its width along axis 0 is beyond the float range
     "wide.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1e308}, {"a": [-1, 0], "b": 1e308},'
+                 b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    # [0, 5e-324] x [0, 1] and [2**60, 2**60 + 768] x [0, 1]
+    "subnormal.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 5e-324}, {"a": [-1, 0], "b": 0},'
+                      b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    "ulps.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1152921504606847744},'
+                 b' {"a": [-1, 0], "b": -1152921504606846976},'
                  b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
     # x <= 1e600 in [0, oo) x [0, 1] and [0, oo) x [0, 1]^2: a vertex beyond the float range
     "far2.json": b'{"dim": 2, "halfspaces": [{"a": [1e-300, 0], "b": 1e300}, {"a": [-1, 0], "b": 0},'
@@ -777,7 +790,7 @@ sys.modules["numpy"] = None
 import dhlab.toric
 from dhlab import HPolytope, projection_range
 from dhlab.cli import main
-p = HPolytope.from_json(open({simplex3!r}).read())
+p = HPolytope.from_json_dict(json.loads(open({simplex3!r}).read()))
 vertices, directions = p._vrep
 print(json.dumps([len(vertices), len(directions), projection_range(p, 2)]))
 for argv in {[argv for argv, _, _ in cases]!r}:
@@ -825,6 +838,18 @@ def test_readme_library_example_runs():
                           env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert 0 <= float(done.stdout) < 0.03
+
+
+def test_readme_polytope_example_runs(tmp_path, capsys):
+    # the README's polytope input format is a document that dhlab toric takes
+    from dhlab import HPolytope
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text, = re.findall(r"Polytope input format:\n\n```json\n(.*?)```", readme, re.S)
+    assert HPolytope.from_json_dict(json.loads(text)).dim == 2
+    (tmp_path / "polytope.json").write_text(text)
+    assert main(["toric", "--input", str(tmp_path / "polytope.json")]) == 0
+    assert capsys.readouterr().out.endswith("\nslice profile is log-concave\n")
 
 
 # ---------------------------------------------------------------------------

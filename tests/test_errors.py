@@ -10,6 +10,7 @@ from dhlab import (
     Chart,
     CutWindow,
     DegenerateWindowError,
+    DensityEstimate,
     DimensionError,
     EmptyMeasureError,
     Form,
@@ -22,6 +23,7 @@ from dhlab import (
     analytic_dh_density,
     build_connection,
     canonical_chart,
+    compare,
     concavity_discriminant,
     integrate_over_face,
     isolate_roots,
@@ -41,6 +43,9 @@ SQUARE = HPolytope(2, (
 BIVARIATE = Poly(2, {(1, 1): 1})
 X1 = Poly.variable(6, 0)
 FACE = Form.basis(CHART, 0, 1)
+# t - 2 on [1, 4]: mass 3/2 > 0, but negative on the first of three bins
+BELOW_ZERO = Poly(1, {(1,): 1, (0,): -2})
+THREE_BINS = DensityEstimate(np.array([1.5, 2.5, 3.5]), np.ones(3) / 3, np.zeros(3))
 
 
 def _unclosed_report():
@@ -96,6 +101,9 @@ CASES = {
                          "a face needs two distinct axes"),
     "chunk size 0": (lambda: SamplerConfig(1_000, 10, WINDOW, seed=1, chunk_size=0),
                      ValueError, "chunk_size must be positive"),
+    "compare a density negative on a bin": (
+        lambda: compare(THREE_BINS, BELOW_ZERO, CutWindow(1, 4)), ValueError,
+        "analytic density must be strictly positive on the window"),
     "no samples": (lambda: normalize(Histogram(np.linspace(0.5, 4.5, 3), np.ones(2),
                                                np.ones(2), 0)),
                    EmptyMeasureError, "histogram has no samples"),

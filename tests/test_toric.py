@@ -366,7 +366,7 @@ def test_slab_is_unbounded_only_along_its_line():
     with pytest.raises(UnboundedPolytopeError, match="axis 1"):
         projection_range(slab, 1)
     with pytest.raises(UnboundedPolytopeError, match="axis 1"):
-        slab._vertices
+        slice_profile(slab, 0, 8)
 
 
 def test_recession_ray_names_its_axis():
@@ -384,7 +384,7 @@ def test_no_halfspaces_is_unbounded_along_axis_0():
     with pytest.raises(UnboundedPolytopeError, match="axis 0"):
         projection_range(space, 0)
     with pytest.raises(UnboundedPolytopeError, match="axis 0"):
-        space._vertices
+        slice_profile(space, 0, 8)
 
 
 def test_emptiness_takes_precedence_over_unboundedness():
@@ -506,15 +506,22 @@ def test_prekopa_rejects_a_tolerance_that_flags_nothing(tol):
         prekopa_check(f, tol=tol)
 
 
-@pytest.mark.parametrize("rel", [0.0, 0.01, 0.05, 0.1, 0.5, 5.0])
+@pytest.mark.parametrize("rel", [0.0, 0.01, 0.05, 0.1, 0.5, 5.0,
+                                 pytest.param(None, id="no positive bin")])
 def test_suggested_tolerance_is_a_tolerance_prekopa_accepts(rel):
     # from a relative stderr of 4.3%, four of them make (1 + r)^2 / (1 - r)^2 - 1
-    # reach 1, where the midpoint test would flag nothing
-    vols = np.array([1.0, 2.0, 1.5])
-    f = SliceVolumeFn("mc", np.arange(3.0), vols, rel * vols)
+    # reach 1, where the midpoint test would flag nothing; a profile with no
+    # positive bin gets the floor, and prekopa_check refuses it for its bins
+    vols = np.zeros(3) if rel is None else np.array([1.0, 2.0, 1.5])
+    f = SliceVolumeFn("mc", np.arange(3.0), vols, (rel or 0.0) * vols)
     tol = suggested_tolerance(f)
     assert 0 <= tol < 1
-    assert prekopa_check(f, tol).log_concave
+    if rel is None:
+        assert tol == 1e-9
+        with pytest.raises(InsufficientDataError, match="^only 0 positive bins; need at least 3$"):
+            prekopa_check(f, tol)
+    else:
+        assert prekopa_check(f, tol).log_concave
 
 
 def test_prekopa_trims_empty_end_bins():
@@ -639,7 +646,7 @@ def test_polytope_json_round_trip():
     doc = {"dim": 3, "halfspaces": [{"a": list(a), "b": b} for a, b in SIMPLEX3.halfspaces]}
     assert HPolytope.from_json_dict(doc) == SIMPLEX3
     text = json.dumps(doc)
-    assert HPolytope.from_json(text) == SIMPLEX3
+    assert HPolytope.from_json_dict(json.loads(text)) == SIMPLEX3
 
 
 @pytest.mark.parametrize("normal, offset", [
