@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from typing import Sequence
 
 from . import intpoly
@@ -110,13 +110,29 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
 
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[float, float]] = []
-    for run in _runs(flagged):
+    for _, group in groupby(enumerate(flagged), lambda ki: ki[1] - ki[0]):
+        run = [i for _, i in group]
         intervals.append((s[run[0]], s[run[-1]]))
         # strongest violation in the run, on the scale-free surplus
         surplus = {i: f[i - 1] * f[i + 1] - f[i] * f[i] for i in run}
         i = max(run, key=lambda i: surplus[i] / (f[i] * f[i]))
         witnesses.append((s[i], surplus[i]))
     return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
+
+
+def bin_centers(lo: float, hi: float, bins: int, subject: str) -> list[float]:
+    """Centres of the bins of np.linspace(lo, hi, bins + 1), bit for bit.  Raises DomainError
+    naming ``subject`` if the width or a centre is not finite, or the centres do not ascend."""
+    step = (hi - lo) / bins
+    # linspace's edges; it scales k / bins instead where the step underflows
+    # to 0, which moves no edge of a grid whose centres ascend
+    edges = [lo + k * step for k in range(bins)] + [hi]
+    centers = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+    if not all(map(math.isfinite, (hi - lo, *centers))):
+        raise DomainError(f"{subject} is wider than the float range: [{lo}, {hi}]")
+    if any(a >= b for a, b in zip(centers, centers[1:])):
+        raise DomainError(f"{subject} is too narrow for {bins} float bins: [{lo}, {hi}]")
+    return centers
 
 
 def analytic_logconcavity(f: Poly, interval: tuple) -> ViolationReport:
@@ -207,13 +223,3 @@ def _discriminant(c: list) -> list:
     """c c'' - c'^2, which leads with -n a**2 for c = a t**n + ..., n >= 1."""
     d1 = derivative(c)
     return [u - v for u, v in zip_longest(product(c, derivative(d1)), product(d1, d1), fillvalue=0)]
-
-
-def _runs(indices: list[int]) -> list[list[int]]:
-    runs: list[list[int]] = []
-    for i in indices:
-        if runs and i == runs[-1][-1] + 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs

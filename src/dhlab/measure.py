@@ -30,7 +30,7 @@ from numpy.random import Philox, SeedSequence
 from .construction import DIM, T_AXIS, CutWindow, DegenerateWindowError
 from .exterior import Poly
 from .intpoly import integer, nearest_double, rational
-from .logconcavity import DomainError
+from .logconcavity import DomainError, bin_centers
 
 GENERATOR_NAME = "philox4x64-10(counter=s/4+axis*2^64)"
 
@@ -183,18 +183,17 @@ def normalize(h: Histogram) -> DensityEstimate:
 
     Standard errors use the usual weighted-histogram estimator: the variance
     of each bin's weight sum is sum(w^2) - (sum w)^2 / N, scaled down by the
-    total weight times the bin width.  A window whose bin centres, or whose
-    total weight times bin width, overflow the float range is refused.
+    total weight times the bin width.  Raises DomainError as ``bin_centers``
+    does for the window, or if the total weight times bin width overflows.
     """
     if not h.total_weight > 0:
         raise EmptyMeasureError("histogram has no positive weight")
     if h.sample_count <= 0:
         raise EmptyMeasureError("histogram has no samples")
+    lo, hi = float(h.bin_edges[0]), float(h.bin_edges[-1])
+    centers = np.array(bin_centers(lo, hi, h.bins, "window"))
     scale = h.total_weight * h.bin_width
-    with np.errstate(over="ignore"):
-        centers = 0.5 * (h.bin_edges[:-1] + h.bin_edges[1:])
-    if not np.isfinite(np.r_[scale, centers]).all():
-        lo, hi = float(h.bin_edges[0]), float(h.bin_edges[-1])
+    if not np.isfinite(scale):
         raise DomainError(f"window [{lo!r}, {hi!r}] is too wide for float densities: its bin "
                           f"centres or the total weight {h.total_weight:.6g} times the bin "
                           "width overflow")

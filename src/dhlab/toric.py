@@ -22,9 +22,9 @@ once per profile.  2-d slicing computes every bin's chord in one pass per
 profile in rationals, from the exact half-spaces and bin centre, and rounds
 it once, so each chord is the double nearest the exact one.
 
-Construction, JSON validation, the enumeration, ``projection_range`` and
-every argument check of ``slice_profile`` run in Python integers and floats;
-numpy loads only when a profile's arrays are built.
+Construction, JSON validation, the enumeration, ``projection_range``, every
+argument check of ``slice_profile`` and its float bin grid run in Python
+integers and floats; numpy loads only when a profile's arrays are built.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .intpoly import integer, nearest_double, primitive, rational
-from .logconcavity import DomainError, ViolationReport, discrete_logconcavity
+from .logconcavity import DomainError, ViolationReport, bin_centers, discrete_logconcavity
 
 # numpy is imported in each function that builds or reads an array, so that
-# polytopes, their vertices and ranges, and every input error of slice_profile
-# cost no numpy import
+# polytopes, their vertices and ranges, and every input and grid error of
+# slice_profile cost no numpy import
 if TYPE_CHECKING:
     import numpy as np
 
@@ -171,8 +171,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     independent streams from (seed, axis, bin), so the profile does not
     depend on evaluation order.
     A polytope flat along the axis has no profile: InsufficientDataError.
-    A projection wider than the float range, or too narrow for its bin
-    centres to ascend strictly in floats, raises DomainError.
+    A projection whose width or bin centres overflow, or whose centres do not
+    ascend strictly, raises DomainError (``bin_centers``) before numpy loads.
     """
     axis, bins = integer("axis", axis), integer("bins", bins)
     mc_n, seed = integer("mc_n", mc_n), integer("seed", seed)
@@ -191,26 +191,19 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     lo, hi = projection_range(p, axis)
     if not lo < hi:
         raise InsufficientDataError(f"polytope is flat along axis {axis}: it projects to {lo}")
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"polytope's projection along axis {axis} is wider than the "
-                          f"float range: [{lo}, {hi}]")
+    centers = bin_centers(lo, hi, bins, f"polytope's projection along axis {axis}")
     for other in range(p.dim):  # the slices must be bounded too
         _check_bounded(p._vrep[1], other)
     import numpy as np
 
-    edges = np.linspace(lo, hi, bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    if not (np.diff(centers) > 0).all():
-        raise DomainError(f"polytope's projection along axis {axis} is too narrow for "
-                          f"{bins} float bins: [{lo}, {hi}]")
-    errs = np.zeros(bins)
+    grid, errs = np.array(centers), np.zeros(bins)
     if method == "exact2d":
-        return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), errs)
+        return SliceVolumeFn(method, grid, _chords_2d(p, axis, centers), errs)
     vols = np.zeros(bins)
     estimate = _mc_slicer(p, axis, mc_n)
     for i, s in enumerate(centers):
-        vols[i], errs[i] = estimate(float(s), _rng(seed, axis, i))
-    return SliceVolumeFn(method, centers, vols, errs)
+        vols[i], errs[i] = estimate(s, _rng(seed, axis, i))
+    return SliceVolumeFn(method, grid, vols, errs)
 
 
 def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
@@ -328,12 +321,12 @@ def _double_description(rows: list[tuple[int, ...]], width: int) -> list[tuple[i
     """
     basis, _ = _rref(rows, width)
     tight_all = sum(1 << i for i in basis)
-    rays = []
-    for i in basis:
-        (y,) = _null_space([rows[k] for k in basis if k != i], width)
-        if _dot(rows[i], y) > 0:
-            y = tuple(-v for v in y)
-        rays.append((y, tight_all & ~(1 << i)))
+    # one reduction of the basis rows B, tagged with I, gives B^-1; ray k solves B y = -e_k
+    pivots, reduced = _rref([(*rows[i], *(int(j == k) for j in range(width)))
+                             for k, i in enumerate(basis)], width)
+    inverse = [r[width:] for _, r in sorted(zip(pivots.values(), reduced))]
+    rays = [(_integer_row([-x for x in column]), tight_all & ~(1 << i))
+            for i, column in zip(basis, zip(*inverse))]
     for i, row in enumerate(rows):
         if i in basis:
             continue
@@ -415,7 +408,7 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
+def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> np.ndarray:
     """Lengths of the slices of a planar polytope at axis = s for each s in
     ``centers``, each the exact length rounded once: each half-space bounds
     the free coordinate on one side, or empties the slice, in rationals; the
@@ -427,7 +420,7 @@ def _chords_2d(p: HPolytope, axis: int, centers: np.ndarray) -> np.ndarray:
     rows = [(rational(normal[axis]), rational(normal[other]), rational(offset))
             for normal, offset in p.halfspaces]
     chords = []
-    for s in centers.tolist():
+    for s in centers:
         lo, hi, q = -math.inf, math.inf, rational(s)
         for along, across, offset in rows:
             c = offset - along * q

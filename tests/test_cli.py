@@ -531,6 +531,12 @@ _BAD_INPUTS = {
     "projection of 3 ulps": (["toric", "--input", "{tmp}/ulps.json", "--bins", "8"], None, 1,
                              "error: polytope's projection along axis 0 is too narrow for 8 "
                              "float bins: "),
+    # a finite width, but bin centres past 1.7e308 from 2 bins on
+    **{f"overflowing centres, {method} at {bins or 'default'} bins": (
+        ["toric", "--input", "{tmp}/overflow.json", "--method", method, "--samples", "1000",
+         *(["--bins", bins] if bins else [])], None, 1,
+        "error: polytope's projection along axis 0 is wider than the float range: "
+        "[1e+300, 1.7e+308]\n") for method in ("exact2d", "mc") for bins in ("2", None)},
     "far polygon vertex": (["toric", "--input", "{tmp}/far2.json", "--axis", "0"], None, 1,
                            "error: polytope's projection along axis 0 is wider than the float"),
     "far polytope vertex": (["toric", "--input", "{tmp}/far3.json", "--axis", "1", "--bins", "4",
@@ -552,7 +558,12 @@ _BAD_INPUTS = {
                          "error: window [5e-324, 1.5e-323] is too narrow for 2 float bins"),
     "flat window beyond the float centres": (["density", "--flat", "--samples", "1000", "--bins",
                                               "10", "--window", "1e300", "1.7e308"], None, 1,
-                                             "error: window [1e+300, 1.7e+308] is too wide "),
+                                             "error: window is wider than the float range: "
+                                             "[1e+300, 1.7e+308]\n"),
+    # bins 1 ulp wide: 3 distinct centres for 8 bins
+    "window of 2 ulps": (["density", "--window", "1", "1.0000000000000004", "--samples", "1000",
+                          "--bins", "8"], None, 1,
+                         "error: window is too narrow for 8 float bins: [1.0, 1.0000000000000004]\n"),
     "flat window beyond the float scale": (["density", "--flat", "--samples", "1000", "--bins",
                                             "10", "--window", "1", "1e307"], None, 1,
                                            "error: window [1.0, 1e+307] is too wide "),
@@ -583,6 +594,9 @@ _BAD_INPUT_FILES = {
     "ulps.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1152921504606847744},'
                  b' {"a": [-1, 0], "b": -1152921504606846976},'
                  b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
+    # [1e300, 1.7e308] x [0, 1]
+    "overflow.json": b'{"dim": 2, "halfspaces": [{"a": [1, 0], "b": 1.7e308},'
+                     b' {"a": [-1, 0], "b": -1e300}, {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
     # x <= 1e600 in [0, oo) x [0, 1] and [0, oo) x [0, 1]^2: a vertex beyond the float range
     "far2.json": b'{"dim": 2, "halfspaces": [{"a": [1e-300, 0], "b": 1e300}, {"a": [-1, 0], "b": 0},'
                  b' {"a": [0, 1], "b": 1}, {"a": [0, -1], "b": 0}]}',
@@ -763,8 +777,9 @@ sys.stdout.write(verify_stdout)
 
 
 def test_toric_front_runs_without_numpy(tmp_path):
-    # the polytope, its exact vertices and range, and every input error of
-    # dhlab toric come before the first array, so none of them loads numpy
+    # the polytope, its exact vertices and range, its float bins, and every
+    # input error of dhlab toric come before the first array, so none of them
+    # loads numpy
     for name, data in _BAD_INPUT_FILES.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "empty.json").write_text(json.dumps(
@@ -783,6 +798,11 @@ def test_toric_front_runs_without_numpy(tmp_path):
         (["--input", simplex3, "--bins", "0"], 2, "usage error: bins must be positive"),
         (["--input", simplex3, "--samples", "0"], 2,
          "usage error: sample count must be positive"),
+        (["--input", f"{tmp_path}/overflow.json"], 1, "error: polytope's projection along axis 0 "
+         "is wider than the float range: [1e+300, 1.7e+308]"),
+        (["--input", f"{tmp_path}/ulps.json", "--bins", "8"], 1, "error: polytope's projection "
+         "along axis 0 is too narrow for 8 float bins: [1.152921504606847e+18, "
+         "1.1529215046068477e+18]"),
     ]
     script = f"""
 import contextlib, io, json, sys

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from dhlab import (
     discrete_logconcavity,
     isolate_roots,
 )
-from dhlab.logconcavity import positive_on, root_brackets
+from dhlab.logconcavity import bin_centers, positive_on, root_brackets
 from helpers import (
     reference_analytic_logconcavity,
     reference_concavity_discriminant,
@@ -348,6 +349,52 @@ def test_discrete_accepts_offset_bin_centres(lo):
     edges = np.linspace(lo, lo + 1, 41)
     centres = 0.5 * (edges[:-1] + edges[1:])
     assert discrete_logconcavity([(c, 1.0) for c in centres], tol=1e-9).log_concave
+
+
+def _bin_grids(rng: random.Random, count: int):
+    """Seeded (lo, hi, bins): ends subnormal, near 1, near 2**60 and near
+    1.7e308, with widths from 1 ulp of the larger end up to the float range."""
+    ends = (0.0, 5e-324, 1e-310, 1.0, 2.0 ** 60, 1e300, 1e307, 1.7e308)
+    for _ in range(count):
+        lo = rng.choice(ends) * rng.choice((1.0, -1.0))
+        if rng.random() < 0.5:
+            hi = lo + rng.randint(1, 80) * math.ulp(lo)
+        else:
+            hi = rng.choice(ends) * rng.uniform(0.5, 1.0)
+        if lo < hi:
+            yield lo, hi, rng.randint(1, 64)
+
+
+def test_bin_centers_are_linspace_midpoints_bit_for_bit():
+    # numpy is the reference here only: the rule itself runs without it
+    refused = 0
+    for lo, hi, bins in _bin_grids(random.Random(29), 3000):
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.linspace(lo, hi, bins + 1)
+            centres = 0.5 * (edges[:-1] + edges[1:])
+            usable = bool(np.isfinite(hi - lo) and np.isfinite(centres).all()
+                          and (np.diff(centres) > 0).all())
+        if usable:
+            assert np.array(bin_centers(lo, hi, bins, "grid")).tobytes() == centres.tobytes()
+        else:
+            refused += 1
+            with pytest.raises(DomainError, match=rf"^grid is (wider|too narrow) .*"
+                                                  rf"{re.escape(f'[{lo}, {hi}]')}$"):
+                bin_centers(lo, hi, bins, "grid")
+    assert 500 < refused < 2500  # both sides are swept
+
+
+@pytest.mark.parametrize("lo, hi, bins, message", [
+    (1e300, 1.7e308, 2, "grid is wider than the float range: [1e+300, 1.7e+308]"),
+    (-1e308, 1e308, 1, "grid is wider than the float range: [-1e+308, 1e+308]"),
+    (1.0, 1.0000000000000004, 8, "grid is too narrow for 8 float bins: [1.0, 1.0000000000000004]"),
+    # a step that underflows to 0
+    (5e-324, 1.5e-323, 5, "grid is too narrow for 5 float bins: [5e-324, 1.5e-323]"),
+])
+def test_bin_centers_name_the_grid_they_refuse(lo, hi, bins, message):
+    with pytest.raises(DomainError) as err:
+        bin_centers(lo, hi, bins, "grid")
+    assert str(err.value) == message
 
 
 def test_discrete_needs_three_samples():

@@ -342,6 +342,18 @@ def test_vertex_count_matches_qhull_at_stress_size(dim, count):
     assert len(vertices) == len(_rounded(_qhull_vertices(p))) > count
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_enumeration_reduces_a_constant_number_of_times(monkeypatch, dim):
+    # the normals' lines take one reduction, the first cone two (a basis, and
+    # its inverse), whatever the dimension
+    rref, calls = dhlab.toric._rref, []
+    monkeypatch.setattr(dhlab.toric, "_rref", lambda *a: calls.append(a) or rref(*a))
+    for p in (_box((0.0,) * dim, (1.0,) * dim), HPolytope(dim, ())):
+        calls.clear()
+        p._vrep
+        assert len(calls) <= 3
+
+
 def test_vertices_are_exact_rationals():
     # x + 2y <= 1 and 2x + y <= 1 meet at (1/3, 1/3), which no float is
     kite = HPolytope(2, (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
