@@ -45,6 +45,8 @@ class SamplerConfig:
 
     ``chunk_size`` only affects scheduling granularity; the sample stream is
     indexed per sample, so estimates agree across chunk sizes to rounding.
+    A window that cannot be binned in floats raises DomainError before any
+    sample is drawn: as ``bin_centers`` does, or if 1 / bin width overflows.
     """
 
     sample_count: int
@@ -64,6 +66,10 @@ class SamplerConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        lo, hi = self.window.lo, self.window.hi
+        bin_centers(lo, hi, self.bins, "window")
+        if not np.isfinite(self.bins / (hi - lo)):
+            raise DomainError(f"window is too narrow for {self.bins} float bins: [{lo}, {hi}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +133,13 @@ def sample_pushforward(top_poly: Poly, cfg: SamplerConfig, threads: int = 1) -> 
     Deterministic for fixed (top_poly, cfg): see the module docstring for
     the stream-splitting rule.  Bins are half-open [edge, next_edge) with
     the last bin closed.  ``top_poly`` must have the chart's DIM variables.
-    Refuses a window too narrow to bin, weights whose squares or bin sums
-    overflow, and a negative weight: an unverified or degenerate construction.
+    Refuses weights whose squares or bin sums overflow, and a negative
+    weight: an unverified or degenerate construction.
     """
     if top_poly.nvars != DIM:
         raise ValueError(f"top_poly has {top_poly.nvars} variables; the chart has {DIM}")
     lo, hi = cfg.window.lo, cfg.window.hi
-    scale = cfg.bins / (hi - lo)
-    if not np.isfinite(scale):
-        raise DomainError(f"window [{lo!r}, {hi!r}] is too narrow for {cfg.bins} float bins")
+    scale = cfg.bins / (hi - lo)  # finite: SamplerConfig refuses a window it overflows
     starts = list(range(0, cfg.sample_count, cfg.chunk_size))
     key = SeedSequence(int(cfg.seed)).generate_state(2, np.uint64)
     axes = {T_AXIS, *(ax for exps in top_poly.terms for ax, e in enumerate(exps) if e)}
@@ -184,7 +188,7 @@ def normalize(h: Histogram) -> DensityEstimate:
     Standard errors use the usual weighted-histogram estimator: the variance
     of each bin's weight sum is sum(w^2) - (sum w)^2 / N, scaled down by the
     total weight times the bin width.  Raises DomainError as ``bin_centers``
-    does for the window, or if the total weight times bin width overflows.
+    does for the window, or if the total weight times the bin width overflows.
     """
     if not h.total_weight > 0:
         raise EmptyMeasureError("histogram has no positive weight")
@@ -194,9 +198,8 @@ def normalize(h: Histogram) -> DensityEstimate:
     centers = np.array(bin_centers(lo, hi, h.bins, "window"))
     scale = h.total_weight * h.bin_width
     if not np.isfinite(scale):
-        raise DomainError(f"window [{lo!r}, {hi!r}] is too wide for float densities: its bin "
-                          f"centres or the total weight {h.total_weight:.6g} times the bin "
-                          "width overflow")
+        raise DomainError(f"window [{lo!r}, {hi!r}] is too wide for float densities: the "
+                          f"total weight {h.total_weight:.6g} times the bin width overflows")
     density = h.weight_sums / scale
     var = np.maximum(h.weight_sq_sums - h.weight_sums ** 2 / h.sample_count, 0.0)
     stderr = np.sqrt(var) / scale

@@ -23,8 +23,10 @@ profile in rationals, from the exact half-spaces and bin centre, and rounds
 it once, so each chord is the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
-argument check of ``slice_profile`` and its float bin grid run in Python
-integers and floats; numpy loads only when a profile's arrays are built.
+argument check of ``slice_profile``, its float bin grid, its 2-d chords and
+the verdict (``prekopa_check``, ``suggested_tolerance``) run in Python
+integers and floats; numpy loads only to build a profile's arrays and to
+run Monte Carlo.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import TYPE_CHECKING
 from .intpoly import integer, nearest_double, primitive, rational
 from .logconcavity import DomainError, ViolationReport, bin_centers, discrete_logconcavity
 
-# numpy is imported in each function that builds or reads an array, so that
-# polytopes, their vertices and ranges, and every input and grid error of
-# slice_profile cost no numpy import
+# numpy is imported in each function that builds an array, so that polytopes,
+# their vertices and ranges, every input and grid error of slice_profile and
+# the verdict on a profile cost no numpy import
 if TYPE_CHECKING:
     import numpy as np
 
@@ -198,7 +200,7 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
 
     grid, errs = np.array(centers), np.zeros(bins)
     if method == "exact2d":
-        return SliceVolumeFn(method, grid, _chords_2d(p, axis, centers), errs)
+        return SliceVolumeFn(method, grid, np.array(_chords_2d(p, axis, centers)), errs)
     vols = np.zeros(bins)
     estimate = _mc_slicer(p, axis, mc_n)
     for i, s in enumerate(centers):
@@ -213,15 +215,11 @@ def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
     undefined there) and recorded in the report; at least 3 positive bins
     must remain.
     """
-    import numpy as np
-
-    vols = np.asarray(f.volumes, dtype=float)
-    pos = vols > 0
-    if int(pos.sum()) < 3:
-        raise InsufficientDataError(
-            f"only {int(pos.sum())} positive bins; need at least 3")
-    first = int(np.argmax(pos))
-    last = len(vols) - 1 - int(np.argmax(pos[::-1]))
+    vols = [float(v) for v in f.volumes]
+    pos = [i for i, v in enumerate(vols) if v > 0]
+    if len(pos) < 3:
+        raise InsufficientDataError(f"only {len(pos)} positive bins; need at least 3")
+    first, last = pos[0], pos[-1]
     report = discrete_logconcavity(
         list(zip(f.grid[first:last + 1], vols[first:last + 1])), tol)
     return replace(report, trimmed=(first, len(vols) - 1 - last))
@@ -236,13 +234,10 @@ def suggested_tolerance(f: SliceVolumeFn) -> float:
     1e-9 for exact profiles), capped at 0.9: from r = 0.17 on, that slack
     would reach 1, where the midpoint test flags nothing.
     """
-    import numpy as np
-
-    vols = np.asarray(f.volumes, dtype=float)
-    pos = vols > 0
-    if not pos.any():
+    ratios = [float(e) / v for v, e in zip(map(float, f.volumes), f.stderrs) if v > 0]
+    if not ratios:
         return 1e-9
-    r = float(np.max(f.stderrs[pos] / vols[pos])) * _NOISE_STDERRS
+    r = max(ratios) * _NOISE_STDERRS
     if r >= 0.45:
         return 0.9
     return min(0.9, max(1e-9, (1 + r) ** 2 / (1 - r) ** 2 - 1))
@@ -408,14 +403,12 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> np.ndarray:
-    """Lengths of the slices of a planar polytope at axis = s for each s in
-    ``centers``, each the exact length rounded once: each half-space bounds
-    the free coordinate on one side, or empties the slice, in rationals; the
-    polytope must be bounded.  Raises DomainError naming the first s whose
-    length is beyond the float range."""
-    import numpy as np
-
+def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> list[float]:
+    """The lengths, as a list of floats, of the slices of a planar polytope
+    at axis = s for each s in ``centers``, each the exact length rounded once:
+    each half-space bounds the free coordinate on one side, or empties the
+    slice (length 0.0), in rationals; the polytope must be bounded.  Raises
+    DomainError naming the first s whose length is beyond the float range."""
     other = 1 - axis
     rows = [(rational(normal[axis]), rational(normal[other]), rational(offset))
             for normal, offset in p.halfspaces]
@@ -436,7 +429,7 @@ def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> np.ndarray:
             if not math.isfinite(chords[-1]):
                 raise DomainError(f"the slice at s={s} has length {chords[-1]}, "
                                   "outside the float range")
-    return np.array(chords)
+    return chords
 
 
 _BOX_PAD = 64 * sys.float_info.epsilon

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dhlab.cli
+from dhlab import SliceVolumeFn, prekopa_check, suggested_tolerance
 from dhlab.cli import main
 from helpers import rounds_to_root
 
@@ -112,12 +113,15 @@ def test_verify_degenerate_params_fail(capsys):
     assert "nondegeneracy" in err
 
 
-@pytest.mark.parametrize("command", [["verify"], ["logconcavity", "--analytic"]])
+@pytest.mark.parametrize("command", [["verify"], ["logconcavity", "--analytic"],
+                                     ["density", "--samples", "1000", "--bins", "10"]])
 def test_double_root_of_top_power_fails_nondegeneracy(capsys, command):
     # the top power 6 (t - 2)^2 vanishes at t = 2 without changing sign
     code = main(command + ["--window", "0.5", "4.4", "--params", "1", "3"])
     assert code == 1
-    assert "nondegeneracy" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "verification failed: nondegeneracy on [0.5, 4.4]\n" in err
+    assert "bin_center" not in out  # density stops before its CSV
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +188,25 @@ def test_density_non_integer_threads_is_usage_error(capsys, monkeypatch, threads
     assert main(["density", "--samples", "20000", "--bins", "8"]) == 2
     err = capsys.readouterr().err
     assert "DH_LAB_THREADS" in err and repr(threads) in err
+
+
+@pytest.mark.parametrize("lo, hi, bins, message", [
+    # bin centres that do not ascend
+    ("1", "1.0000000000000004", "8", "too narrow for 8 float bins: [1.0, 1.0000000000000004]"),
+    ("5e-324", "1.5e-323", "2", "too narrow for 2 float bins: [5e-324, 1.5e-323]"),
+    # ascending centres, but 40 / (hi - lo) overflows
+    ("1e-310", "3e-310", "40", "too narrow for 40 float bins: [1e-310, 3e-310]"),
+    # a finite width, but bin centres past 1.7e308
+    ("1e300", "1.7e308", "10", "wider than the float range: [1e+300, 1.7e+308]"),
+])
+def test_density_refuses_a_window_it_cannot_bin_before_sampling(capsys, monkeypatch, lo, hi,
+                                                                bins, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("dhlab.measure._chunk_points", fail)
+    assert main(["density", "--window", lo, hi, "--bins", bins]) == 1
+    assert capsys.readouterr() == ("", f"error: window is {message}\n")
 
 
 def test_density_byte_identical_reruns(tmp_path, capsys):
@@ -435,6 +458,21 @@ def test_toric_byte_identical_reruns(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("volumes, verdict", [
+    ([0.0, 1.0, 0.5, 1.0], "NOT log-concave (1 empty end bins trimmed): ((0.625, 0.625),)"),
+    ([1.0, 0.5, 1.0, 0.9], "NOT log-concave: ((0.375, 0.375),)"),
+])
+def test_toric_log_convex_profile_exits_3(capsys, monkeypatch, volumes, verdict):
+    # no convex body has such a profile, so slice_profile is replaced
+    def profile(*args, **kwargs):
+        return SliceVolumeFn("exact2d", np.array([0.125, 0.375, 0.625, 0.875]),
+                             np.array(volumes), np.zeros(4))
+
+    monkeypatch.setattr("dhlab.toric.slice_profile", profile)
+    assert main(["toric", "--input", str(GOLDEN / "polygon.json")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == f"slice profile is {verdict}"
+
+
 def test_no_command_imports_scipy():
     # the toric core is exact integer arithmetic, with numpy for profiles, so
     # no command, toric included, pays for loading scipy
@@ -550,12 +588,16 @@ _BAD_INPUTS = {
                             "error: Liouville weight 6e+300 at t="),
     "overflowing merged sums": (["density", "--params", "4e75", "4e75"], None, 1,
                                 "error: Liouville weight 9.6e+151 at t="),
+    # t^2 overflows on the window, whose float bins are sound
+    "overflowing weights of t": (["density", "--samples", "1000", "--bins", "10",
+                                  "--window", "1e160", "1e200"], None, 1,
+                                 "error: Liouville weight inf at t="),
     "overflowing window": (["density", "--samples", "1000", "--bins", "10",
                             "--window", "1e300", "1.7e308"], None, 1,
-                           "error: Liouville weight nan at t="),
+                           "error: window is wider than the float range: [1e+300, 1.7e+308]\n"),
     "subnormal window": (["density", "--samples", "1000", "--bins", "2",
                           "--window", "5e-324", "1.5e-323"], None, 1,
-                         "error: window [5e-324, 1.5e-323] is too narrow for 2 float bins"),
+                         "error: window is too narrow for 2 float bins: [5e-324, 1.5e-323]\n"),
     "flat window beyond the float centres": (["density", "--flat", "--samples", "1000", "--bins",
                                               "10", "--window", "1e300", "1.7e308"], None, 1,
                                              "error: window is wider than the float range: "
@@ -779,12 +821,14 @@ sys.stdout.write(verify_stdout)
 def test_toric_front_runs_without_numpy(tmp_path):
     # the polytope, its exact vertices and range, its float bins, and every
     # input error of dhlab toric come before the first array, so none of them
-    # loads numpy
+    # loads numpy; nor does the verdict on a profile held in tuples
     for name, data in _BAD_INPUT_FILES.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "empty.json").write_text(json.dumps(
         {"dim": 1, "halfspaces": [{"a": [1], "b": 0}, {"a": [-1], "b": -1}]}))
     simplex3 = str(GOLDEN / "simplex3.json")
+    # grid, volumes and stderrs: an empty end bin and a violation at 0.625
+    profile = ((0.125, 0.375, 0.625, 0.875), (0.0, 1.0, 0.5, 1.0), (0.0, 0.01, 0.02, 0.01))
     cases = [
         (["--input", f"{tmp_path}/bad.json"], 2, "bad polytope JSON: Expecting property name "
          "enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -808,11 +852,14 @@ def test_toric_front_runs_without_numpy(tmp_path):
 import contextlib, io, json, sys
 sys.modules["numpy"] = None
 import dhlab.toric
-from dhlab import HPolytope, projection_range
+from dhlab import HPolytope, SliceVolumeFn, prekopa_check, projection_range, suggested_tolerance
 from dhlab.cli import main
 p = HPolytope.from_json_dict(json.loads(open({simplex3!r}).read()))
 vertices, directions = p._vrep
 print(json.dumps([len(vertices), len(directions), projection_range(p, 2)]))
+f = SliceVolumeFn("mc", *{profile!r})
+tol = suggested_tolerance(f)
+print(json.dumps([tol, prekopa_check(f, tol).to_json_dict()]))
 for argv in {[argv for argv, _, _ in cases]!r}:
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -823,8 +870,11 @@ for argv in {[argv for argv, _, _ in cases]!r}:
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    front, *exits = map(json.loads, done.stdout.splitlines())
+    front, verdict, *exits = map(json.loads, done.stdout.splitlines())
     assert front == [4, 0, [0.0, 1.0]]
+    arrays = SliceVolumeFn("mc", *map(np.array, profile))
+    tol = suggested_tolerance(arrays)
+    assert verdict == [tol, prekopa_check(arrays, tol).to_json_dict()]
     assert exits == [[code, message + "\n"] for _, code, message in cases]
 
 

@@ -226,6 +226,13 @@ def test_verify_flags_tampered_omega():
     report = verify_construction(tampered, WINDOW)
     assert not report.closed
     assert not report.all_passed
+    # each tampering breaks one identity, and the report names that one alone
+    t_dx1_dx2 = t * Form.basis(CHART, 0, 1)  # d of it is dt^dx1^dx2
+    assert (verify_construction(omega + t_dx1_dx2, WINDOW).failed_identities()
+            == ["closedness (d omega = 0)"])
+    dx1_dtheta = Form.basis(CHART, 0, 5)  # its i_dtheta is -dx1
+    assert (verify_construction(omega + dx1_dtheta, WINDOW).failed_identities()
+            == ["moment-map identity (i_dtheta omega = -dt)"])
 
 
 def test_verify_never_raises_on_nonconstant_curvature_face():

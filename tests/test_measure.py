@@ -142,7 +142,7 @@ def test_sampler_rejects_a_weight_of_another_arity():
 @pytest.mark.parametrize("top, window, what, cfg", [
     (Poly.constant(6, Fraction(10) ** 400), WINDOW, "inf at t=", {}),
     (Poly.constant(6, Fraction(6e300)), WINDOW, "6e+300 at t=", {}),
-    (Poly(6, {(0, 0, 0, 0, 2, 0): 1}), CutWindow(1e300, 1.7e308), "inf at t=", {}),
+    (Poly(6, {(0, 0, 0, 0, 2, 0): 1}), CutWindow(1e160, 1e200), "inf at t=", {}),
     # each chunk's squared sums are finite, their merge is not
     (Poly.constant(6, Fraction(10) ** 153), WINDOW, "1e+153 at t=",
      {"sample_count": 10_000, "chunk_size": 100}),
@@ -159,8 +159,17 @@ def test_sampler_refuses_weights_beyond_the_float_range(top, window, what, cfg):
 
 
 def test_sampler_refuses_a_window_too_narrow_to_bin():
-    with pytest.raises(DomainError, match=r"window \[5e-324, 1\.5e-323\] is too narrow"):
-        sample_pushforward(VERIFIED_TOP, SamplerConfig(1_000, 2, CutWindow(5e-324, 1.5e-323), 1))
+    # the plan refuses each before sample_pushforward can draw a sample
+    for lo, hi, bins, message in [
+            # bin centres that do not ascend
+            (1.0, 1.0000000000000004, 8, "too narrow for 8 float bins: [1.0, 1.0000000000000004]"),
+            (5e-324, 1.5e-323, 2, "too narrow for 2 float bins: [5e-324, 1.5e-323]"),
+            # ascending centres, but 40 / (hi - lo) overflows
+            (1e-310, 3e-310, 40, "too narrow for 40 float bins: [1e-310, 3e-310]"),
+            # a finite width, but bin centres past 1.7e308
+            (1e300, 1.7e308, 10, "wider than the float range: [1e+300, 1.7e+308]")]:
+        with pytest.raises(DomainError, match=re.escape(f"window is {message}") + "$"):
+            SamplerConfig(1_000, bins, CutWindow(lo, hi), 1)
 
 
 def test_sampler_refuses_negative_weights():

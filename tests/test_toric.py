@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from dhlab import (
     slice_profile,
     suggested_tolerance,
 )
-from dhlab.toric import _BOX_PAD, _MC_BLOCK, _mc_slicer, _rng
+from dhlab.toric import _BOX_PAD, _MC_BLOCK, _chords_2d, _mc_slicer, _rng
 from helpers import exact_chord_2d, random_polytope, slice_volume_mc, slice_volume_mc_reference
 
 SQUARE = HPolytope(2, (
@@ -120,6 +121,21 @@ def test_polygon_without_interior_has_zero_exact2d_profile():
     for axis in (0, 1):
         profile = slice_profile(diagonal, axis, bins=16, method="exact2d")
         assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
+
+
+def test_exact2d_slice_beyond_a_half_space_is_empty():
+    # 10 x <= 1: the double 0.1 lies beyond 1/10, the double below it does not
+    below = math.nextafter(0.1, 0)
+    strip = HPolytope(2, (((10.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
+                          ((0.0, 1.0), 1.0), ((0.0, -1.0), 0.0)))
+    assert _chords_2d(strip, 0, [0.1, below]) == [0.0, 1.0]
+    assert [exact_chord_2d(strip, 0, s) for s in (0.1, below)] == [0.0, 1.0]
+    # a body one ulp wide, whose one bin centre rounds onto 0.1
+    sliver = HPolytope(2, (((10.0, 0.0), 1.0), ((-1.0, 0.0), -below),
+                           ((0.0, 1.0), 1.0), ((0.0, -1.0), 0.0)))
+    profile = slice_profile(sliver, 0, 1)
+    assert profile.volumes.tolist() == [0.0]
+    assert [exact_chord_2d(sliver, 0, s) for s in profile.grid.tolist()] == [0.0]
 
 
 # ---------------------------------------------------------------------------
