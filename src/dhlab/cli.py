@@ -37,14 +37,13 @@ from .construction import (
     verify_construction,
 )
 from .exterior import Form, Poly
-from .logconcavity import DomainError, analytic_logconcavity, discrete_logconcavity
+from .logconcavity import DISCRETE_TOL, DomainError, analytic_logconcavity, discrete_logconcavity
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
-DISCRETE_TOL = 1e-9
 DENSITY_GATE = 0.03
 
 

@@ -3,8 +3,8 @@
 Two complementary routes:
 
 * a discrete midpoint test on uniformly gridded samples, using the
-  multiplicative inequality f(s)^2 >= f(s-h) f(s+h) (exact for log-affine
-  functions, no transcendental evaluation needed), and
+  multiplicative inequality f(s)^2 >= f(s-h) f(s+h) in integers on the
+  samples' exact values (no transcendental evaluation, no rounding), and
 * an exact route for positive polynomial densities via the concavity
   discriminant g = f*f'' - (f')^2, which has the sign of (log f)''
   wherever f > 0, reporting each root of g correctly rounded.
@@ -16,6 +16,7 @@ when the report carries no violation intervals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, zip_longest
@@ -25,9 +26,7 @@ from . import intpoly
 from .exterior import DimensionError, Poly
 from .intpoly import derivative, nearest_double, product, rational, scaled_value
 
-# The samples discrete_logconcavity accepts: within this range the products
-# f(s-h) f(s+h) and f(s)^2 are finite normal floats.
-SAMPLE_MIN, SAMPLE_MAX = 2.0 ** -511, 2.0 ** 511
+DISCRETE_TOL = 1e-9  # the midpoint test's slack for exact data
 
 
 class DomainError(ValueError):
@@ -43,9 +42,10 @@ class ViolationReport:
     ``log_concave`` holds exactly when ``violation_intervals`` is empty.
     Each witness is an (s, g) pair with g > 0: the local certificate that
     log-concavity fails near s (g is the concavity discriminant for the
-    analytic test and the midpoint surplus f(s-h)f(s+h) - f(s)^2 for the
-    discrete one).  ``trimmed`` counts zero-volume bins dropped from the
-    ends of a sampled profile before testing.
+    analytic test and f(s-h) f(s+h) / f(s)^2 - 1, rounded once and capped
+    at the largest float, for the discrete one).  ``trimmed`` counts
+    zero-volume bins dropped from the ends of a sampled profile before
+    testing.
     """
 
     log_concave: bool
@@ -79,13 +79,13 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
                           tol: float) -> ViolationReport:
     """Midpoint log-concavity test on a uniform grid of (s, f(s)) samples.
 
-    Index i is flagged when f(s_i)^2 < f(s_{i-1}) f(s_{i+1}) (1 - tol); runs
-    of adjacent flagged indices merge into violation intervals.  ``tol`` is
-    a relative (multiplicative) slack in [0, 1), so the verdict is invariant
-    under positive rescaling of f that keeps every sample in [2**-511,
-    2**511], where every product of two samples is a finite normal float.  A
-    sample outside that range, nonpositive or non-finite raises DomainError
-    naming its s.
+    Index i is flagged when r_i (1 - tol) > 1 for the midpoint ratio
+    r_i = f(s_{i-1}) f(s_{i+1}) / f(s_i)^2 of the samples' exact values,
+    decided in integers; runs of adjacent flagged indices merge into
+    violation intervals, each witnessed by (s_i, r_i - 1) at its largest
+    r_i.  ``tol`` is a relative slack in [0, 1), so the verdict is the same
+    for c f at every c > 0 that scales each sample exactly.  A nonpositive
+    or non-finite sample raises DomainError naming its s.
     """
     if not 0 <= tol < 1:  # else 1 - tol <= 0, or NaN, and no index is ever flagged
         raise ValueError(f"tol must be in [0, 1), got {tol!r}")
@@ -95,28 +95,27 @@ def discrete_logconcavity(samples: Sequence[tuple[float, float]],
     for x, fx in pts:
         if not (math.isfinite(x) and math.isfinite(fx) and fx > 0):
             raise DomainError(f"nonpositive or non-finite sample at s={x}; log undefined")
-        if not SAMPLE_MIN <= fx <= SAMPLE_MAX:
-            raise DomainError(f"sample f={fx!r} at s={x} lies outside [2**-511, 2**511], "
-                              f"where the midpoint products overflow or underflow")
     s = [p[0] for p in pts]
-    f = [p[1] for p in pts]
     h = s[1] - s[0]
     slack = 1e-9 * h + 8 * math.ulp(max(map(abs, s)))  # plus the rounding of s
     if h <= 0 or any(abs(b - a - h) > slack for a, b in zip(s, s[1:])):
         raise ValueError("samples must sit on an ascending uniform grid")
 
-    flagged = [i for i in range(1, len(f) - 1)
-               if f[i - 1] * f[i + 1] * (1.0 - tol) - f[i] * f[i] > 0]
+    # the samples times one power of two, as integers: r_i = m[i-1] m[i+1] / m[i]^2
+    ratios = [v.as_integer_ratio() for _, v in pts]
+    scale = max(d for _, d in ratios)
+    m = [n * (scale // d) for n, d in ratios]
+    t, u = rational(tol).as_integer_ratio()  # r_i (1 - tol) > 1 iff r_i (u - t) > u
+    flagged = [i for i in range(1, len(m) - 1) if m[i - 1] * m[i + 1] * (u - t) > m[i] * m[i] * u]
 
     intervals: list[tuple[float, float]] = []
     witnesses: list[tuple[float, float]] = []
     for _, group in groupby(enumerate(flagged), lambda ki: ki[1] - ki[0]):
         run = [i for _, i in group]
         intervals.append((s[run[0]], s[run[-1]]))
-        # strongest violation in the run, on the scale-free surplus
-        surplus = {i: f[i - 1] * f[i + 1] - f[i] * f[i] for i in run}
-        i = max(run, key=lambda i: surplus[i] / (f[i] * f[i]))
-        witnesses.append((s[i], surplus[i]))
+        r = {i: Fraction(m[i - 1] * m[i + 1], m[i] * m[i]) for i in run}
+        i = max(run, key=r.__getitem__)  # the strongest violation in the run
+        witnesses.append((s[i], min(nearest_double(r[i] - 1), sys.float_info.max)))
     return ViolationReport(not intervals, tuple(intervals), tuple(witnesses))
 
 

@@ -24,9 +24,9 @@ it once, so each chord is the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
 argument check of ``slice_profile``, its float bin grid, its 2-d chords and
-the verdict (``prekopa_check``, ``suggested_tolerance``) run in Python
-integers and floats; numpy loads only to build a profile's arrays and to
-run Monte Carlo.
+``suggested_tolerance`` run in Python integers and floats, and
+``prekopa_check`` decides in integers on the bins' exact values; numpy
+loads only to build a profile's arrays and to run Monte Carlo.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .intpoly import integer, nearest_double, primitive, rational
-from .logconcavity import DomainError, ViolationReport, bin_centers, discrete_logconcavity
+from .logconcavity import (DISCRETE_TOL, DomainError, ViolationReport, bin_centers,
+                           discrete_logconcavity)
 
 # numpy is imported in each function that builds an array, so that polytopes,
 # their vertices and ranges, every input and grid error of slice_profile and
@@ -231,16 +232,16 @@ def suggested_tolerance(f: SliceVolumeFn) -> float:
     A relative perturbation r of each bin moves the midpoint ratio
     f(s)^2 / (f(s-h) f(s+h)) by up to (1+r)^2/(1-r)^2; the returned slack
     covers four (_NOISE_STDERRS) standard errors of that worst case (floor
-    1e-9 for exact profiles), capped at 0.9: from r = 0.17 on, that slack
+    DISCRETE_TOL for exact profiles), capped at 0.9: from r = 0.17 on, that slack
     would reach 1, where the midpoint test flags nothing.
     """
     ratios = [float(e) / v for v, e in zip(map(float, f.volumes), f.stderrs) if v > 0]
     if not ratios:
-        return 1e-9
+        return DISCRETE_TOL
     r = max(ratios) * _NOISE_STDERRS
     if r >= 0.45:
         return 0.9
-    return min(0.9, max(1e-9, (1 + r) ** 2 / (1 - r) ** 2 - 1))
+    return min(0.9, max(DISCRETE_TOL, (1 + r) ** 2 / (1 - r) ** 2 - 1))
 
 
 # ---------------------------------------------------------------------------

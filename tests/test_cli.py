@@ -301,17 +301,25 @@ def test_logconcavity_rejects_nonfinite_sample(capsys, tmp_path, bad):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", [
-    "0,2e-200\n1,1e-200\n2,2e-200\n",  # the products underflow to 0 and hide the dip
-    "0,1e300\n1,1\n2,1e300\n",  # the surplus overflows to inf, which JSON cannot hold
+def _refuse_constant(name):
+    raise ValueError(f"{name} is no JSON number")
+
+
+@pytest.mark.parametrize("text, code", [
+    ("0,2e-200\n1,1e-200\n2,2e-200\n", 3),  # float products underflow to 0 and hide the dip
+    ("0,1e300\n1,1\n2,1e300\n", 3),  # a float surplus overflows to inf
+    ("0,1e-200\n1,1e-200\n2,1e-200\n", 0),  # flat, with float products below the range
 ])
-def test_logconcavity_rejects_samples_outside_float_range(capsys, tmp_path, text):
+def test_logconcavity_verdict_at_any_float_scale(capsys, tmp_path, text, code):
     path = tmp_path / "scaled.csv"
     path.write_text(text)
-    assert main(["logconcavity", "--input", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "s=0.0 lies outside [2**-511, 2**511]" in captured.err
-    assert captured.out == ""
+    assert main(["logconcavity", "--input", str(path)]) == code
+    payload, verdict = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+    report = json.loads(payload, parse_constant=_refuse_constant)  # strict JSON
+    assert report["log_concave"] == (code == 0)
+    assert verdict.startswith("log-concave: yes" if code == 0 else "log-concave: NO")
+    assert len(report["witnesses"]) == len(report["intervals"]) == (code == 3)
+    assert all(math.isfinite(g) and g > 0 for _, g in report["witnesses"])
 
 
 @pytest.mark.parametrize("text", [
@@ -362,6 +370,16 @@ def test_toric_cube_flat_profile(capsys, tmp_path):
     assert code == 0
     rows = _read_csv(out)
     assert np.allclose(rows[:, 1], 1.0, atol=0.02)
+
+
+def test_toric_thin_box_is_log_concave(capsys, tmp_path):
+    # [0, 1] x [0, 1e-200]: every chord is 1e-200, whose float products underflow
+    poly = tmp_path / "thin.json"
+    poly.write_text(json.dumps({"dim": 2, "halfspaces": [
+        {"a": [1, 0], "b": 1}, {"a": [-1, 0], "b": 0},
+        {"a": [0, 1], "b": 1e-200}, {"a": [0, -1], "b": 0}]}))
+    assert main(["toric", "--input", str(poly)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "slice profile is log-concave"
 
 
 def test_toric_malformed_json(capsys, tmp_path):
@@ -950,8 +968,8 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == \
         "log-concave: NO; violations on (1.633974596, 3.366025404)"
 
-    # the discrete route on a grid whose witness surplus f(s-h) f(s+h) - f(s)*f(s)
-    # differs in its last bit from the one computed with libm's f(s)**2
+    # the discrete route on a grid whose witness, the exact r - 1 rounded once,
+    # differs in its last bits from every float route to it
     assert main(["logconcavity", "--input", str(GOLDEN / "karshon_grid.csv")]) == 3
     assert capsys.readouterr().out.encode() == \
         (GOLDEN / "logconcavity_input.stdout").read_bytes()

@@ -4,7 +4,8 @@ Each property is the CLI's contract: whatever the input, ``main`` returns an
 exit code in 0-3 (or argparse exits 2), no other exception escapes, no
 warning is issued, exits 1 and 2 print a message without a traceback, every
 CSV printed has a finite, strictly ascending first column, and a second run
-of the same argv gives the same code, stdout, stderr and output file.  The
+of the same argv gives the same code, stdout, stderr and output file.  A
+samples file rescaled by a power of two keeps its exit code and report.  The
 sweeps are seeded, so a failure names an argv that reproduces it.
 
 Budget: the whole file runs in under 10 s on 2 vCPUs (4 to 5 s measured);
@@ -171,6 +172,13 @@ def _samples_csv(rng: random.Random) -> str:
     return "\n".join(lines + [",".join(row) for row in rows]) + "\n"
 
 
+# profiles with values in [1, 8): a dip, a log-convex run, a log-concave hump and
+# the geometric equality case; 2**k for -1022 <= k <= 1020 scales each sample
+# exactly to a normal float
+_SCALED_PROFILES = {(4.0, 1.0, 4.0, 4.0): 3, (1.0, 1.5, 3.0, 7.5): 3,
+                    (1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0): 0, (1.0, 2.0, 4.0): 0}
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_samples_csv_sweep(tmp_path, capsys, seed):
     rng = random.Random(seed)
@@ -180,6 +188,16 @@ def test_samples_csv_sweep(tmp_path, capsys, seed):
         flags, output = _output(rng, tmp_path)
         _check_run(["logconcavity", "--input", str(path), *flags], capsys, path.read_text(),
                    output)
+    # the verdict, its intervals and its witnesses are the same at every scale
+    output = tmp_path / "report.json"
+    for values, want in _SCALED_PROFILES.items():
+        seen = set()
+        for k in (0, rng.randint(-1022, -500), rng.randint(-500, 500), rng.randint(500, 1020)):
+            path.write_text("".join(f"{j},{v * 2.0 ** k!r}\n" for j, v in enumerate(values)))
+            code = _check_run(["logconcavity", "--input", str(path), "--output", str(output)],
+                              capsys, path.read_text(), output)
+            seen.add((code, output.read_text()))
+        assert len(seen) == 1 and next(iter(seen))[0] == want, (values, seen)
 
 
 def _polytope_doc(rng: random.Random) -> str:

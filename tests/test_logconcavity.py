@@ -307,23 +307,29 @@ def test_discrete_rejects_nonfinite_samples(bad):
         discrete_logconcavity([(0.0, 1.0), (float("nan"), 1.0), (0.2, 1.0)], tol=1e-9)
 
 
-@pytest.mark.parametrize("scale", [2.0 ** -511, 2.0 ** 510])
-def test_discrete_verdict_is_scale_invariant_in_float_range(scale):
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** -511, 2.0 ** 510, 2.0 ** 1000])
+def test_discrete_verdict_is_scale_invariant(scale):
+    # the ratios r_i and so the witnesses r_i - 1 are scale-free
     samples = [(0.0, 2.0), (1.0, 1.0), (2.0, 2.0)]
     want = discrete_logconcavity(samples, tol=1e-9)
     got = discrete_logconcavity([(s, f * scale) for s, f in samples], tol=1e-9)
     assert not want.log_concave
     assert got.violation_intervals == want.violation_intervals
+    assert got.witness_points == want.witness_points == ((1.0, 3.0),)
 
 
-@pytest.mark.parametrize("samples, at", [
-    ([(0.0, 2e-200), (1.0, 1e-200), (2.0, 2e-200)], "s=0.0"),  # products underflow to 0
-    ([(0.0, 1.0), (1.0, 1e300), (2.0, 1.0)], "s=1.0"),  # f**2 overflows
-    ([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0 ** -512)], "s=2.0"),
+@pytest.mark.parametrize("samples, log_concave", [
+    ([(0.0, 2e-200), (1.0, 1e-200), (2.0, 2e-200)], False),  # float products underflow to 0
+    ([(0.0, 1.0), (1.0, 1e300), (2.0, 1.0)], True),  # f**2 overflows
+    ([(0.0, 1.0), (1.0, 1.0), (2.0, 2.0 ** -512)], True),
+    ([(0.0, 1e300), (1.0, 1.0), (2.0, 1e300)], False),  # the float surplus overflows
 ])
-def test_discrete_rejects_samples_outside_float_range(samples, at):
-    with pytest.raises(DomainError, match=at):
-        discrete_logconcavity(samples, tol=1e-9)
+def test_discrete_verdict_beyond_float_products(samples, log_concave):
+    report = discrete_logconcavity(samples, tol=1e-9)
+    assert report.log_concave is log_concave
+    assert len(report.witness_points) == (not log_concave)
+    # r - 1 cannot underflow, and a ratio past the float range is capped
+    assert all(0 < g <= sys.float_info.max for _, g in report.witness_points)
 
 
 def test_discrete_rejects_nonuniform_grid():
@@ -456,30 +462,46 @@ def _profiles():
         yield [(k / 8, rng.uniform(0.1, 10.0)) for k in range(rng.randint(3, 40))]
 
 
+def _exact_report(samples, tol):
+    """The midpoint test in Fractions: the flagged runs as (first, last, i)
+    with i the index of the run's largest r_i, and each r_i."""
+    f = [Fraction(v) for _, v in samples]
+    r = {i: f[i - 1] * f[i + 1] / f[i] ** 2 for i in range(1, len(f) - 1)}
+    runs = []
+    for i in r:
+        if r[i] * (1 - Fraction(tol)) > 1:
+            if runs and runs[-1][1] == i - 1:
+                first, _, best = runs.pop()
+                runs.append((first, i, best if r[best] >= r[i] else i))
+            else:
+                runs.append((i, i, i))
+    return runs, r
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_discrete_witness_is_the_surplus_that_flagged_it(tol):
-    # the witness surplus is f(s-h) f(s+h) - f(s)*f(s), the very products
-    # the flag test forms, so a reported witness is bit-identical to it
+    # flags and witnesses against the exact inequality r_i (1 - tol) > 1 and the
+    # exact surplus r_i - 1 of each run's largest r_i, rounded once
     for samples in _profiles():
         rep = discrete_logconcavity(samples, tol)
         s = [x for x, _ in samples]
-        f = [v for _, v in samples]
-        assert len(rep.witness_points) == len(rep.violation_intervals)
-        for (ws, wg), (lo, hi) in zip(rep.witness_points, rep.violation_intervals):
-            i = s.index(ws)
-            assert lo <= ws <= hi
-            assert f[i - 1] * f[i + 1] * (1.0 - tol) - f[i] * f[i] > 0  # flagged
-            assert wg == f[i - 1] * f[i + 1] - f[i] * f[i]
+        runs, r = _exact_report(samples, tol)
+        assert rep.violation_intervals == tuple((s[a], s[b]) for a, b, _ in runs)
+        assert rep.witness_points == tuple((s[i], float(r[i] - 1)) for _, _, i in runs)
 
 
 def test_karshon_grid_witness_uses_the_flag_square():
+    # the witness is r - 1 of the exact ratio over the exact f(s)^2, rounded
+    # once; the float quotient of the float surplus differs in its last bits
     samples = list(_profiles())[0]
     (ws, wg), = discrete_logconcavity(samples, 1e-9).witness_points
     s = [x for x, _ in samples]
     f = [v for _, v in samples]
     i = s.index(ws)
-    assert wg == f[i - 1] * f[i + 1] - f[i] * f[i] == 0.002220351178180091
-    assert wg != f[i - 1] * f[i + 1] - f[i] ** 2  # libm pow differs in the last bit
+    (_, _, best), = _exact_report(samples, 1e-9)[0]
+    assert i == best
+    assert wg == 0.003944545662317196
+    assert wg != (f[i - 1] * f[i + 1] - f[i] * f[i]) / (f[i] * f[i])
 
 
 # ---------------------------------------------------------------------------
