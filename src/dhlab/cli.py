@@ -145,7 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     # .measure imports numpy, so only density imports it, and verify and
-    # logconcavity start without it; .toric loads numpy only to build a profile
+    # logconcavity start without it; .toric loads numpy only to run Monte Carlo
     from .measure import GENERATOR_NAME, SamplerConfig, compare, normalize, sample_pushforward
 
     _, report = _construct_and_verify(args)
@@ -228,8 +228,7 @@ def cmd_toric(args: argparse.Namespace) -> int:
         f"# polytope: dim={polytope.dim} halfspaces={len(polytope.halfspaces)}",
         "s,volume,stderr",
     ]
-    lines += [f"{s!r},{v!r},{e!r}" for s, v, e in
-              zip(profile.grid.tolist(), profile.volumes.tolist(), profile.stderrs.tolist())]
+    lines += [f"{s!r},{v!r},{e!r}" for s, v, e in profile.rows]
     _emit(args.output, lines)
 
     trimmed = sum(result.trimmed)

@@ -7,26 +7,27 @@ In the half-dimensional torus-action picture the polytope is a moment
 image carrying density one, so the slice profile along an axis is exactly
 the pushforward density of the circle subaction for that axis.
 
-Polytopes are half-space systems {x : a.x <= b}.  Only coordinate-axis
-projections are implemented; for a general direction, rotate the polytope
-first.  Every float is a dyadic rational, so each half-space is an exact
-integer row, and the vertices, recession rays and lines are enumerated once
-per polytope in Python integers by the double-description method (Motzkin
-et al. 1953; Fukuda & Prodon 1996).  Emptiness, boundedness, axis ranges
-and whether the polytope has interior are read from that enumeration, so no
-float solver decides them; ``slice_profile`` checks boundedness on every
-axis once.  Monte-Carlo slicing takes each bin's bounding box from where
-segments between vertices cross the slicing hyperplane, so no bin solves
-anything, and builds what does not depend on the bin (rows, vertex columns)
-once per profile.  2-d slicing computes every bin's chord in one pass per
-profile in rationals, from the exact half-spaces and bin centre, and rounds
-it once, so each chord is the double nearest the exact one.
+Polytopes are half-space systems {x : a.x <= b}, sliced along coordinate
+axes only (a general circle needs an irrational rotation, which loses the
+lattice normalization |xi|).  Every float is a dyadic rational, so each
+half-space is an exact integer row; the double-description method (Motzkin
+et al. 1953; Fukuda & Prodon 1996) enumerates the vertices, recession rays
+and lines once per polytope, by fraction-free elimination in Python
+integers.  Emptiness, boundedness and axis ranges are read from that
+enumeration, and a polytope lacks interior when a half-space is tight at
+every vertex, so no float solver decides them; ``slice_profile`` checks
+boundedness on every axis once.  Monte-Carlo slicing takes each bin's
+bounding box from where segments between vertices cross the slicing
+hyperplane, so no bin solves anything, and builds what does not depend on
+the bin (rows, vertex columns) once per profile.  2-d slicing computes
+every bin's chord in one pass per profile in integers and rounds it once,
+so each chord is the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
 argument check of ``slice_profile``, its float bin grid, its 2-d chords and
 ``suggested_tolerance`` run in Python integers and floats, and
 ``prekopa_check`` decides in integers on the bins' exact values; numpy
-loads only to build a profile's arrays and to run Monte Carlo.
+loads only to run Monte Carlo and to build a profile's arrays on first read.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
-from .intpoly import integer, nearest_double, primitive, rational
+from .intpoly import integer, nearest_double, primitive
 from .logconcavity import (DISCRETE_TOL, DomainError, ViolationReport, bin_centers,
                            discrete_logconcavity)
 
@@ -86,8 +87,9 @@ class HPolytope:
         object.__setattr__(self, "halfspaces", tuple(hs))
 
     @cached_property
-    def _vrep(self) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
-        """The exact vertices, and the recession rays and lines, found once;
+    def _vrep(self) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]], list[int]]:
+        """The exact vertices, the recession rays and lines, and each vertex's
+        tight set (a bitset over indices into ``halfspaces``), found once;
         raises EmptyPolytopeError if there is no vertex."""
         return _enumerate(self.dim, self.halfspaces)
 
@@ -98,13 +100,13 @@ class HPolytope:
 
         Raises EmptyPolytopeError if the polytope is empty, and DomainError
         naming the first axis where a vertex is beyond the float range; has
-        no rows if the vertices' exact affine rank is < dim.
+        no rows if a half-space is tight at every vertex, so on their hull: an
+        implicit equality, which a nonempty bounded polytope has iff it has no interior.
         """
         import numpy as np
 
-        vertices = self._vrep[0]
-        pivots, _ = _rref([(*v, 1) for v in vertices], self.dim + 1)
-        if len(pivots) <= self.dim:
+        vertices, _, tights = self._vrep
+        if reduce(int.__and__, tights):
             return np.empty((0, self.dim))
         rounded = np.array([[nearest_double(x) for x in v] for v in vertices])
         beyond = np.flatnonzero(~np.isfinite(rounded).all(axis=0))
@@ -135,18 +137,29 @@ class HPolytope:
         return HPolytope(dim, tuple((tuple(h["a"]), h["b"]) for h in halfspaces))
 
 
-@dataclass(frozen=True, eq=False)
 class SliceVolumeFn:
     """Sampled slice-volume profile along one coordinate axis.
 
     Volumes vanish outside the projection interval and, by convexity of the
-    body, the positive bins form a single contiguous run.
+    body, the positive bins form a single contiguous run.  ``rows`` holds
+    ``(s, volume, stderr)`` floats; its columns ``grid``, ``volumes`` and
+    ``stderrs`` are numpy arrays, built (and numpy imported) on first use.
     """
 
-    method: str  # "exact2d" or "mc": the slicing method that built it
-    grid: np.ndarray
-    volumes: np.ndarray
-    stderrs: np.ndarray
+    def __init__(self, method: str, grid, volumes, stderrs):
+        self.method = method  # "exact2d" or "mc": the slicing method that built it
+        self.rows = tuple(zip(map(float, grid), map(float, volumes), map(float, stderrs),
+                              strict=True))
+
+    def _column(k: int):
+        def column(self) -> np.ndarray:
+            import numpy as np
+
+            return np.array([row[k] for row in self.rows])
+        return cached_property(column)
+
+    grid, volumes, stderrs = map(_column, range(3))
+    del _column
 
 
 def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
@@ -158,7 +171,7 @@ def projection_range(p: HPolytope, axis: int) -> tuple[float, float]:
     axis = integer("axis", axis)
     if not 0 <= axis < p.dim:
         raise ValueError(f"axis {axis} out of range for dim {p.dim}")
-    vertices, directions = p._vrep
+    vertices, directions, _ = p._vrep
     _check_bounded(directions, axis)
     coords = [v[axis] for v in vertices]
     return nearest_double(min(coords)), nearest_double(max(coords))
@@ -197,16 +210,11 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     centers = bin_centers(lo, hi, bins, f"polytope's projection along axis {axis}")
     for other in range(p.dim):  # the slices must be bounded too
         _check_bounded(p._vrep[1], other)
-    import numpy as np
-
-    grid, errs = np.array(centers), np.zeros(bins)
     if method == "exact2d":
-        return SliceVolumeFn(method, grid, np.array(_chords_2d(p, axis, centers)), errs)
-    vols = np.zeros(bins)
+        return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), [0.0] * bins)
     estimate = _mc_slicer(p, axis, mc_n)
-    for i, s in enumerate(centers):
-        vols[i], errs[i] = estimate(s, _rng(seed, axis, i))
-    return SliceVolumeFn(method, grid, vols, errs)
+    vols, errs = zip(*(estimate(s, _rng(seed, axis, i)) for i, s in enumerate(centers)))
+    return SliceVolumeFn(method, centers, vols, errs)
 
 
 def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
@@ -216,14 +224,12 @@ def prekopa_check(f: SliceVolumeFn, tol: float) -> ViolationReport:
     undefined there) and recorded in the report; at least 3 positive bins
     must remain.
     """
-    vols = [float(v) for v in f.volumes]
-    pos = [i for i, v in enumerate(vols) if v > 0]
+    pos = [i for i, (_, v, _) in enumerate(f.rows) if v > 0]
     if len(pos) < 3:
         raise InsufficientDataError(f"only {len(pos)} positive bins; need at least 3")
     first, last = pos[0], pos[-1]
-    report = discrete_logconcavity(
-        list(zip(f.grid[first:last + 1], vols[first:last + 1])), tol)
-    return replace(report, trimmed=(first, len(vols) - 1 - last))
+    report = discrete_logconcavity([(s, v) for s, v, _ in f.rows[first:last + 1]], tol)
+    return replace(report, trimmed=(first, len(f.rows) - 1 - last))
 
 
 def suggested_tolerance(f: SliceVolumeFn) -> float:
@@ -235,7 +241,7 @@ def suggested_tolerance(f: SliceVolumeFn) -> float:
     DISCRETE_TOL for exact profiles), capped at 0.9: from r = 0.17 on, that slack
     would reach 1, where the midpoint test flags nothing.
     """
-    ratios = [float(e) / v for v, e in zip(map(float, f.volumes), f.stderrs) if v > 0]
+    ratios = [e / v for _, v, e in f.rows if v > 0]
     if not ratios:
         return DISCRETE_TOL
     r = max(ratios) * _NOISE_STDERRS
@@ -280,8 +286,9 @@ def _check_bounded(directions: list[tuple[int, ...]], axis: int) -> None:
 
 
 def _enumerate(dim: int, halfspaces) -> tuple[list[tuple[Fraction, ...]],
-                                              list[tuple[int, ...]]]:
-    """Exact vertices, and recession rays and lines, of {x : a.x <= b}.
+                                              list[tuple[int, ...]], list[int]]:
+    """Exact vertices, recession rays and lines, and the vertices' tight sets
+    (bitsets over the half-spaces' indices) of {x : a.x <= b}.
 
     Each half-space becomes the primitive integer row (a, -b) of the cone
     {(x, l) : a.x <= b l, l >= 0}, whose extreme rays with l > 0 are the
@@ -289,42 +296,46 @@ def _enumerate(dim: int, halfspaces) -> tuple[list[tuple[Fraction, ...]],
     R^dim, the lines are a basis of their null space; the polytope is cut
     to the normals' span (x orthogonal to each line) so the cone is pointed.
     """
-    rows = [_integer_row([*map(rational, normal), -rational(offset)])
-            for normal, offset in halfspaces]
-    rows = [row for row in rows if any(row)]
+    rows = [_integer_row([*normal, -offset]) for normal, offset in halfspaces]
     lines = _null_space([row[:dim] for row in rows], dim)
     rows += [(*sign, 0) for n in lines for sign in (n, tuple(-v for v in n))]
     rows.append((0,) * dim + (-1,))
     rays = _double_description(rows, dim + 1)
-    vertices = [tuple(Fraction(v, y[-1]) for v in y[:-1]) for y in rays if y[-1]]
+    vertices = [(tuple(Fraction(v, y[-1]) for v in y[:-1]), t) for y, t in rays if y[-1]]
     if not vertices:
         raise EmptyPolytopeError("half-space system is infeasible")
-    return vertices, lines + [y[:-1] for y in rays if not y[-1]]
+    mask = (1 << len(halfspaces)) - 1
+    return ([v for v, _ in vertices], lines + [y[:-1] for y, _ in rays if not y[-1]],
+            [t & mask for _, t in vertices])
 
 
-def _double_description(rows: list[tuple[int, ...]], width: int) -> list[tuple[int, ...]]:
+def _double_description(rows: list[tuple[int, ...]],
+                        width: int) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays, as primitive integer vectors, of the pointed cone
-    {y : r.y <= 0 for each row r}; the rows must span R^width.
+    {y : r.y <= 0 for each row r}, each with its tight set: the bitset over
+    row indices of the nonzero rows with r.y = 0.  The rows must span R^width.
 
     Starts from the simplicial cone of width independent rows and adds the
     other rows one at a time.  Rays in a new half-space stay (those on its
     hyperplane gain it as a tight row), rays outside go, and each pair of
     adjacent rays on opposite sides gives the ray where their 2-face
-    crosses the new hyperplane.  Two rays are
+    crosses the new hyperplane; a row of zeros is skipped.  Two rays are
     adjacent when their common tight rows number at least width - 2 and
     no third ray is tight on all of them (the combinatorial test of Fukuda
-    & Prodon); tight sets are bitsets over the row indices.
+    & Prodon).
     """
     basis, _ = _rref(rows, width)
     tight_all = sum(1 << i for i in basis)
-    # one reduction of the basis rows B, tagged with I, gives B^-1; ray k solves B y = -e_k
+    # one reduction of the basis rows B, tagged with I, gives each row of B^-1
+    # times a positive integer: its row's pivot entry; ray k solves B y = -e_k
     pivots, reduced = _rref([(*rows[i], *(int(j == k) for j in range(width)))
                              for k, i in enumerate(basis)], width)
-    inverse = [r[width:] for _, r in sorted(zip(pivots.values(), reduced))]
-    rays = [(_integer_row([-x for x in column]), tight_all & ~(1 << i))
-            for i, column in zip(basis, zip(*inverse))]
+    inverse = [r for _, r in sorted(zip(pivots.values(), reduced))]
+    den = math.lcm(*(r[c] for c, r in enumerate(inverse)))
+    rays = [(tuple(primitive([den // r[c] * -r[width + k] for c, r in enumerate(inverse)])),
+             tight_all & ~(1 << i)) for k, i in enumerate(basis)]
     for i, row in enumerate(rows):
-        if i in basis:
+        if i in basis or not any(row):
             continue
         bit = 1 << i
         signs = [_dot(row, y) for y, _ in rays]
@@ -346,87 +357,97 @@ def _double_description(rows: list[tuple[int, ...]], width: int) -> list[tuple[i
                 kept.append((tuple(primitive([sp * b - sn * a for a, b in zip(yp, yn)])),
                              common | bit))
         rays = kept
-    return [y for y, _ in rays]
+    return rays
 
 
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _integer_row(values: list[Fraction]) -> tuple[int, ...]:
-    """The primitive integer multiple of a rational vector."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(primitive([v.numerator * (den // v.denominator) for v in values]))
+def _integer_row(values) -> tuple[int, ...]:
+    """The primitive integer multiple of a vector of ints, Fractions or floats."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return tuple(primitive([n * (den // d) for n, d in ratios]))
 
 
-def _rref(rows, width: int) -> tuple[dict[int, int], list[list[Fraction]]]:
-    """Gauss-Jordan elimination over the rationals, row by row in order.
+def _rref(rows, width: int) -> tuple[dict[int, int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in order.
 
     Returns {index of each row independent of the rows before it: its pivot
     column}, stopping at rank ``width``, and the reduced rows in the same
-    order, each 1 at its own pivot and 0 at the others.
+    order, each the primitive integer multiple, positive at its own pivot,
+    of the rational reduced row, which is 0 at the other pivots.
     """
-    reduced: list[list[Fraction]] = []
+    reduced: list[list[int]] = []
     pivots: dict[int, int] = {}
     for i, row in enumerate(rows):
         if len(pivots) == width:
             break
-        v = [Fraction(x) for x in row]
+        v = list(row)
         for c, r in zip(pivots.values(), reduced):
             if v[c]:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, r)]
+                v = _eliminate(v, r, c)
         c = next((k for k, x in enumerate(v) if x), None)
         if c is None:
             continue
-        v = [x / v[c] for x in v]
-        for r in reduced:
-            if r[c]:
-                f = r[c]
-                r[:] = [x - f * y for x, y in zip(r, v)]
+        v = primitive(v if v[c] > 0 else [-x for x in v])
+        reduced[:] = [_eliminate(r, v, c) if r[c] else r for r in reduced]
         reduced.append(v)
         pivots[i] = c
     return pivots, reduced
+
+
+def _eliminate(v: list[int], r: list[int], c: int) -> list[int]:
+    """v - (v[c] / r[c]) r, 0 at c, as a primitive integer row: a positive
+    multiple, as r[c] > 0."""
+    g = math.gcd(v[c], r[c])
+    return primitive([r[c] // g * x - v[c] // g * y for x, y in zip(v, r)])
 
 
 def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     """A basis of {y : r.y = 0 for each row r}, as primitive integer vectors,
     one per column without a pivot."""
     pivots, reduced = _rref(rows, width)
+    den = math.lcm(*(r[c] for c, r in zip(pivots.values(), reduced)))
     basis = []
     for free in range(width):
         if free in pivots.values():
             continue
-        y = [Fraction(int(k == free)) for k in range(width)]
+        y = [den * (k == free) for k in range(width)]
         for c, r in zip(pivots.values(), reduced):
-            y[c] = -r[free]
-        basis.append(_integer_row(y))
+            y[c] = den // r[c] * -r[free]
+        basis.append(tuple(primitive(y)))
     return basis
 
 
 def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> list[float]:
     """The lengths, as a list of floats, of the slices of a planar polytope
-    at axis = s for each s in ``centers``, each the exact length rounded once:
-    each half-space bounds the free coordinate on one side, or empties the
-    slice (length 0.0), in rationals; the polytope must be bounded.  Raises
-    DomainError naming the first s whose length is beyond the float range."""
+    at axis = s for each s in ``centers``, each the exact length rounded once;
+    the polytope must be bounded.  With s = num / den, each half-space, a
+    primitive integer row, bounds the free coordinate on one side at a
+    quotient of integers, or empties the slice (length 0.0); the nearest
+    bounds are picked by cross-multiplication.  Raises DomainError naming
+    the first s whose length is beyond the float range."""
     other = 1 - axis
-    rows = [(rational(normal[axis]), rational(normal[other]), rational(offset))
+    rows = [_integer_row([normal[axis], normal[other], -offset])
             for normal, offset in p.halfspaces]
     chords = []
     for s in centers:
-        lo, hi, q = -math.inf, math.inf, rational(s)
+        num, den = s.as_integer_ratio()
+        hi = lo = None  # (n, c): across * u <= n / den, so u <= or >= n / (c den)
         for along, across, offset in rows:
-            c = offset - along * q
-            if across > 0:
-                hi = min(hi, c / across)
-            elif across < 0:
-                lo = max(lo, c / across)
-            elif c < 0:
+            n = -(along * num + offset * den)
+            if across > 0 and (hi is None or n * hi[1] < hi[0] * across):
+                hi = n, across
+            elif across < 0 and (lo is None or n * lo[1] > lo[0] * across):
+                lo = n, across
+            elif not across and n < 0:
                 chords.append(0.0)
                 break
-        else:
-            chords.append(nearest_double(max(hi - lo, 0)))
+        else:  # hi - lo = (n_lo c_hi - n_hi c_lo) / (-c_hi c_lo den), c_hi c_lo < 0
+            chords.append(nearest_double(max(lo[0] * hi[1] - hi[0] * lo[1], 0),
+                                         -hi[1] * lo[1] * den))
             if not math.isfinite(chords[-1]):
                 raise DomainError(f"the slice at s={s} has length {chords[-1]}, "
                                   "outside the float range")

@@ -365,13 +365,44 @@ def exact_chord_2d(p: HPolytope, axis: int, s: float) -> float:
     where the segments between vertices on either side cross it, all in
     Fractions.  Shares only the exact vertices with dhlab.toric, so tests
     can use it as an oracle for the exact 2-d slicer."""
-    vertices, _ = p._vrep
+    vertices, _, _ = p._vrep
     s, other = Fraction(s), 1 - axis
     ends = [v[other] for v in vertices if v[axis] == s]
     for u, v in combinations(vertices, 2):
         if (u[axis] - s) * (v[axis] - s) < 0:
             ends.append(u[other] + (s - u[axis]) / (v[axis] - u[axis]) * (v[other] - u[other]))
     return float(max(ends) - min(ends)) if ends else 0.0
+
+
+def fraction_rref(rows, width: int) -> tuple[dict[int, int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination over the rationals, row by row in order.
+
+    Returns {index of each row independent of the rows before it: its pivot
+    column}, stopping at rank ``width``, and the reduced rows in the same
+    order, each 1 at its own pivot and 0 at the others.  The reference for
+    the fraction-free elimination of dhlab.toric, whose rows must be
+    positive multiples of these."""
+    reduced: list[list[Fraction]] = []
+    pivots: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        v = [Fraction(x) for x in row]
+        for c, r in zip(pivots.values(), reduced):
+            if v[c]:
+                f = v[c]
+                v = [x - f * y for x, y in zip(v, r)]
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        v = [x / v[c] for x in v]
+        for r in reduced:
+            if r[c]:
+                f = r[c]
+                r[:] = [x - f * y for x, y in zip(r, v)]
+        reduced.append(v)
+        pivots[i] = c
+    return pivots, reduced
 
 
 def random_polytope(rng: np.random.Generator, dim: int) -> HPolytope:

@@ -839,12 +839,13 @@ sys.stdout.write(verify_stdout)
 def test_toric_front_runs_without_numpy(tmp_path):
     # the polytope, its exact vertices and range, its float bins, and every
     # input error of dhlab toric come before the first array, so none of them
-    # loads numpy; nor does the verdict on a profile held in tuples
+    # loads numpy; nor does the verdict on a profile held in tuples, nor a
+    # whole exact2d run, whose output is the golden's byte for byte
     for name, data in _BAD_INPUT_FILES.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "empty.json").write_text(json.dumps(
         {"dim": 1, "halfspaces": [{"a": [1], "b": 0}, {"a": [-1], "b": -1}]}))
-    simplex3 = str(GOLDEN / "simplex3.json")
+    simplex3, polygon = str(GOLDEN / "simplex3.json"), str(GOLDEN / "polygon.json")
     # grid, volumes and stderrs: an empty end bin and a violation at 0.625
     profile = ((0.125, 0.375, 0.625, 0.875), (0.0, 1.0, 0.5, 1.0), (0.0, 0.01, 0.02, 0.01))
     cases = [
@@ -873,7 +874,7 @@ import dhlab.toric
 from dhlab import HPolytope, SliceVolumeFn, prekopa_check, projection_range, suggested_tolerance
 from dhlab.cli import main
 p = HPolytope.from_json_dict(json.loads(open({simplex3!r}).read()))
-vertices, directions = p._vrep
+vertices, directions, _ = p._vrep
 print(json.dumps([len(vertices), len(directions), projection_range(p, 2)]))
 f = SliceVolumeFn("mc", *{profile!r})
 tol = suggested_tolerance(f)
@@ -883,17 +884,22 @@ for argv in {[argv for argv, _, _ in cases]!r}:
     with contextlib.redirect_stderr(err):
         code = main(["toric", *argv])
     print(json.dumps([code, err.getvalue()]))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["toric", "--input", {polygon!r}])
+print(json.dumps([code, out.getvalue()]))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    front, verdict, *exits = map(json.loads, done.stdout.splitlines())
+    front, verdict, *exits, (polygon_code, polygon_out) = map(json.loads, done.stdout.splitlines())
     assert front == [4, 0, [0.0, 1.0]]
     arrays = SliceVolumeFn("mc", *map(np.array, profile))
     tol = suggested_tolerance(arrays)
     assert verdict == [tol, prekopa_check(arrays, tol).to_json_dict()]
     assert exits == [[code, message + "\n"] for _, code, message in cases]
+    assert polygon_code == 0 and polygon_out.encode() == (GOLDEN / "toric.stdout").read_bytes()
 
 
 def test_lazy_package_names():

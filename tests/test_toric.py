@@ -1,5 +1,6 @@
 """Polytope slice volumes and the Prekopa log-concavity baseline."""
 
+import functools
 import itertools
 import json
 import math
@@ -27,7 +28,8 @@ from dhlab import (
     suggested_tolerance,
 )
 from dhlab.toric import _BOX_PAD, _MC_BLOCK, _chords_2d, _mc_slicer, _rng
-from helpers import exact_chord_2d, random_polytope, slice_volume_mc, slice_volume_mc_reference
+from helpers import (exact_chord_2d, fraction_rref, random_polytope, slice_volume_mc,
+                     slice_volume_mc_reference)
 
 SQUARE = HPolytope(2, (
     ((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
@@ -292,13 +294,60 @@ def test_redundant_halfspaces_keep_the_cube(extra):
 
 def test_polytope_without_interior_has_zero_profile():
     # nonempty and bounded, not flat along axis 0, but every slice is a
-    # segment of area 0
-    vertices, directions = PLANE_CUT._vrep
+    # segment of area 0; the two half-spaces of the plane, 6 and 7, are the
+    # ones tight at every vertex
+    vertices, directions, tights = PLANE_CUT._vrep
     assert set(vertices) == {(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)}
     assert directions == []
+    assert functools.reduce(int.__and__, tights) == 1 << 6 | 1 << 7
     profile = slice_profile(PLANE_CUT, 0, bins=8, method="mc", mc_n=2000)
     assert PLANE_CUT._vertices.shape == (0, 3)
     assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
+
+
+def _bodies_with_and_without_interior():
+    """Named bodies, and seeded random ones cut by 0 to dim hyperplanes near
+    their centres, each an exact pair a.x <= b and -a.x <= -b."""
+    yield from (SQUARE, SIMPLEX3, SEGMENT, PLANE_CUT,
+                # x <= c and -x <= -c: a square face of the cube
+                HPolytope(3, CUBE3.halfspaces + (((1.0, 0.0, 0.0), 0.5),
+                                                 ((-1.0, 0.0, 0.0), -0.5))),
+                # the square cut to its diagonal
+                HPolytope(2, SQUARE.halfspaces + (((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0))),
+                # a segment in the plane, and a point on the line
+                HPolytope(2, SQUARE.halfspaces + (((0.0, 1.0), 0.5), ((0.0, -1.0), -0.5))),
+                HPolytope(1, (((1.0,), 0.25), ((-1.0,), -0.25))),
+                # 0.x <= 0 holds everywhere with equality, yet cuts nothing
+                HPolytope(3, CUBE3.halfspaces + (((0.0, 0.0, 0.0), 0.0),)))
+    rng = np.random.default_rng(1996)
+    for _ in range(40):
+        dim = int(rng.integers(1, 5))
+        p = random_polytope(rng, dim)
+        center, cuts = p._vertices.mean(axis=0), []
+        for _ in range(int(rng.integers(0, dim + 1))):
+            a = rng.normal(size=dim)
+            b = float(a @ center)
+            cuts += [(tuple(a), b), (tuple(-a), -b)]
+        yield HPolytope(dim, p.halfspaces + tuple(cuts))
+
+
+def test_tight_sets_decide_interior_as_the_affine_rank_does():
+    # a half-space tight at every vertex is an implicit equality: exactly
+    # when the vertices' affine rank is below the dimension
+    outcomes = []
+    for p in _bodies_with_and_without_interior():
+        vertices, directions, tights = p._vrep
+        assert directions == []
+        for v, tight in zip(vertices, tights):
+            assert tight == sum(1 << k for k, (a, b) in enumerate(p.halfspaces) if any(a)
+                                and sum(map(Fraction.__mul__, map(Fraction, a), v)) == b)
+        pivots, _ = fraction_rref([(*v, 1) for v in vertices], p.dim + 1)
+        no_interior = len(pivots) <= p.dim
+        assert (functools.reduce(int.__and__, tights) != 0) == no_interior, p
+        assert (len(p._vertices) == 0) == no_interior
+        outcomes.append(no_interior)
+    assert outcomes[:9] == [False, False, False, True, True, True, True, True, False]
+    assert 10 < sum(outcomes[9:]) < 30
 
 
 def test_mc_profile_lp_count_does_not_grow_with_bins(monkeypatch):
@@ -344,7 +393,7 @@ def test_vertices_match_qhull_on_random_polytopes():
     rng = np.random.default_rng(1953)
     for _ in range(50):
         p = random_polytope(rng, int(rng.integers(2, 5)))
-        vertices, directions = p._vrep
+        vertices, directions, _ = p._vrep
         assert directions == []
         assert len(set(vertices)) == len(vertices)
         assert _rounded(vertices) == _rounded(_qhull_vertices(p))
@@ -353,9 +402,48 @@ def test_vertices_match_qhull_on_random_polytopes():
 @pytest.mark.parametrize("dim, count", [(3, 200), (4, 60)])
 def test_vertex_count_matches_qhull_at_stress_size(dim, count):
     p = _tangent_polytope(np.random.default_rng(count), dim, count)
-    vertices, directions = p._vrep
+    vertices, directions, _ = p._vrep
     assert directions == []
     assert len(vertices) == len(_rounded(_qhull_vertices(p))) > count
+
+
+def _integer_matrices():
+    """(rows, width): seeded integer matrices, most of them rank-deficient,
+    some with rows of zeros, repeated rows or entries near 2**60, and a rank
+    cap ``width`` at or below their column count."""
+    rng = np.random.default_rng(1968)
+    yield [], 3
+    for _ in range(300):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+        rank = int(rng.integers(0, min(m, n) + 1))
+        rows = (rng.integers(-4, 5, size=(m, rank)) @ rng.integers(-4, 5, size=(rank, n))).tolist()
+        if rng.random() < 0.3:
+            rows = [[x * int(f) for x in row] for row, f in zip(rows, rng.integers(1, 2**60, m))]
+        if rng.random() < 0.3:
+            rows.insert(int(rng.integers(0, m + 1)), [0] * n)
+        if rng.random() < 0.3:
+            rows.insert(int(rng.integers(0, m + 1)), list(rows[int(rng.integers(0, m))]))
+        yield rows, n if rng.random() < 0.7 else int(rng.integers(1, n + 1))
+
+
+def test_integer_rref_matches_the_fraction_reference():
+    # same pivots, and each reduced row is the primitive integer multiple,
+    # positive at its pivot, of the rational one; the null space from it
+    # is a primitive integer basis
+    for rows, width in _integer_matrices():
+        pivots, reduced = dhlab.toric._rref(rows, width)
+        want_pivots, want = fraction_rref(rows, width)
+        assert pivots == want_pivots, rows
+        for c, r, w in zip(pivots.values(), reduced, want):
+            assert all(type(x) is int for x in r) and math.gcd(*r) == 1
+            assert r[c] > 0 and [Fraction(x, r[c]) for x in r] == w, rows
+        n = len(rows[0]) if rows else width
+        basis = dhlab.toric._null_space(rows, n)
+        assert len(basis) == n - len(fraction_rref(rows, n)[0])
+        assert len(fraction_rref(basis, n)[0]) == len(basis)
+        for y in basis:
+            assert all(type(x) is int for x in y) and math.gcd(*y) == 1
+            assert all(sum(a * b for a, b in zip(row, y)) == 0 for row in rows)
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
@@ -374,7 +462,7 @@ def test_vertices_are_exact_rationals():
     # x + 2y <= 1 and 2x + y <= 1 meet at (1/3, 1/3), which no float is
     kite = HPolytope(2, (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0),
                          ((1.0, 2.0), 1.0), ((2.0, 1.0), 1.0)))
-    vertices, _ = kite._vrep
+    vertices, _, _ = kite._vrep
     assert set(vertices) == {(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)),
                              (Fraction(1, 3), Fraction(1, 3))}
     assert all(isinstance(x, Fraction) for v in vertices for x in v)
@@ -400,7 +488,7 @@ def test_slab_is_unbounded_only_along_its_line():
 def test_recession_ray_names_its_axis():
     # a quadrant corner: bounded below on both axes, unbounded above
     corner = HPolytope(2, (((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0), ((1.0, -1.0), 0.0)))
-    vertices, directions = corner._vrep
+    vertices, directions, _ = corner._vrep
     assert vertices == [(0, 0)]
     assert sorted(directions) == [(0, 1), (1, 1)]
     with pytest.raises(UnboundedPolytopeError, match="axis 0"):
