@@ -326,14 +326,11 @@ def _double_description(rows: list[tuple[int, ...]],
     """
     basis, _ = _rref(rows, width)
     tight_all = sum(1 << i for i in basis)
-    # one reduction of the basis rows B, tagged with I, gives each row of B^-1
-    # times a positive integer: its row's pivot entry; ray k solves B y = -e_k
-    pivots, reduced = _rref([(*rows[i], *(int(j == k) for j in range(width)))
-                             for k, i in enumerate(basis)], width)
-    inverse = [r for _, r in sorted(zip(pivots.values(), reduced))]
-    den = math.lcm(*(r[c] for c, r in enumerate(inverse)))
-    rays = [(tuple(primitive([den // r[c] * -r[width + k] for c, r in enumerate(inverse)])),
-             tight_all & ~(1 << i)) for k, i in enumerate(basis)]
+    # ray k solves B y = -e_k for the basis rows B: the y part of the null
+    # vector of [B | I] whose free column is width + k
+    tagged = [(*rows[i], *(int(j == k) for j in range(width))) for k, i in enumerate(basis)]
+    rays = [(tuple(primitive(z[:width])), tight_all & ~(1 << i))
+            for z, i in zip(_null_space(tagged, 2 * width), basis)]
     for i, row in enumerate(rows):
         if i in basis or not any(row):
             continue

@@ -906,11 +906,7 @@ def test_lazy_package_names():
     import dhlab
     import dhlab.toric
 
-    # __all__ is exactly the eager exports and the lazy table: a name
-    # dropped from one but left in the other fails here
-    eager = {name for name, value in vars(dhlab).items() if getattr(value, "__module__", None)
-             in ("dhlab.construction", "dhlab.exterior", "dhlab.logconcavity")}
-    assert set(dhlab.__all__) == eager | set(dhlab._LAZY)
+    assert set(dhlab.__all__) == set(dhlab._LAZY)
     for name in dhlab.__all__:
         assert getattr(dhlab, name) is not None, name
     namespace: dict = {}
@@ -920,6 +916,31 @@ def test_lazy_package_names():
     assert dhlab.HPolytope is dhlab.toric.HPolytope
     with pytest.raises(AttributeError, match="no_such_name"):
         dhlab.no_such_name
+
+
+@pytest.mark.parametrize("statement, check", [
+    ("import dhlab", "assert loaded == {'dhlab'}, loaded"),
+    ("import dhlab.toric",
+     "assert 'dhlab.construction' not in loaded and 'numpy' not in sys.modules, loaded"),
+    ("from dhlab import Poly", "assert loaded == {'dhlab', 'dhlab.exterior', 'dhlab.intpoly'}, "
+     "loaded"),
+    ("from dhlab import *", "assert all(name in globals() for name in dhlab.__all__)\n"
+     "assert len(dhlab.__all__) == 49"),
+], ids=["package", "toric", "Poly", "star"])
+def test_import_loads_only_what_it_names(statement, check):
+    # each public name loads its submodule on first access, so an import
+    # pays for no dhlab module it does not name
+    script = f"""
+import sys
+{statement}
+import dhlab
+loaded = {{m for m in sys.modules if m.split(".")[0] == "dhlab"}}
+{check}
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_library_example_runs():

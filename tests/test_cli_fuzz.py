@@ -4,9 +4,11 @@ Each property is the CLI's contract: whatever the input, ``main`` returns an
 exit code in 0-3 (or argparse exits 2), no other exception escapes, no
 warning is issued, exits 1 and 2 print a message without a traceback, every
 CSV printed has a finite, strictly ascending first column, and a second run
-of the same argv gives the same code, stdout, stderr and output file.  A
-samples file rescaled by a power of two keeps its exit code and report.  The
-sweeps are seeded, so a failure names an argv that reproduces it.
+of the same argv gives the same code, stdout, stderr and output file, as
+does a density run under each DH_LAB_THREADS setting (unset, empty, 1, 2
+or 3).  A samples file rescaled by a power of two keeps its exit code and
+report.  The sweeps are seeded, so a failure names an argv that reproduces
+it.
 
 Budget: the whole file runs in under 10 s on 2 vCPUs (4 to 5 s measured);
 each sweep samples its combinations per seed to stay within it.
@@ -121,16 +123,28 @@ def test_toric_narrow_projection_sweep(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_density_narrow_window_sweep(monkeypatch, capsys, seed):
-    # windows [x, x + k ulp(x)] with k up to bins + 1: few floats per bin
-    monkeypatch.delenv("DH_LAB_THREADS", raising=False)
+def test_density_narrow_window_sweep(tmp_path, monkeypatch, capsys, seed):
+    # windows [x, x + k ulp(x)] with k up to bins + 1: few floats per bin;
+    # then the default window, where the bin sums round, so a merge whose
+    # order followed the thread count would show.  140000 samples (always
+    # on the default window) are three chunks of 2**16, which 2 or 3 threads
+    # split, and every DH_LAB_THREADS setting gives the same code, streams
+    # and file
     rng = random.Random(seed)
-    for x in (1.0, 2.0**60, 1e300):
+    for x in (1.0, 2.0**60, 1e300, 0.5):
         bins = rng.choice([b for b in _BINS if b >= 2])  # density needs 2
-        hi = x + rng.randint(1, bins + 1) * math.ulp(x)
+        hi = 4.5 if x == 0.5 else x + rng.randint(1, bins + 1) * math.ulp(x)
         flat = ["--flat"] if rng.random() < 0.5 else []
-        _check_run(["density", "--window", repr(x), repr(hi), "--bins", str(bins),
-                    "--samples", "200", "--seed", str(seed), *flat], capsys)
+        flags, output = _output(rng, tmp_path)
+        samples = "140000" if x == 0.5 else rng.choice(("200", "140000"))
+        argv = ["density", "--window", repr(x), repr(hi), "--bins", str(bins), "--samples",
+                samples, "--seed", str(seed), *flat, *flags]
+        monkeypatch.delenv("DH_LAB_THREADS", raising=False)
+        _check_run(argv, capsys, output=output)
+        first = _run(argv, capsys, output)
+        for threads in ("", "1", "2", "3"):
+            monkeypatch.setenv("DH_LAB_THREADS", threads)
+            assert _run(argv, capsys, output) == first, (argv, threads)
 
 
 @pytest.mark.parametrize("seed", range(10))
