@@ -27,17 +27,15 @@ import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .construction import (
-    CutWindow,
-    OmegaParams,
-    VerificationReport,
-    analytic_dh_density,
-    standard_construction,
-    verify_construction,
-)
 from .exterior import Form, Poly
 from .logconcavity import DISCRETE_TOL, DomainError, analytic_logconcavity, discrete_logconcavity
+
+# .construction is imported where a command builds the construction, so
+# dhlab toric starts without it
+if TYPE_CHECKING:
+    from .construction import VerificationReport
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -53,6 +51,8 @@ def main(argv: list[str] | None = None) -> int:
     if extra:  # report them with the usage of the subcommand that refused them
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")  # exits 2
     if "window" in vars(args):
+        from .construction import CutWindow, OmegaParams
+
         try:
             args.window = CutWindow(*args.window)
         except ValueError as exc:
@@ -146,6 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     # .measure imports numpy, so only density imports it, and verify and
     # logconcavity start without it; .toric loads numpy only to run Monte Carlo
+    from .construction import analytic_dh_density
     from .measure import GENERATOR_NAME, SamplerConfig, compare, normalize, sample_pushforward
 
     _, report = _construct_and_verify(args)
@@ -191,6 +192,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_logconcavity(args: argparse.Namespace) -> int:
     if args.analytic:
+        from .construction import analytic_dh_density
+
         _, report = _construct_and_verify(args)
         if not report.all_passed:
             return EXIT_FAILURE
@@ -213,7 +216,8 @@ def cmd_logconcavity(args: argparse.Namespace) -> int:
 
 
 def cmd_toric(args: argparse.Namespace) -> int:
-    from .toric import HPolytope, prekopa_check, slice_profile, suggested_tolerance
+    from .toric import (GENERATOR_NAME, HPolytope, prekopa_check, slice_profile,
+                        suggested_tolerance)
 
     with _input("bad polytope JSON"):  # json.JSONDecodeError is a ValueError
         polytope = HPolytope.from_json_dict(json.loads(_read(args.input)))
@@ -223,8 +227,8 @@ def cmd_toric(args: argparse.Namespace) -> int:
     result = prekopa_check(profile, suggested_tolerance(profile))
 
     lines = [
-        f"# dhlab toric profile: axis={args.axis} bins={args.bins} method={profile.method} "
-        f"mc_n={args.samples} seed={args.seed}",
+        f"# dhlab toric profile: generator={GENERATOR_NAME} axis={args.axis} "
+        f"bins={args.bins} method={profile.method} mc_n={args.samples} seed={args.seed}",
         f"# polytope: dim={polytope.dim} halfspaces={len(polytope.halfspaces)}",
         "s,volume,stderr",
     ]
@@ -290,6 +294,8 @@ def _env_threads() -> int:
 def _construct_and_verify(args: argparse.Namespace) -> tuple[Form, VerificationReport]:
     """The standard construction and its verify battery, with each failed
     identity named on stderr."""
+    from .construction import standard_construction, verify_construction
+
     _, _, omega = standard_construction(args.window, args.params)
     report = verify_construction(omega, args.window, args.params)
     for name in report.failed_identities():

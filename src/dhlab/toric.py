@@ -19,9 +19,12 @@ every vertex, so no float solver decides them; ``slice_profile`` checks
 boundedness on every axis once.  Monte-Carlo slicing takes each bin's
 bounding box from where segments between vertices cross the slicing
 hyperplane, so no bin solves anything, and builds what does not depend on
-the bin (rows, vertex columns) once per profile.  2-d slicing computes
-every bin's chord in one pass per profile in integers and rounds it once,
-so each chord is the double nearest the exact one.
+the bin (rows, vertex columns) once per profile.  Each bin draws from
+its own PCG64DXSM stream, seeded by
+``SeedSequence(seed, spawn_key=(axis, bin))`` (``GENERATOR_NAME``), so no
+bin's numbers depend on another's.  2-d slicing computes every bin's chord
+in one pass per profile in integers and rounds it once, so each chord is
+the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
 argument check of ``slice_profile``, its float bin grid, its 2-d chords and
@@ -48,6 +51,8 @@ from .logconcavity import (DISCRETE_TOL, DomainError, ViolationReport, bin_cente
 # the verdict on a profile cost no numpy import
 if TYPE_CHECKING:
     import numpy as np
+
+GENERATOR_NAME = "pcg64dxsm(SeedSequence(seed,spawn_key=(axis,bin)))"
 
 
 class UnboundedPolytopeError(DomainError):
@@ -262,11 +267,18 @@ def _is_number(v) -> bool:
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
+    """The generator of one Monte-Carlo stream: PCG64DXSM seeded by
+    ``SeedSequence(seed, spawn_key=stream)``, drawn from its start.
+
+    A bin never indexes into its stream, so it needs no counter-based
+    generator: PCG64DXSM, numpy's bit generator for many parallel streams
+    (period 2**128), draws doubles at less than half the cost of Philox.
+    """
     import numpy as np
 
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(v) for v in stream))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def linprog(*args, **kwargs):

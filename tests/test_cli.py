@@ -926,7 +926,10 @@ def test_lazy_package_names():
      "loaded"),
     ("from dhlab import *", "assert all(name in globals() for name in dhlab.__all__)\n"
      "assert len(dhlab.__all__) == 49"),
-], ids=["package", "toric", "Poly", "star"])
+    ("from dhlab.cli import main\n"
+     f"assert main(['toric', '--input', {str(GOLDEN / 'polygon.json')!r}]) == 0",
+     "assert 'dhlab.construction' not in loaded, loaded"),
+], ids=["package", "toric", "Poly", "star", "toric command"])
 def test_import_loads_only_what_it_names(statement, check):
     # each public name loads its submodule on first access, so an import
     # pays for no dhlab module it does not name
@@ -1006,4 +1009,11 @@ def test_toric_mc_output_byte_identical(capsys):
     # the hit-or-miss path: each bin's 5000 samples span a full block and a part
     assert main(["toric", "--input", str(GOLDEN / "simplex3.json"), "--bins", "12",
                  "--samples", "5000", "--seed", "5"]) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / "toric_mc.stdout").read_bytes()
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "toric_mc.stdout").read_bytes()
+    # and the golden is right: the slice of the 3-simplex at x = s has area
+    # (1-s)^2/2, and every bin lies within 4 standard errors of it
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[3:-1]]
+    assert len(rows) == 12
+    for s, volume, stderr in rows:
+        assert stderr > 0 and abs(volume - (1 - s) ** 2 / 2) <= 4 * stderr, (s, volume, stderr)

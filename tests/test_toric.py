@@ -215,7 +215,8 @@ def test_mc_slice_at_a_rounded_end_is_empty():
 def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
     # the slicer shares its rows and vertex columns between bins, and a last
     # partial block scales by only part of the tiled box; neither may leave
-    # a stale bit behind
+    # a stale bit behind.  Each bin's stream is built here from the README's
+    # formula, apart from _rng, so the documented stream is pinned too
     bodies = [SIMPLEX3, ROUNDED_END, random_polytope(np.random.default_rng(4), 4),
               SEGMENT, PLANE_CUT, SIMPLEX2]
     for p in bodies:
@@ -223,7 +224,9 @@ def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
             profile = slice_profile(p, axis, bins=7, method="mc", mc_n=n, seed=11)
             for i, s in enumerate(profile.grid.tolist()):
                 got = (profile.volumes[i], profile.stderrs[i])
-                want = slice_volume_mc_reference(p, axis, s, n, _rng(11, axis, i))
+                stream = np.random.SeedSequence(11, spawn_key=(axis, i))
+                rng = np.random.Generator(np.random.PCG64DXSM(stream))
+                want = slice_volume_mc_reference(p, axis, s, n, rng)
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, i)
 
 
