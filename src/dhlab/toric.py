@@ -19,8 +19,9 @@ every vertex, so no float solver decides them; ``slice_profile`` checks
 boundedness on every axis once.  Monte-Carlo slicing takes each bin's
 bounding box from where segments between vertices cross the slicing
 hyperplane, so no bin solves anything, and builds what does not depend on
-the bin (rows, vertex columns) once per profile.  Each bin draws from
-its own PCG64DXSM stream, seeded by
+the bin (rows, vertex columns) once per profile.  A bin whose slice fills
+its bounding box gives the box's volume with standard error 0 and draws
+nothing; every other bin draws from its own PCG64DXSM stream, seeded by
 ``SeedSequence(seed, spawn_key=(axis, bin))`` (``GENERATOR_NAME``), so no
 bin's numbers depend on another's.  2-d slicing computes every bin's chord
 in one pass per profile in integers and rounds it once, so each chord is
@@ -244,7 +245,9 @@ def suggested_tolerance(f: SliceVolumeFn) -> float:
     f(s)^2 / (f(s-h) f(s+h)) by up to (1+r)^2/(1-r)^2; the returned slack
     covers four (_NOISE_STDERRS) standard errors of that worst case (floor
     DISCRETE_TOL for exact profiles), capped at 0.9: from r = 0.17 on, that slack
-    would reach 1, where the midpoint test flags nothing.
+    would reach 1, where the midpoint test flags nothing.  A bin with standard
+    error 0, exact or a Monte-Carlo bin whose slice fills its bounding box,
+    adds no slack.
     """
     ratios = [e / v for _, v, e in f.rows if v > 0]
     if not ratios:
@@ -499,15 +502,19 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     the half-spaces without the axis, the mask of those normal to it, the
     vertices (enumerated exactly on first use, rounded to floats) split into the
     axis column and the others, and the box pad.  Each call takes the slice's
-    bounding box from the vertices, widened by the pad, and draws rng's next
-    n * (dim-1) doubles in row-major order, in fresh blocks of min(n, _MC_BLOCK)
-    points.  It scales each block into the box by one flat multiply and add over
-    rows that repeat the box's widths and lows, which are the same IEEE
-    operations as broadcasting, so the estimate is the one-shot estimate bit for
-    bit, whatever the block size.  A segment's slices are points: one inside
-    gives 1 and draws nothing.  An empty slice or a polytope without interior
-    (decided exactly) gives 0; a slice whose box volume is not finite, or whose
-    extents are positive but multiply to 0, raises DomainError naming s.
+    bounding box from the vertices.  If that box lies in every half-space, the
+    slice is its box and every point would hit: the call gives the product of
+    the box's sides, with standard error 0, and draws nothing.  A segment's
+    slices are points, so one inside gives 1 by the same rule.  Otherwise it
+    widens the box by the pad, which only guards a sampled estimate, and draws
+    rng's next n * (dim-1) doubles in row-major order, in fresh blocks of
+    min(n, _MC_BLOCK) points.  It scales each block into the box by one flat
+    multiply and add over rows that repeat the box's widths and lows, which are
+    the same IEEE operations as broadcasting, so the estimate is the one-shot
+    estimate bit for bit, whatever the block size.  An empty slice or a
+    polytope without interior (decided exactly) gives 0; a slice whose box
+    volume is not finite, or whose extents are positive but multiply to 0,
+    raises DomainError naming s.
     """
     import numpy as np
 
@@ -536,13 +543,20 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
             widths = highs - lows
             box_vol = float(np.prod(widths))
             spans = greatest - least
-            if not math.isfinite(box_vol) or (np.prod(spans) == 0 and np.all(spans > 0)):
+            slice_box_vol = np.prod(spans)
+            if not math.isfinite(box_vol) or (slice_box_vol == 0 and np.all(spans > 0)):
                 raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
                                   "its volume is outside the float range")
+            # every corner of the unpadded box in every half-space: the slice
+            # is its box, so every point would hit.  An overflow gives inf or
+            # nan, which reads as a cut
+            bounds = bounds[~normal]
+            if np.all(np.maximum(rows * least, rows * greatest).sum(axis=1) <= bounds):
+                return float(slice_box_vol), 0.0
         # a flat multiply-add over rows tiling the box: broadcasting a row of
         # two or three would run one short inner loop per point
         scale, shift = np.tile(widths, block), np.tile(lows, block)
-        bounds = bounds[~normal, None]
+        bounds = bounds[:, None]
         hits = 0
         for start in range(0, n, block):
             m = min(block, n - start)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -334,10 +334,12 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                               rng: np.random.Generator) -> tuple[float, float]:
     """The hit-or-miss slice estimate in one shot: all ``n`` points at once,
     then every half-space tested on every point, in a box padded by
-    ``_BOX_PAD`` times the largest vertex coordinate.  Shares only the
+    ``_BOX_PAD`` times the largest vertex coordinate.  A slice whose unpadded
+    box has all 2**k corners in every half-space is its box: the product of
+    the box's sides, with stderr 0, and nothing drawn.  Shares only the
     slice's extent with _mc_slicer, so tests can use it as an oracle for how
-    the kernel pads, blocks, scales and tests its draws and for what it
-    reuses across slices."""
+    the kernel pads, blocks, scales and tests its draws, for which bins it
+    samples and for what it reuses across slices."""
     a = np.array([normal for normal, _ in p.halfspaces])
     b = np.array([offset for _, offset in p.halfspaces])
     keep = [i for i in range(p.dim) if i != axis]
@@ -348,6 +350,9 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
     extent = _slice_extent(vertices[:, axis], vertices[:, keep], s)
     if extent is None:
         return 0.0, 0.0
+    corners = np.array(list(product(*zip(*extent))))
+    if np.all(corners @ a_slice.T <= b_slice):
+        return float(np.prod(extent[1] - extent[0])), 0.0
     pad = _BOX_PAD * float(np.abs(vertices).max())
     lows, highs = extent[0] - pad, extent[1] + pad
     widths = highs - lows

@@ -382,6 +382,30 @@ def test_toric_thin_box_is_log_concave(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1] == "slice profile is log-concave"
 
 
+def test_toric_thin_box_mc_bins_are_its_slices(capsys, tmp_path):
+    # [0, 1] x [0, 1e-150]^2: each slice is a square of area 1e-300 that fills
+    # its bounding box, so no pad of 64 ulps of 1 (about 1.4e-14) swamps it
+    poly = tmp_path / "thin.json"
+    poly.write_text(json.dumps({"dim": 3, "halfspaces": [
+        {"a": [1, 0, 0], "b": 1}, {"a": [-1, 0, 0], "b": 0},
+        {"a": [0, 1, 0], "b": 1e-150}, {"a": [0, -1, 0], "b": 0},
+        {"a": [0, 0, 1], "b": 1e-150}, {"a": [0, 0, -1], "b": 0}]}))
+    assert main(["toric", "--input", str(poly), "--bins", "8", "--samples", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "slice profile is log-concave"
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[3:-1]]
+    assert [(volume, stderr) for _, volume, stderr in rows] == [(1e-300, 0.0)] * 8
+
+    # ROADMAP item 19: a thin simplex's slices are cut by a half-space, so they
+    # are still sampled in boxes padded by about 1.4e-14, and no point hits a
+    # slice of area below 5e-301; this run pins that miss
+    poly.write_text(json.dumps({"dim": 3, "halfspaces": [
+        {"a": [-1, 0, 0], "b": 0}, {"a": [0, -1, 0], "b": 0}, {"a": [0, 0, -1], "b": 0},
+        {"a": [1, 1e150, 1e150], "b": 1}]}))
+    assert main(["toric", "--input", str(poly), "--bins", "8", "--samples", "1000"]) == 1
+    assert capsys.readouterr() == ("", "error: only 0 positive bins; need at least 3\n")
+
+
 def test_toric_malformed_json(capsys, tmp_path):
     poly = tmp_path / "bad.json"
     poly.write_text("{not json")

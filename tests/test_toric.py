@@ -230,6 +230,18 @@ def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, i)
 
 
+def test_box_filling_bin_draws_nothing():
+    # every point of the slice's bounding box would hit, so nothing is drawn;
+    # a slice that a half-space cuts is sampled
+    rng = _rng(3, 0, 0)
+    state = rng.bit_generator.state
+    estimate = _mc_slicer(SHIFTED_CUBE, 0, 1000)(3.5, rng)
+    assert rng.bit_generator.state == state
+    assert estimate == (9.0, 0.0)
+    _mc_slicer(SIMPLEX3, 0, 1000)(0.25, rng)
+    assert rng.bit_generator.state != state
+
+
 def test_mc_slice_memory_does_not_grow_with_samples():
     SIMPLEX3._vertices  # the vertices are cached
     tracemalloc.start()
@@ -284,6 +296,22 @@ def test_box_mc_slices_are_exact(scale):
         area = np.prod(widths) / widths[axis]
         assert np.allclose(profile.volumes, area, rtol=1e-12, atol=0)
         assert np.all(profile.stderrs == 0)
+
+
+@pytest.mark.parametrize("lower, upper, scale", [
+    ((2.0, 2.0, 2.0), (5.0, 5.0, 5.0), 1.0),
+    ((0.1, -1.3, 2.0), (0.7, 1.1, 5.5), 1.0),
+    ((0.1, -1.3, 2.0), (0.7, 1.1, 5.5), 1e3),
+], ids=["cube", "box", "scaled box"])
+def test_box_mc_bins_are_the_product_of_the_sides_bit_for_bit(lower, upper, scale):
+    # a box's slices fill their bounding boxes, so no pad widens them: on the
+    # cube [2, 5]^3 each bin is 9.0, not the padded 9.000000000000853
+    box = _box(lower, upper, scale)
+    for axis in range(3):
+        profile = slice_profile(box, axis, bins=8, method="mc", mc_n=2000, seed=axis)
+        area = np.prod(np.delete(np.subtract(upper, lower), axis))
+        assert profile.volumes.tolist() == [float(area)] * 8
+        assert profile.stderrs.tolist() == [0.0] * 8
 
 
 @pytest.mark.parametrize("extra", [CUBE3.halfspaces, (((0.0, 0.0, 0.0), 1.0),)],
