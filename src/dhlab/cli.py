@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_toric.add_argument("--method", choices=["exact2d", "mc"], default=None,
                          help="slice method (default: exact2d in dim 2, else mc)")
     p_toric.add_argument("--samples", type=int, default=100_000,
-                         help="Monte-Carlo samples per bin (default 100000)")
+                         help="Monte-Carlo points, which every bin tests (default 100000)")
     return parser
 
 

@@ -20,12 +20,16 @@ boundedness on every axis once.  Monte-Carlo slicing takes each bin's
 bounding box from where segments between vertices cross the slicing
 hyperplane, so no bin solves anything, and builds what does not depend on
 the bin (rows, vertex columns) once per profile.  A bin whose slice fills
-its bounding box gives the box's volume with standard error 0 and draws
-nothing; every other bin draws from its own PCG64DXSM stream, seeded by
-``SeedSequence(seed, spawn_key=(axis, bin))`` (``GENERATOR_NAME``), so no
-bin's numbers depend on another's.  2-d slicing computes every bin's chord
-in one pass per profile in integers and rounds it once, so each chord is
-the double nearest the exact one.
+its bounding box gives the box's volume with standard error 0 and samples
+nothing.  The other bins share the profile's one PCG64DXSM stream, seeded by
+``SeedSequence(seed, spawn_key=(axis,))`` (``GENERATOR_NAME``): every bin
+tests the same points of the unit cube, each scaled into its own box, so the
+points are drawn once per profile rather than once per bin, and the bins'
+errors are positively correlated (common random numbers), which smooths the
+second differences that ``prekopa_check`` reads.  A bin's estimate still
+depends only on the seed, the axis, the sample count and its centre.  2-d
+slicing computes every bin's chord in one pass per profile in integers and
+rounds it once, so each chord is the double nearest the exact one.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
 argument check of ``slice_profile``, its float bin grid, its 2-d chords and
@@ -53,7 +57,7 @@ from .logconcavity import (DISCRETE_TOL, DomainError, ViolationReport, bin_cente
 if TYPE_CHECKING:
     import numpy as np
 
-GENERATOR_NAME = "pcg64dxsm(SeedSequence(seed,spawn_key=(axis,bin)))"
+GENERATOR_NAME = "pcg64dxsm(SeedSequence(seed,spawn_key=(axis,)))"
 
 
 class UnboundedPolytopeError(DomainError):
@@ -189,9 +193,9 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
 
     ``method`` is "exact2d" (dim = 2 only), whose chords are exact and
     rounded once, computed for every bin in one pass per profile, or "mc";
-    None means "exact2d" in dimension 2, else "mc".  Monte-Carlo bins use
-    independent streams from (seed, axis, bin), so the profile does not
-    depend on evaluation order.
+    None means "exact2d" in dimension 2, else "mc".  Monte-Carlo bins test
+    the same points, drawn once from the stream of (seed, axis), so a bin's
+    estimate depends on its centre but not on the other bins.
     A polytope flat along the axis has no profile: InsufficientDataError.
     A projection whose width or bin centres overflow, or whose centres do not
     ascend strictly, raises DomainError (``bin_centers``) before numpy loads.
@@ -218,8 +222,7 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
         _check_bounded(p._vrep[1], other)
     if method == "exact2d":
         return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), [0.0] * bins)
-    estimate = _mc_slicer(p, axis, mc_n)
-    vols, errs = zip(*(estimate(s, _rng(seed, axis, i)) for i, s in enumerate(centers)))
+    vols, errs = zip(*_mc_slicer(p, axis, mc_n)(centers, _rng(seed, axis)))
     return SliceVolumeFn(method, centers, vols, errs)
 
 
@@ -273,7 +276,7 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     """The generator of one Monte-Carlo stream: PCG64DXSM seeded by
     ``SeedSequence(seed, spawn_key=stream)``, drawn from its start.
 
-    A bin never indexes into its stream, so it needs no counter-based
+    A profile never indexes into its stream, so it needs no counter-based
     generator: PCG64DXSM, numpy's bit generator for many parallel streams
     (period 2**128), draws doubles at less than half the cost of Philox.
     """
@@ -467,7 +470,8 @@ def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> list[float]:
 
 
 _BOX_PAD = 64 * sys.float_info.epsilon
-_MC_BLOCK = 4096  # points per block of the hit test
+_MC_BLOCK = 4096  # most points per block of the hit test
+_MC_STACK = 4 * _MC_BLOCK  # most floats in one block's stacked hit test, over all bins
 
 
 def _slice_extent(t: np.ndarray, rest: np.ndarray,
@@ -495,26 +499,33 @@ def _slice_extent(t: np.ndarray, rest: np.ndarray,
 
 def _mc_slicer(p: HPolytope, axis: int, n: int):
     """The hit-or-miss estimator of the (dim-1)-volumes of the slices of
-    ``p`` at axis = s, each from n points: a function of ``(s, rng)`` giving
-    the volume and its standard error.
+    ``p`` at axis = s, each from n points: a function of ``(centers, rng)``
+    giving the volume and its standard error at each centre, in order.
 
     What does not depend on s is built here, once per profile: the float rows of
     the half-spaces without the axis, the mask of those normal to it, the
     vertices (enumerated exactly on first use, rounded to floats) split into the
-    axis column and the others, and the box pad.  Each call takes the slice's
+    axis column and the others, and the box pad.  Each centre's slice takes its
     bounding box from the vertices.  If that box lies in every half-space, the
-    slice is its box and every point would hit: the call gives the product of
-    the box's sides, with standard error 0, and draws nothing.  A segment's
-    slices are points, so one inside gives 1 by the same rule.  Otherwise it
-    widens the box by the pad, which only guards a sampled estimate, and draws
-    rng's next n * (dim-1) doubles in row-major order, in fresh blocks of
-    min(n, _MC_BLOCK) points.  It scales each block into the box by one flat
-    multiply and add over rows that repeat the box's widths and lows, which are
-    the same IEEE operations as broadcasting, so the estimate is the one-shot
-    estimate bit for bit, whatever the block size.  An empty slice or a
-    polytope without interior (decided exactly) gives 0; a slice whose box
-    volume is not finite, or whose extents are positive but multiply to 0,
-    raises DomainError naming s.
+    slice is its box and every point would hit: the bin gives the product of
+    the box's sides, with standard error 0, and samples nothing.  A segment's
+    slices are points, so one inside gives 1 by the same rule.  Every other
+    bin widens its box by the pad, which only guards a sampled estimate, and
+    folds the box into its rows: a point u of the unit cube, scaled to
+    lows + widths * u, hits when (rows * widths) u <= bounds - rows lows.
+
+    The sampled bins share one stream, so every bin tests the same points:
+    if any bin is sampled, the call draws rng's next n * (dim-1) doubles in
+    row-major order, one point per row, and none otherwise.  The points come
+    in blocks, each drawn once and tested against every sampled bin's folded
+    rows in one product; a block holds at most _MC_BLOCK points, and its
+    product at most _MC_STACK floats unless one point's test needs more.  A
+    bin folds its rows alone, and each entry of the product is that of its
+    row and point, so a bin's count is the same whatever the block size and
+    whatever other bins share the product: its estimate depends only on
+    (rng's state, n, s).  An empty slice or a polytope without interior
+    (decided exactly) gives 0; a slice whose box volume is not finite, or
+    whose extents are positive but multiply to 0, raises DomainError naming s.
     """
     import numpy as np
 
@@ -530,42 +541,56 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     # widen each box by the rounding in the vertices: a box too small would
     # bias the estimate, where one too large only adds variance
     pad = _BOX_PAD * float(np.abs(vertices).max(initial=0.0))
-    block = min(n, _MC_BLOCK)
 
-    def estimate(s: float, rng: np.random.Generator) -> tuple[float, float]:
+    def estimate(centers, rng: np.random.Generator) -> list[tuple[float, float]]:
+        out = [(0.0, 0.0)] * len(centers)
+        sampled, folded, cuts = [], [], []  # (bin, box volume); rows * widths; their bounds
+        # an overflow gives inf or nan, which reads as a cut in the box test
+        # and as a miss in the hit test
         with np.errstate(over="ignore", invalid="ignore"):
-            bounds = b - along * s
-            extent = _slice_extent(t, others, s)
-            if extent is None or np.any(bounds[normal] < 0):
-                return 0.0, 0.0
-            least, greatest = extent
-            lows, highs = least - pad, greatest + pad
-            widths = highs - lows
-            box_vol = float(np.prod(widths))
-            spans = greatest - least
-            slice_box_vol = np.prod(spans)
-            if not math.isfinite(box_vol) or (slice_box_vol == 0 and np.all(spans > 0)):
-                raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
-                                  "its volume is outside the float range")
-            # every corner of the unpadded box in every half-space: the slice
-            # is its box, so every point would hit.  An overflow gives inf or
-            # nan, which reads as a cut
-            bounds = bounds[~normal]
-            if np.all(np.maximum(rows * least, rows * greatest).sum(axis=1) <= bounds):
-                return float(slice_box_vol), 0.0
-        # a flat multiply-add over rows tiling the box: broadcasting a row of
-        # two or three would run one short inner loop per point
-        scale, shift = np.tile(widths, block), np.tile(lows, block)
-        bounds = bounds[:, None]
-        hits = 0
-        for start in range(0, n, block):
-            m = min(block, n - start)
-            pts = rng.random((m, k))
-            flat = pts.reshape(-1)
-            flat *= scale[:m * k]
-            flat += shift[:m * k]
-            hits += np.count_nonzero((rows @ pts.T <= bounds).all(axis=0))
-        phat = hits / n
-        return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
+            for i, s in enumerate(centers):
+                bounds = b - along * s
+                extent = _slice_extent(t, others, s)
+                if extent is None or np.any(bounds[normal] < 0):
+                    continue
+                least, greatest = extent
+                lows, highs = least - pad, greatest + pad
+                widths = highs - lows
+                box_vol = float(np.prod(widths))
+                spans = greatest - least
+                slice_box_vol = np.prod(spans)
+                if not math.isfinite(box_vol) or (slice_box_vol == 0 and np.all(spans > 0)):
+                    raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
+                                      "its volume is outside the float range")
+                # every corner of the unpadded box in every half-space: the slice
+                # is its box, so every point would hit
+                bounds = bounds[~normal]
+                if np.all(np.maximum(rows * least, rows * greatest).sum(axis=1) <= bounds):
+                    out[i] = float(slice_box_vol), 0.0
+                    continue
+                # bounds - rows @ lows, one column at a time: a matrix-vector
+                # product may round a row by where it sits in the matrix
+                for column, low in zip(rows.T, lows):
+                    bounds = bounds - column * low
+                sampled.append((i, box_vol))
+                folded.append(rows * widths)
+                cuts.append(bounds)
+            if not sampled:
+                return out
+            folded = np.concatenate(folded)
+            block = min(n, _MC_BLOCK, max(1, _MC_STACK // len(folded)))
+            # each row's bound repeated across the block: a broadcast compare
+            # runs three times slower than one between equal shapes
+            cuts = np.repeat(np.concatenate(cuts)[:, None], block, axis=1)
+            shape = len(sampled), len(rows), -1
+            hits = np.zeros(len(sampled), dtype=np.int64)
+            for start in range(0, n, block):
+                m = min(block, n - start)
+                u = rng.random((m, k))
+                hits += (folded @ u.T <= cuts[:, :m]).reshape(shape).all(axis=1).sum(axis=1)
+        for (i, box_vol), h in zip(sampled, hits.tolist()):
+            phat = h / n
+            out[i] = box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n)
+        return out
 
     return estimate

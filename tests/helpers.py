@@ -326,20 +326,22 @@ def iter_sample_chunks(top_poly: Poly, cfg: SamplerConfig):
 
 
 def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> float:
-    """Hit-or-miss slice volume from the single stream of ``seed``."""
-    return _mc_slicer(p, axis, int(n))(float(s), _rng(seed))[0]
+    """Hit-or-miss volume of one slice, a one-centre profile on the single
+    stream of ``seed``."""
+    return _mc_slicer(p, axis, int(n))([float(s)], _rng(seed))[0][0]
 
 
 def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                               rng: np.random.Generator) -> tuple[float, float]:
-    """The hit-or-miss slice estimate in one shot: all ``n`` points at once,
-    then every half-space tested on every point, in a box padded by
-    ``_BOX_PAD`` times the largest vertex coordinate.  A slice whose unpadded
-    box has all 2**k corners in every half-space is its box: the product of
-    the box's sides, with stderr 0, and nothing drawn.  Shares only the
-    slice's extent with _mc_slicer, so tests can use it as an oracle for how
-    the kernel pads, blocks, scales and tests its draws, for which bins it
-    samples and for what it reuses across slices."""
+    """The hit-or-miss slice estimate in one shot: all ``n`` points of the
+    unit cube at once, then every half-space, folded into the slice's box
+    padded by ``_BOX_PAD`` times the largest vertex coordinate, tested on
+    every point: u hits when (a * widths) u <= b - a lows.  A slice whose
+    unpadded box has all 2**k corners in every half-space is its box: the
+    product of the box's sides, with stderr 0, and nothing drawn.  Shares
+    only the slice's extent with _mc_slicer, so tests can use it as an oracle
+    for how the kernel pads, folds, blocks and tests its draws, for which
+    bins it samples and for what it shares across bins."""
     a = np.array([normal for normal, _ in p.halfspaces])
     b = np.array([offset for _, offset in p.halfspaces])
     keep = [i for i in range(p.dim) if i != axis]
@@ -357,8 +359,11 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
     lows, highs = extent[0] - pad, extent[1] + pad
     widths = highs - lows
     box_vol = float(np.prod(widths))
-    pts = lows + widths * rng.random((n, len(keep)))
-    hits = int(np.count_nonzero(np.all(pts @ a_slice.T <= b_slice, axis=1)))
+    u = rng.random((n, len(keep)))
+    folded, cuts = a_slice * widths, b_slice
+    for j, low in enumerate(lows):  # the cut of each row is b - a.lows, term by term
+        cuts = cuts - a_slice[:, j] * low
+    hits = int(np.count_nonzero(np.all(u @ folded.T <= cuts, axis=1)))
     phat = hits / n
     return box_vol * phat, box_vol * float(np.sqrt(phat * (1.0 - phat) / n))
 

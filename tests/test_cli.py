@@ -1030,7 +1030,8 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
 
 
 def test_toric_mc_output_byte_identical(capsys):
-    # the hit-or-miss path: each bin's 5000 samples span a full block and a part
+    # the hit-or-miss path: the 5000 points that all 12 bins test span ten full
+    # blocks and a part
     assert main(["toric", "--input", str(GOLDEN / "simplex3.json"), "--bins", "12",
                  "--samples", "5000", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -192,12 +192,19 @@ def _kernel_cases():
                 yield p, axis, float(s)
 
 
+def _profile_stream(seed: int, axis: int) -> np.random.Generator:
+    # the README's formula for a profile's stream, apart from _rng, so the
+    # documented stream is pinned too
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed, spawn_key=(axis,))))
+
+
 @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
                                3 * _MC_BLOCK + 7, 100_000])
 def test_mc_slice_matches_the_one_shot_reference_bit_for_bit(n):
     # blocking the draws and the hit test must not move a single bit
     for k, (p, axis, s) in enumerate(_kernel_cases()):
-        got = _mc_slicer(p, axis, n)(s, _rng(7, axis, k))
+        got = _mc_slicer(p, axis, n)([s], _rng(7, axis, k))[0]
         want = slice_volume_mc_reference(p, axis, s, n, _rng(7, axis, k))
         assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, s, got, want)
 
@@ -206,17 +213,16 @@ def test_mc_slice_at_a_rounded_end_is_empty():
     lo, _ = projection_range(ROUNDED_END, 0)
     assert -1.0 + 49.0 * lo < 0
     estimate = _mc_slicer(ROUNDED_END, 0, 1000)
-    assert estimate(lo, _rng(1)) == (0.0, 0.0)
-    vol, err = estimate(0.5, _rng(1))
+    assert estimate([lo], _rng(1))[0] == (0.0, 0.0)
+    vol, err = estimate([0.5], _rng(1))[0]
     assert vol == pytest.approx(1.0, rel=1e-12) and err == 0.0
 
 
 @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7])
 def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
-    # the slicer shares its rows and vertex columns between bins, and a last
-    # partial block scales by only part of the tiled box; neither may leave
-    # a stale bit behind.  Each bin's stream is built here from the README's
-    # formula, apart from _rng, so the documented stream is pinned too
+    # the slicer shares its rows, vertex columns and points between bins, and
+    # a last partial block tests only part of the repeated bounds; neither
+    # may leave a stale bit behind
     bodies = [SIMPLEX3, ROUNDED_END, random_polytope(np.random.default_rng(4), 4),
               SEGMENT, PLANE_CUT, SIMPLEX2]
     for p in bodies:
@@ -224,22 +230,80 @@ def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
             profile = slice_profile(p, axis, bins=7, method="mc", mc_n=n, seed=11)
             for i, s in enumerate(profile.grid.tolist()):
                 got = (profile.volumes[i], profile.stderrs[i])
-                stream = np.random.SeedSequence(11, spawn_key=(axis, i))
-                rng = np.random.Generator(np.random.PCG64DXSM(stream))
-                want = slice_volume_mc_reference(p, axis, s, n, rng)
+                want = slice_volume_mc_reference(p, axis, s, n, _profile_stream(11, axis))
                 assert np.array(got).tobytes() == np.array(want).tobytes(), (p, axis, i)
 
 
+def _kernel_bodies():
+    return list(dict.fromkeys(p for p, _, _ in _kernel_cases()))
+
+
+@pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7, 100_000])
+def test_mc_profile_bins_are_one_centre_calls_bit_for_bit(n):
+    # a bin's estimate depends only on (seed, axis, n, s): whichever bins
+    # share its blocks, and so however many points a block holds, it is the
+    # estimate of a one-centre call on a fresh stream of the profile
+    for p in _kernel_bodies():
+        for axis in range(p.dim):
+            estimate = _mc_slicer(p, axis, n)
+            for bins in (7, 40):
+                profile = slice_profile(p, axis, bins=bins, method="mc", mc_n=n, seed=13)
+                for i, row in enumerate(profile.rows):
+                    want = estimate([row[0]], _profile_stream(13, axis))[0]
+                    assert np.array(row[1:]).tobytes() == np.array(want).tobytes(), \
+                        (p, axis, bins, i)
+
+
+def test_mc_profile_does_not_depend_on_block_size(monkeypatch):
+    cases = [(p, axis) for p in _kernel_bodies() for axis in range(p.dim)]
+    want = [slice_profile(p, axis, 40, method="mc", mc_n=3000, seed=17).rows
+            for p, axis in cases]
+    for block, stack in ((1, 1), (7, 50), (_MC_BLOCK, 2**30)):
+        monkeypatch.setattr(dhlab.toric, "_MC_BLOCK", block)
+        monkeypatch.setattr(dhlab.toric, "_MC_STACK", stack)
+        got = [slice_profile(p, axis, 40, method="mc", mc_n=3000, seed=17).rows
+               for p, axis in cases]
+        assert got == want, (block, stack)
+
+
 def test_box_filling_bin_draws_nothing():
-    # every point of the slice's bounding box would hit, so nothing is drawn;
-    # a slice that a half-space cuts is sampled
-    rng = _rng(3, 0, 0)
+    # every point of each slice's bounding box would hit, so a profile of
+    # box-filling bins draws nothing from its stream
+    rng = _rng(3, 0)
     state = rng.bit_generator.state
-    estimate = _mc_slicer(SHIFTED_CUBE, 0, 1000)(3.5, rng)
+    estimates = _mc_slicer(SHIFTED_CUBE, 0, 1000)([2.5, 3.5, 4.75], rng)
     assert rng.bit_generator.state == state
-    assert estimate == (9.0, 0.0)
-    _mc_slicer(SIMPLEX3, 0, 1000)(0.25, rng)
-    assert rng.bit_generator.state != state
+    assert estimates == [(9.0, 0.0)] * 3
+
+
+@pytest.mark.parametrize("bins", [1, 40])
+def test_sampled_profile_draws_its_points_once(bins):
+    # one sampled bin or forty, with box-filling bins among them or not, a
+    # profile draws n points of dim - 1 doubles from its stream, once
+    n = 3 * _MC_BLOCK + 7
+    # the unit cube cut by x + y + z <= 2.5: the cut misses the slices' boxes
+    # up to x = 0.5, and reaches each one after
+    cut_cube = HPolytope(3, CUBE3.halfspaces + (((1.0, 1.0, 1.0), 2.5),))
+    centers = [0.75] if bins == 1 else np.linspace(0.0, 1.0, bins).tolist()
+    for p in (SIMPLEX3, cut_cube):
+        rng, twin = _rng(3, 0), _rng(3, 0)
+        estimates = _mc_slicer(p, 0, n)(centers, rng)
+        assert any(err > 0 for _, err in estimates)
+        assert p is SIMPLEX3 or bins == 1 or any(err == 0 < v for v, err in estimates)
+        twin.random((n, p.dim - 1))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_mc_profile_second_differences_are_the_exact_ones():
+    # every bin tests the same points, each scaled into its own box; the
+    # slices of the 3-simplex are similar triangles, so up to the box pad the
+    # same points hit in every bin and the noise in the log second
+    # differences, which the midpoint test reads, cancels
+    profile = slice_profile(SIMPLEX3, 0, bins=20, method="mc", mc_n=20_000, seed=23)
+    exact = (1.0 - profile.grid) ** 2 / 2.0
+    assert np.all(profile.stderrs > 0)
+    second = np.diff(np.log(profile.volumes), 2)
+    assert np.max(np.abs(second - np.diff(np.log(exact), 2))) <= 1e-6
 
 
 def test_mc_slice_memory_does_not_grow_with_samples():
