@@ -16,12 +16,15 @@ and lines once per polytope, by fraction-free elimination in Python
 integers.  Emptiness, boundedness and axis ranges are read from that
 enumeration, and a polytope lacks interior when a half-space is tight at
 every vertex, so no float solver decides them; ``slice_profile`` checks
-boundedness on every axis once.  Monte-Carlo slicing takes each bin's
-bounding box from where segments between vertices cross the slicing
-hyperplane, so no bin solves anything, and builds what does not depend on
-the bin (rows, vertex columns) once per profile.  A bin whose slice fills
-its bounding box gives the box's volume with standard error 0 and samples
-nothing.  The other bins share the profile's one PCG64DXSM stream, seeded by
+boundedness on every axis once.  Monte-Carlo slicing takes each bin's box
+from the slice's exact extent along each other coordinate, the chord at the
+bin of the vertices' hull in that coordinate and the axis (one lower and one
+upper chain per coordinate and profile, built in integers), rounded outward
+once; so no bin solves anything and no pad widens a box.  A bin whose slice
+fills its box, decided exactly, gives the box's exact volume rounded once,
+with standard error 0, and samples nothing.  A sampled bin tests only the
+half-spaces that can reject a point of its box.  The sampled bins share
+the profile's one PCG64DXSM stream, seeded by
 ``SeedSequence(seed, spawn_key=(axis,))`` (``GENERATOR_NAME``): every bin
 tests the same points of the unit cube, each scaled into its own box, so the
 points are drawn once per profile rather than once per bin, and the bins'
@@ -41,7 +44,6 @@ loads only to run Monte Carlo and to build a profile's arrays on first read.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -102,27 +104,6 @@ class HPolytope:
         tight set (a bitset over indices into ``halfspaces``), found once;
         raises EmptyPolytopeError if there is no vertex."""
         return _enumerate(self.dim, self.halfspaces)
-
-    @cached_property
-    def _vertices(self) -> np.ndarray:
-        """The vertices, one per row, rounded to floats, of a polytope that
-        must be bounded: slice_profile checks every axis before it gets here.
-
-        Raises EmptyPolytopeError if the polytope is empty, and DomainError
-        naming the first axis where a vertex is beyond the float range; has
-        no rows if a half-space is tight at every vertex, so on their hull: an
-        implicit equality, which a nonempty bounded polytope has iff it has no interior.
-        """
-        import numpy as np
-
-        vertices, _, tights = self._vrep
-        if reduce(int.__and__, tights):
-            return np.empty((0, self.dim))
-        rounded = np.array([[nearest_double(x) for x in v] for v in vertices])
-        beyond = np.flatnonzero(~np.isfinite(rounded).all(axis=0))
-        if beyond.size:
-            raise DomainError(f"a vertex lies beyond the float range along axis {beyond[0]}")
-        return rounded
 
     @staticmethod
     def from_json_dict(data: dict) -> "HPolytope":
@@ -194,8 +175,9 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     ``method`` is "exact2d" (dim = 2 only), whose chords are exact and
     rounded once, computed for every bin in one pass per profile, or "mc";
     None means "exact2d" in dimension 2, else "mc".  Monte-Carlo bins test
-    the same points, drawn once from the stream of (seed, axis), so a bin's
-    estimate depends on its centre but not on the other bins.
+    the same points, drawn once from the stream of (seed, axis), each scaled
+    into its slice's exact bounding box rounded outward, so a bin's estimate
+    depends on its centre but not on the other bins.
     A polytope flat along the axis has no profile: InsufficientDataError.
     A projection whose width or bin centres overflow, or whose centres do not
     ascend strictly, raises DomainError (``bin_centers``) before numpy loads.
@@ -469,32 +451,138 @@ def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> list[float]:
     return chords
 
 
-_BOX_PAD = 64 * sys.float_info.epsilon
 _MC_BLOCK = 4096  # most points per block of the hit test
 _MC_STACK = 4 * _MC_BLOCK  # most floats in one block's stacked hit test, over all bins
+_UNIT_ROUNDOFF = 2.0 ** -53  # the relative error of one rounded double operation
+_LEAST_DOUBLE = 2.0 ** -1074  # what one operation may lose to underflow, and more
 
 
-def _slice_extent(t: np.ndarray, rest: np.ndarray,
-                  s: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Least and greatest coordinates of the slice at axis = s, for the
-    vertices' coordinates ``t`` along the axis and ``rest`` along the others;
-    None if no vertex reaches the hyperplane.
+def _orientation(a, b, c) -> int:
+    """The 3x3 determinant of three homogeneous points (t, x, d), d > 0: its
+    sign is that of the turn from a to b to c in the plane (t/d, x/d),
+    positive counter-clockwise."""
+    (ta, xa, da), (tb, xb, db), (tc, xc, dc) = a, b, c
+    return ta * (xb * dc - xc * db) - xa * (tb * dc - tc * db) + da * (tb * xc - tc * xb)
 
-    They are taken over the vertices on the hyperplane and the points where
-    the segments between vertices on either side cross it.  Those points lie
-    in the polytope, and every vertex of the slice lies on an edge of the
-    polytope, so this is the slice's bounding box up to rounding.
+
+def _hull_chain(points: list, sign: int) -> list:
+    """Andrew's monotone chain (Inf. Process. Lett. 9, 1979) of homogeneous
+    points of strictly ascending t: the upper chain of their convex hull for
+    sign 1, the lower for -1, without collinear points."""
+    chain: list = []
+    for q in points:
+        while len(chain) > 1 and sign * _orientation(chain[-2], chain[-1], q) >= 0:
+            chain.pop()
+        chain.append(q)
+    return chain
+
+
+def _chain_at(chain: list, k: int, num: int, den: int) -> tuple[int, int]:
+    """A chain's height at t = num / den, a t on its segment k, as a pair
+    (numerator, denominator > 0)."""
+    (t1, x1, d1), (t2, x2, d2) = chain[k], chain[k + 1]
+    return x1 * (t2 * den - num * d2) + x2 * (num * d1 - t1 * den), den * (t2 * d1 - t1 * d2)
+
+
+def _round_out(num: int, den: int, up: bool) -> float:
+    """The smallest double >= num / den if ``up``, else the largest double
+    <= it (den > 0); beyond the float range, +-inf or the largest finite
+    double on its side."""
+    try:
+        x = num / den  # correctly rounded
+    except OverflowError:
+        x = math.inf if num > 0 else -math.inf
+    if math.isinf(x):
+        return x if (x > 0) == up else math.nextafter(x, 0.0)
+    n, d = x.as_integer_ratio()
+    if (n * den < num * d) if up else (n * den > num * d):
+        return math.nextafter(x, math.inf if up else -math.inf)
+    return x
+
+
+def _slice_boxes(p: HPolytope, axis: int):
+    """The bounding boxes of the slices of a bounded ``p`` with interior (so
+    its vertices have two heights or more) at axis = s: a function of a list of centres giving, at each, None where the
+    hyperplane misses ``p``, else ``(lows, highs, ends)`` over the
+    coordinates other than the axis.  ``lows`` holds the largest double <= the
+    slice's exact least coordinate, ``highs`` the smallest double >= its
+    greatest, and ``ends`` those exact ends as (numerator, denominator > 0)
+    pairs, least and greatest for each coordinate in turn.
+
+    The slice's extent along coordinate j at s is the chord at s of the
+    projection of ``p`` onto (axis, j), and that projection is the convex
+    hull of the vertices' (t, x_j).  So the lower and upper chains of each
+    such hull, through the least and the greatest x_j at each distinct
+    height t, are built once here, in Python integers: each vertex is
+    written over one denominator, and each turn is the sign of an integer
+    determinant.  One walk over the centres, in ascending order, then reads
+    every box from the chains.  Raises DomainError naming the first axis
+    along which a vertex lies beyond the float range.
     """
-    import numpy as np
+    vertices = p._vrep[0]
+    homogeneous, rounded = [], []
+    for v in vertices:
+        den = math.lcm(*(x.denominator for x in v))
+        homogeneous.append(([x.numerator * (den // x.denominator) for x in v], den))
+        rounded.append([nearest_double(x) for x in v])
+    for j in range(p.dim):
+        if any(math.isinf(r[j]) for r in rounded):
+            raise DomainError(f"a vertex lies beyond the float range along axis {j}")
 
-    below, above = t < s, t > s
-    frac = (s - t[below])[:, None] / (t[above][None, :] - t[below][:, None])
-    lower, upper = rest[below][:, None, :], rest[above][None, :, :]
-    crossings = (lower + frac[:, :, None] * (upper - lower)).reshape(frac.size, rest.shape[1])
-    pts = np.concatenate([crossings, rest[t == s]])
-    if not len(pts):
-        return None
-    return pts.min(axis=0), pts.max(axis=0)
+    # the exact order by a coordinate, compared as Fractions only where the
+    # rounded coordinates tie (rounding is monotone)
+    def by(j):
+        return lambda i: (rounded[i][j], vertices[i][j])
+
+    levels: list[list[int]] = []  # the vertices at each distinct height, ascending
+    for i in sorted(range(len(vertices)), key=by(axis)):
+        if levels and vertices[levels[-1][0]][axis] == vertices[i][axis]:
+            levels[-1].append(i)
+        else:
+            levels.append([i])
+    chains = []  # the lower chain, then the upper, of each coordinate but the axis
+    for j in range(p.dim):
+        if j != axis:
+            for extreme, sign in ((min, -1), (max, 1)):
+                ends = [homogeneous[extreme(level, key=by(j))] for level in levels]
+                chains.append(_hull_chain([(x[axis], x[j], den) for x, den in ends], sign))
+    (first, first_den), (last, last_den) = ((x[axis], den) for x, den in
+                                            (homogeneous[levels[0][0]],
+                                             homogeneous[levels[-1][0]]))
+
+    def boxes(centers) -> list:
+        found: list = [None] * len(centers)
+        at = [0] * len(chains)  # the segment of each chain that the walk is on
+        for i in sorted(range(len(centers)), key=centers.__getitem__):
+            num, den = centers[i].as_integer_ratio()
+            if num * first_den < first * den or num * last_den > last * den:
+                continue
+            ends = []
+            for c, chain in enumerate(chains):
+                k = at[c]
+                while k + 2 < len(chain) and chain[k + 1][0] * den <= num * chain[k + 1][2]:
+                    k += 1
+                at[c] = k
+                ends.append(_chain_at(chain, k, num, den))
+            found[i] = ([_round_out(*end, False) for end in ends[::2]],
+                        [_round_out(*end, True) for end in ends[1::2]], ends)
+        return found
+
+    return boxes
+
+
+def _holds(row: tuple, num: int, den: int, ends: list) -> bool:
+    """Whether the integer half-space ``row`` = (along, across, offset),
+    along s + across . y + offset <= 0, holds on the whole box of ``ends``
+    (from _slice_boxes) at s = num / den, decided exactly at the box's
+    corner that is greatest along the row."""
+    along, across, offset = row
+    total, scale = along * num + offset * den, den
+    for c, least, greatest in zip(across, ends[::2], ends[1::2]):
+        if c:
+            x, d = greatest if c > 0 else least
+            total, scale = total * d + c * x * scale, scale * d
+    return total <= 0
 
 
 def _mc_slicer(p: HPolytope, axis: int, n: int):
@@ -502,22 +590,29 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     ``p`` at axis = s, each from n points: a function of ``(centers, rng)``
     giving the volume and its standard error at each centre, in order.
 
-    What does not depend on s is built here, once per profile: the float rows of
-    the half-spaces without the axis, the mask of those normal to it, the
-    vertices (enumerated exactly on first use, rounded to floats) split into the
-    axis column and the others, and the box pad.  Each centre's slice takes its
-    bounding box from the vertices.  If that box lies in every half-space, the
-    slice is its box and every point would hit: the bin gives the product of
-    the box's sides, with standard error 0, and samples nothing.  A segment's
-    slices are points, so one inside gives 1 by the same rule.  Every other
-    bin widens its box by the pad, which only guards a sampled estimate, and
-    folds the box into its rows: a point u of the unit cube, scaled to
-    lows + widths * u, hits when (rows * widths) u <= bounds - rows lows.
+    What does not depend on s is built here, once per profile: the float
+    rows of the half-spaces without the axis, the mask of those normal to
+    it (each passes a whole slice or none of it), their exact integer rows,
+    and the exact hull chains from which _slice_boxes reads every slice's
+    box: its exact bounding box, rounded outward once, so that it holds the
+    slice with no pad.  Each step after the walk over the chains is an array
+    operation over all bins, the cuts and box volumes taken column by column
+    in a fixed order.  If the exact slice fills its exact box, decided
+    exactly (float bounds settle most rows, and integers the rest), the bin
+    gives that box's exact volume, rounded once, with standard error 0, and
+    samples nothing; a one-point slice gives 1 by the same rule.  Every
+    other bin folds its box into its rows: a point u of the unit cube,
+    scaled to lows + widths * u, hits when (rows * widths) u <= bounds -
+    rows lows.  A bin keeps only the rows that can reject a point of its
+    box: a row is dropped when its folded entries are all <= 0 and its cut
+    is >= 0, or when its largest value on the box, plus the rounding bound
+    of a (dim-1)-term dot product, is within its cut; so dropping a row
+    changes no count.
 
     The sampled bins share one stream, so every bin tests the same points:
     if any bin is sampled, the call draws rng's next n * (dim-1) doubles in
     row-major order, one point per row, and none otherwise.  The points come
-    in blocks, each drawn once and tested against every sampled bin's folded
+    in blocks, each drawn once and tested against every sampled bin's kept
     rows in one product; a block holds at most _MC_BLOCK points, and its
     product at most _MC_STACK floats unless one point's test needs more.  A
     bin folds its rows alone, and each entry of the product is that of its
@@ -525,7 +620,8 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     whatever other bins share the product: its estimate depends only on
     (rng's state, n, s).  An empty slice or a polytope without interior
     (decided exactly) gives 0; a slice whose box volume is not finite, or
-    whose extents are positive but multiply to 0, raises DomainError naming s.
+    whose extents are positive but multiply to 0, raises DomainError naming
+    the first such s.
     """
     import numpy as np
 
@@ -533,64 +629,106 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     along = a[:, axis]
     k = p.dim - 1
     rest = np.delete(a, axis, axis=1)
-    # a half-space normal to the axis is +-0.0 at every point: it passes all or none
     normal = ~rest.any(axis=1)
-    rows = rest[~normal]
-    vertices = p._vertices
-    t, others = vertices[:, axis], np.delete(vertices, axis, axis=1)
-    # widen each box by the rounding in the vertices: a box too small would
-    # bias the estimate, where one too large only adds variance
-    pad = _BOX_PAD * float(np.abs(vertices).max(initial=0.0))
+    rows, row_along, row_offsets = rest[~normal], along[~normal], b[~normal]
+    exact_rows = []
+    for (h, offset), skip in zip(p.halfspaces, normal.tolist()):
+        if not skip:
+            row = _integer_row([*h, -offset])
+            exact_rows.append((row[axis], row[:axis] + row[axis + 1:-1], row[-1]))
+    # a half-space tight at every vertex: no interior, and every slice has volume 0
+    boxes = None if reduce(int.__and__, p._vrep[2]) else _slice_boxes(p, axis)
 
     def estimate(centers, rng: np.random.Generator) -> list[tuple[float, float]]:
         out = [(0.0, 0.0)] * len(centers)
-        sampled, folded, cuts = [], [], []  # (bin, box volume); rows * widths; their bounds
-        # an overflow gives inf or nan, which reads as a cut in the box test
-        # and as a miss in the hit test
+        found = boxes(centers) if boxes else [None] * len(centers)
+        live = [i for i, box in enumerate(found) if box is not None]
+        if not live:
+            return out
+        s = np.array([centers[i] for i in live])[:, None]
+        # an overflow gives inf or nan, which fails every test below but the
+        # exact one, and reads as a miss in the hit test
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, s in enumerate(centers):
-                bounds = b - along * s
-                extent = _slice_extent(t, others, s)
-                if extent is None or np.any(bounds[normal] < 0):
-                    continue
-                least, greatest = extent
-                lows, highs = least - pad, greatest + pad
-                widths = highs - lows
-                box_vol = float(np.prod(widths))
-                spans = greatest - least
-                slice_box_vol = np.prod(spans)
-                if not math.isfinite(box_vol) or (slice_box_vol == 0 and np.all(spans > 0)):
-                    raise DomainError(f"the slice at s={s} has extents {spans.tolist()}: "
-                                      "its volume is outside the float range")
-                # every corner of the unpadded box in every half-space: the slice
-                # is its box, so every point would hit
-                bounds = bounds[~normal]
-                if np.all(np.maximum(rows * least, rows * greatest).sum(axis=1) <= bounds):
-                    out[i] = float(slice_box_vol), 0.0
-                    continue
-                # bounds - rows @ lows, one column at a time: a matrix-vector
-                # product may round a row by where it sits in the matrix
-                for column, low in zip(rows.T, lows):
-                    bounds = bounds - column * low
-                sampled.append((i, box_vol))
-                folded.append(rows * widths)
-                cuts.append(bounds)
-            if not sampled:
-                return out
-            folded = np.concatenate(folded)
-            block = min(n, _MC_BLOCK, max(1, _MC_STACK // len(folded)))
-            # each row's bound repeated across the block: a broadcast compare
-            # runs three times slower than one between equal shapes
-            cuts = np.repeat(np.concatenate(cuts)[:, None], block, axis=1)
-            shape = len(sampled), len(rows), -1
-            hits = np.zeros(len(sampled), dtype=np.int64)
-            for start in range(0, n, block):
-                m = min(block, n - start)
-                u = rng.random((m, k))
-                hits += (folded @ u.T <= cuts[:, :m]).reshape(shape).all(axis=1).sum(axis=1)
-        for (i, box_vol), h in zip(sampled, hits.tolist()):
-            phat = h / n
-            out[i] = box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n)
+            passes = ~(b[normal] - along[normal] * s < 0).any(axis=1)
+            live, s = [i for i, ok in zip(live, passes.tolist()) if ok], s[passes]
+            lows = np.array([found[i][0] for i in live]).reshape(len(live), k)
+            highs = np.array([found[i][1] for i in live]).reshape(len(live), k)
+            widths = highs - lows
+            volumes = np.ones(len(live))
+            for column in widths.T:
+                volumes = volumes * column
+            bad = ~np.isfinite(volumes) | ((volumes == 0) & (widths > 0).all(axis=1))
+            if bad.any():
+                _refuse(centers[live[bad.argmax()]], widths[bad.argmax()].tolist())
+            # bounds - rows @ lows, one column at a time: a matrix-vector
+            # product may round a row by where it sits in the matrix
+            cuts = row_offsets - row_along * s
+            scale = np.abs(row_offsets) + np.abs(row_along * s)
+            for j in range(k):
+                cuts = cuts - rows[:, j] * lows[:, j, None]
+                scale = scale + np.abs(rows[:, j]) * np.maximum(np.abs(lows[:, j, None]),
+                                                                np.abs(highs[:, j, None]))
+            folded = rows * widths[:, None, :]
+            # each row's largest value on the box, less its value at lows, and
+            # the most that rounding may move a (dim-1)-term dot product
+            top = np.maximum(folded, 0.0).sum(axis=2)
+            slack = 2 * (k + 2) * _UNIT_ROUNDOFF * np.abs(folded).sum(axis=2) \
+                + (k + 1) * _LEAST_DOUBLE
+            finite = np.isfinite(folded).all(axis=2)
+            rejects = ~(finite & (((folded <= 0).all(axis=2) & (cuts >= 0)) | (top + slack <= cuts)))
+            # the exact row against the exact box: where nothing overflowed,
+            # every rounding above, and the outward rounding of the box, moves
+            # top - cuts by less than this margin
+            margin = 8 * (k + 2) * (_UNIT_ROUNDOFF * scale + _LEAST_DOUBLE)
+            known = finite & np.isfinite(cuts) & np.isfinite(margin)
+            cutting, inside = known & (top - cuts > margin), known & (cuts - top > margin)
+        sampled = []
+        for j, (i, cut) in enumerate(zip(live, cutting.any(axis=1).tolist())):
+            num, den = centers[i].as_integer_ratio()
+            ends = found[i][2]
+            if cut or not all(_holds(row, num, den, ends) for row, skip
+                              in zip(exact_rows, inside[j].tolist()) if not skip):
+                sampled.append(j)
+                continue
+            volume, scale = 1, 1
+            for (x, d), (y, e) in zip(ends[::2], ends[1::2]):
+                volume, scale = volume * (y * d - x * e), scale * d * e
+            out[i] = nearest_double(volume, scale), 0.0
+            if not math.isfinite(out[i][0]) or out[i][0] == 0 < volume:
+                _refuse(centers[i], widths[j].tolist())
+        if not sampled:
+            return out
+        keep = rejects[sampled]
+        counts = keep.sum(axis=1)
+        ruled = counts > 0
+        # each ruled bin's kept rows, then its first kept row again up to the
+        # most rows a bin keeps, so that one reshape tests every bin: a
+        # repeated row rejects no point its first copy passes
+        width = int(counts.max())
+        first = np.argsort(~keep[ruled], axis=1, kind="stable")[:, :width]
+        picked = np.where(np.arange(width) < counts[ruled, None], first, first[:, :1])
+        at = np.flatnonzero(ruled)[:, None]
+        stacked = folded[sampled][at, picked].reshape(-1, k)
+        block = min(n, _MC_BLOCK, max(1, _MC_STACK // max(1, len(stacked))))
+        # each row's cut repeated across the block: a broadcast compare runs
+        # three times slower than one between equal shapes
+        stacked_cuts = np.repeat(cuts[sampled][at, picked].reshape(-1, 1), block, axis=1)
+        hits = np.zeros(len(sampled), dtype=np.int64)
+        hits[~ruled] = n  # no row can reject a point of the box
+        for start in range(0, n, block):
+            m = min(block, n - start)
+            u = rng.random((m, k))
+            if len(stacked):
+                passed = stacked @ u.T <= stacked_cuts[:, :m]
+                hits[ruled] += passed.reshape(len(at), width, m).all(axis=1).sum(axis=1)
+        for j, h in zip(sampled, hits.tolist()):
+            box_vol, phat = float(volumes[j]), h / n
+            out[live[j]] = box_vol * phat, box_vol * math.sqrt(phat * (1.0 - phat) / n)
         return out
 
     return estimate
+
+
+def _refuse(s: float, extents: list[float]):
+    raise DomainError(f"the slice at s={s} has extents {extents}: "
+                      "its volume is outside the float range")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from dhlab import (Chart, CutWindow, Form, HPolytope, OmegaParams, Poly, Sampler
                    ViolationReport, canonical_chart, wedge)
 from dhlab.construction import DIM, T_AXIS
 from dhlab.logconcavity import root_brackets
-from dhlab.toric import _BOX_PAD, _mc_slicer, _rng, _slice_extent
+from dhlab.toric import _mc_slicer, _rng
 
 WINDOW = CutWindow(0.5, 4.5)
 
@@ -331,34 +332,65 @@ def slice_volume_mc(p: HPolytope, axis: int, s: float, n: int, seed: int) -> flo
     return _mc_slicer(p, axis, int(n))([float(s)], _rng(seed))[0][0]
 
 
+def exact_slice_box(p: HPolytope, axis: int,
+                    s: float) -> tuple[list[Fraction], list[Fraction]] | None:
+    """The least and greatest coordinates, other than the axis, of the slice
+    of ``p`` at axis = s, as Fractions; None if no vertex reaches the
+    hyperplane.  They are taken over the vertices on the hyperplane and the
+    points where the segments between vertices on either side cross it, as
+    exact_chord_2d takes a chord: every vertex of the slice is such a point.
+    Shares only the exact vertices with dhlab.toric."""
+    vertices, _, _ = p._vrep
+    s = Fraction(s)
+    keep = [j for j in range(p.dim) if j != axis]
+    points = [[v[j] for j in keep] for v in vertices if v[axis] == s]
+    for u, v in product([v for v in vertices if v[axis] < s], [v for v in vertices if v[axis] > s]):
+        f = (s - u[axis]) / (v[axis] - u[axis])
+        points.append([u[j] + f * (v[j] - u[j]) for j in keep])
+    if not points:
+        return None
+    return [min(c) for c in zip(*points)], [max(c) for c in zip(*points)]
+
+
+def outward_double(x: Fraction, up: bool) -> float:
+    """The smallest double >= x if ``up``, else the largest double <= x."""
+    f = float(x)  # correctly rounded
+    if (Fraction(f) < x) if up else (Fraction(f) > x):
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
 def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                               rng: np.random.Generator) -> tuple[float, float]:
-    """The hit-or-miss slice estimate in one shot: all ``n`` points of the
-    unit cube at once, then every half-space, folded into the slice's box
-    padded by ``_BOX_PAD`` times the largest vertex coordinate, tested on
-    every point: u hits when (a * widths) u <= b - a lows.  A slice whose
-    unpadded box has all 2**k corners in every half-space is its box: the
-    product of the box's sides, with stderr 0, and nothing drawn.  Shares
-    only the slice's extent with _mc_slicer, so tests can use it as an oracle
-    for how the kernel pads, folds, blocks and tests its draws, for which
-    bins it samples and for what it shares across bins."""
+    """The hit-or-miss slice estimate in one shot, in the slice's exact
+    bounding box (exact_slice_box) rounded outward: all ``n`` points of the
+    unit cube at once, each tested against every half-space, folded into the
+    box: u hits when (a * widths) u <= b - a lows.  A slice that fills its
+    box, decided in Fractions at the box's corners for the half-spaces not
+    normal to the axis (the others pass in floats), is its box: the exact
+    volume of the box rounded once, with stderr 0, and nothing drawn.  A
+    polytope without interior gives 0.  Shares only the exact enumeration
+    with _mc_slicer, so tests can use it as an oracle for its boxes, for how
+    it folds, prunes, blocks and tests its draws, for which bins it samples
+    and for what it shares across bins."""
+    _, _, tights = p._vrep
+    box = None if functools.reduce(int.__and__, tights) else exact_slice_box(p, axis, s)
+    if box is None:
+        return 0.0, 0.0
+    keep = [i for i in range(p.dim) if i != axis]
     a = np.array([normal for normal, _ in p.halfspaces])
     b = np.array([offset for _, offset in p.halfspaces])
-    keep = [i for i in range(p.dim) if i != axis]
     a_slice, b_slice = a[:, keep], b - a[:, axis] * s
-    if not keep:
-        return (1.0, 0.0) if np.all(b_slice >= 0) else (0.0, 0.0)
-    vertices = p._vertices
-    extent = _slice_extent(vertices[:, axis], vertices[:, keep], s)
-    if extent is None:
-        return 0.0, 0.0
-    corners = np.array(list(product(*zip(*extent))))
-    if np.all(corners @ a_slice.T <= b_slice):
-        return float(np.prod(extent[1] - extent[0])), 0.0
-    pad = _BOX_PAD * float(np.abs(vertices).max())
-    lows, highs = extent[0] - pad, extent[1] + pad
-    widths = highs - lows
-    box_vol = float(np.prod(widths))
+    least, greatest = box
+    corner_sums = [sum(Fraction(normal[j]) * (hi if normal[j] > 0 else lo)
+                       for j, lo, hi in zip(keep, least, greatest)) - Fraction(offset)
+                   + Fraction(normal[axis]) * Fraction(s)
+                   for normal, offset in p.halfspaces if any(normal[j] for j in keep)]
+    if all(v <= 0 for v in corner_sums) and np.all(b_slice[~a_slice.any(axis=1)] >= 0):
+        return float(math.prod(hi - lo for lo, hi in zip(least, greatest))), 0.0
+    lows = np.array([outward_double(x, False) for x in least])
+    widths = np.array([outward_double(x, True) for x in greatest]) - lows
+    box_vol = math.prod(widths.tolist())
     u = rng.random((n, len(keep)))
     folded, cuts = a_slice * widths, b_slice
     for j, low in enumerate(lows):  # the cut of each row is b - a.lows, term by term

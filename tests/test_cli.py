@@ -384,7 +384,7 @@ def test_toric_thin_box_is_log_concave(capsys, tmp_path):
 
 def test_toric_thin_box_mc_bins_are_its_slices(capsys, tmp_path):
     # [0, 1] x [0, 1e-150]^2: each slice is a square of area 1e-300 that fills
-    # its bounding box, so no pad of 64 ulps of 1 (about 1.4e-14) swamps it
+    # its exact bounding box, so it reports that box's area and draws nothing
     poly = tmp_path / "thin.json"
     poly.write_text(json.dumps({"dim": 3, "halfspaces": [
         {"a": [1, 0, 0], "b": 1}, {"a": [-1, 0, 0], "b": 0},
@@ -396,14 +396,19 @@ def test_toric_thin_box_mc_bins_are_its_slices(capsys, tmp_path):
     rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[3:-1]]
     assert [(volume, stderr) for _, volume, stderr in rows] == [(1e-300, 0.0)] * 8
 
-    # ROADMAP item 19: a thin simplex's slices are cut by a half-space, so they
-    # are still sampled in boxes padded by about 1.4e-14, and no point hits a
-    # slice of area below 5e-301; this run pins that miss
+    # x + 1e150 y + 1e150 z <= 1: a half-space cuts each slice, a triangle of
+    # area (1-s)^2 / 2e300, so the bins are sampled, each in its exact box
+    # rounded outward, which no pad swamps
     poly.write_text(json.dumps({"dim": 3, "halfspaces": [
         {"a": [-1, 0, 0], "b": 0}, {"a": [0, -1, 0], "b": 0}, {"a": [0, 0, -1], "b": 0},
         {"a": [1, 1e150, 1e150], "b": 1}]}))
-    assert main(["toric", "--input", str(poly), "--bins", "8", "--samples", "1000"]) == 1
-    assert capsys.readouterr() == ("", "error: only 0 positive bins; need at least 3\n")
+    assert main(["toric", "--input", str(poly), "--bins", "8", "--samples", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "slice profile is log-concave"
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[3:-1]]
+    assert len(rows) == 8
+    for s, volume, stderr in rows:
+        assert volume > 0 and abs(volume - 1e-300 * (1 - s) ** 2 / 2) <= 4 * stderr, (s, volume)
 
 
 def test_toric_malformed_json(capsys, tmp_path):
@@ -1030,8 +1035,9 @@ def test_default_outputs_byte_identical(capsys, tmp_path):
 
 
 def test_toric_mc_output_byte_identical(capsys):
-    # the hit-or-miss path: the 5000 points that all 12 bins test span ten full
-    # blocks and a part
+    # the hit-or-miss path: each of the 12 bins keeps one row of the 3-simplex,
+    # so the 5000 points that they all test span three full blocks of
+    # 4 * 4096 // 12 = 1365 points and a part
     assert main(["toric", "--input", str(GOLDEN / "simplex3.json"), "--bins", "12",
                  "--samples", "5000", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -27,9 +27,9 @@ from dhlab import (
     slice_profile,
     suggested_tolerance,
 )
-from dhlab.toric import _BOX_PAD, _MC_BLOCK, _chords_2d, _mc_slicer, _rng
-from helpers import (exact_chord_2d, fraction_rref, random_polytope, slice_volume_mc,
-                     slice_volume_mc_reference)
+from dhlab.toric import _MC_BLOCK, _chords_2d, _mc_slicer, _rng, _slice_boxes
+from helpers import (exact_chord_2d, exact_slice_box, fraction_rref, random_polytope,
+                     slice_volume_mc, slice_volume_mc_reference)
 
 SQUARE = HPolytope(2, (
     ((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
@@ -119,7 +119,7 @@ def test_exact2d_profiles_match_the_exact_vertex_oracle():
 def test_polygon_without_interior_has_zero_exact2d_profile():
     # the unit square cut to the diagonal x = y: every slice is a point
     diagonal = HPolytope(2, SQUARE.halfspaces + (((1.0, -1.0), 0.0), ((-1.0, 1.0), 0.0)))
-    assert diagonal._vertices.shape == (0, 2)
+    assert functools.reduce(int.__and__, diagonal._vrep[2])  # no interior
     for axis in (0, 1):
         profile = slice_profile(diagonal, axis, bins=16, method="exact2d")
         assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
@@ -180,15 +180,14 @@ ROUNDED_END = HPolytope(3, CUBE3.halfspaces + (((-49.0, 0.0, 0.0), -1.0),))
 
 def _kernel_cases():
     """(polytope, axis, s): every axis of each body, sliced at both ends of
-    its projection, within _BOX_PAD of them, and inside."""
+    its projection, one ulp inside each, and inside."""
     rng = np.random.default_rng(49)
     bodies = [SIMPLEX3, SHIFTED_CUBE, ROUNDED_END, *(random_polytope(rng, d) for d in (3, 4, 5)),
               SIMPLEX2]  # last, so the other cases keep their streams; k = 1 column
     for p in bodies:
-        pad = _BOX_PAD * float(np.abs(p._vertices).max())
         for axis in range(p.dim):
             lo, hi = projection_range(p, axis)
-            for s in (lo, lo + 0.5 * pad, 0.3 * lo + 0.7 * hi, np.nextafter(hi, lo), hi):
+            for s in (lo, np.nextafter(lo, hi), 0.3 * lo + 0.7 * hi, np.nextafter(hi, lo), hi):
                 yield p, axis, float(s)
 
 
@@ -197,6 +196,37 @@ def _profile_stream(seed: int, axis: int) -> np.random.Generator:
     # documented stream is pinned too
     return np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(seed, spawn_key=(axis,))))
+
+
+# x + 1e150 y + 1e150 z <= 1 in the positive octant: slices of area (1-s)^2 / 2e300
+THIN_SIMPLEX = HPolytope(3, SIMPLEX3.halfspaces[:3] + (((1.0, 1e150, 1e150), 1.0),))
+
+
+def test_mc_boxes_are_the_tightest_outward_boxes_of_the_exact_slices():
+    # each box's exact ends are those of the slice, and its float ends the
+    # nearest doubles outside them: low <= least < the double after low, and
+    # the double before high < greatest <= high; centres come unsorted, and
+    # reach past both ends of the projection
+    rng = np.random.default_rng(1979)
+    cases = [(THIN_SIMPLEX, axis) for axis in range(3)]
+    for _ in range(50):
+        p = random_polytope(rng, int(rng.integers(3, 6)))
+        cases.append((p, int(rng.integers(0, p.dim))))
+    for p, axis in cases:
+        lo, hi = projection_range(p, axis)
+        centers = [hi, lo, *np.linspace(lo, hi, 5)[1:-1].tolist(), np.nextafter(lo, hi),
+                   np.nextafter(hi, lo), np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+        for s, box in zip(centers, _slice_boxes(p, axis)(centers)):
+            want = exact_slice_box(p, axis, s)
+            assert (box is None) == (want is None), (p, axis, s)
+            if box is None:
+                continue
+            lows, highs, ends = box
+            assert [Fraction(*end) for end in ends] == [x for pair in zip(*want) for x in pair]
+            for low, least in zip(lows, want[0]):
+                assert Fraction(low) <= least < Fraction(math.nextafter(low, math.inf))
+            for high, greatest in zip(highs, want[1]):
+                assert Fraction(math.nextafter(high, -math.inf)) < greatest <= Fraction(high)
 
 
 @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
@@ -220,9 +250,9 @@ def test_mc_slice_at_a_rounded_end_is_empty():
 
 @pytest.mark.parametrize("n", [1, _MC_BLOCK - 1, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7])
 def test_mc_profile_matches_the_one_shot_reference_bit_for_bit(n):
-    # the slicer shares its rows, vertex columns and points between bins, and
-    # a last partial block tests only part of the repeated bounds; neither
-    # may leave a stale bit behind
+    # the slicer shares its rows, hull chains and points between bins, keeps
+    # only the rows that can reject a point of each box, and a last partial
+    # block tests only part of the repeated bounds; none may move a bit
     bodies = [SIMPLEX3, ROUNDED_END, random_polytope(np.random.default_rng(4), 4),
               SEGMENT, PLANE_CUT, SIMPLEX2]
     for p in bodies:
@@ -296,9 +326,10 @@ def test_sampled_profile_draws_its_points_once(bins):
 
 def test_mc_profile_second_differences_are_the_exact_ones():
     # every bin tests the same points, each scaled into its own box; the
-    # slices of the 3-simplex are similar triangles, so up to the box pad the
-    # same points hit in every bin and the noise in the log second
-    # differences, which the midpoint test reads, cancels
+    # slices of the 3-simplex are similar triangles, each in its exact box, so
+    # up to the boxes' rounding the same points hit in every bin and the
+    # noise in the log second differences, which the midpoint test reads,
+    # cancels
     profile = slice_profile(SIMPLEX3, 0, bins=20, method="mc", mc_n=20_000, seed=23)
     exact = (1.0 - profile.grid) ** 2 / 2.0
     assert np.all(profile.stderrs > 0)
@@ -307,7 +338,7 @@ def test_mc_profile_second_differences_are_the_exact_ones():
 
 
 def test_mc_slice_memory_does_not_grow_with_samples():
-    SIMPLEX3._vertices  # the vertices are cached
+    SIMPLEX3._vrep  # the vertices are cached
     tracemalloc.start()
     try:
         slice_profile(SIMPLEX3, 0, bins=40, method="mc", mc_n=2_000_000)
@@ -318,7 +349,7 @@ def test_mc_slice_memory_does_not_grow_with_samples():
 
 
 # ---------------------------------------------------------------------------
-# vertices: the Monte-Carlo slice boxes come from them
+# vertices, and the Monte-Carlo slice boxes read from their hulls
 # ---------------------------------------------------------------------------
 
 def _box(lower, upper, scale=1.0):
@@ -335,8 +366,13 @@ def _rounded(points) -> set:
     return {tuple(v) for v in np.round(np.asarray(points, dtype=float), 9) + 0.0}
 
 
+def _float_vertices(p: HPolytope) -> np.ndarray:
+    """The exact vertices, one per row, each coordinate rounded to a float."""
+    return np.array(p._vrep[0], dtype=float).reshape(-1, p.dim)
+
+
 def _vertex_set(p: HPolytope) -> set:
-    return _rounded(p._vertices)
+    return _rounded(_float_vertices(p))
 
 
 def test_octahedron_vertices_despite_degeneracy():
@@ -368,14 +404,23 @@ def test_box_mc_slices_are_exact(scale):
     ((0.1, -1.3, 2.0), (0.7, 1.1, 5.5), 1e3),
 ], ids=["cube", "box", "scaled box"])
 def test_box_mc_bins_are_the_product_of_the_sides_bit_for_bit(lower, upper, scale):
-    # a box's slices fill their bounding boxes, so no pad widens them: on the
-    # cube [2, 5]^3 each bin is 9.0, not the padded 9.000000000000853
+    # a box's slices fill their exact bounding boxes, decided exactly, so
+    # each bin is the exact product of the sides rounded once and draws
+    # nothing: on the scaled box the sides are quotients of the scaled bounds
+    # (along axis 0 the area is 8.4, where a float product gives
+    # 8.400000000000002)
     box = _box(lower, upper, scale)
+    sides = [Fraction(scale * u) / Fraction(scale) - Fraction(-scale * l) / Fraction(-scale)
+             for l, u in zip(lower, upper)]
     for axis in range(3):
         profile = slice_profile(box, axis, bins=8, method="mc", mc_n=2000, seed=axis)
-        area = np.prod(np.delete(np.subtract(upper, lower), axis))
+        area = math.prod(side for k, side in enumerate(sides) if k != axis)
         assert profile.volumes.tolist() == [float(area)] * 8
         assert profile.stderrs.tolist() == [0.0] * 8
+        rng = _rng(axis, axis)
+        state = rng.bit_generator.state
+        _mc_slicer(box, axis, 2000)(profile.grid.tolist(), rng)
+        assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("extra", [CUBE3.halfspaces, (((0.0, 0.0, 0.0), 1.0),)],
@@ -396,7 +441,6 @@ def test_polytope_without_interior_has_zero_profile():
     assert directions == []
     assert functools.reduce(int.__and__, tights) == 1 << 6 | 1 << 7
     profile = slice_profile(PLANE_CUT, 0, bins=8, method="mc", mc_n=2000)
-    assert PLANE_CUT._vertices.shape == (0, 3)
     assert np.all(profile.volumes == 0) and np.all(profile.stderrs == 0)
 
 
@@ -418,7 +462,7 @@ def _bodies_with_and_without_interior():
     for _ in range(40):
         dim = int(rng.integers(1, 5))
         p = random_polytope(rng, dim)
-        center, cuts = p._vertices.mean(axis=0), []
+        center, cuts = _float_vertices(p).mean(axis=0), []
         for _ in range(int(rng.integers(0, dim + 1))):
             a = rng.normal(size=dim)
             b = float(a @ center)
@@ -439,7 +483,6 @@ def test_tight_sets_decide_interior_as_the_affine_rank_does():
         pivots, _ = fraction_rref([(*v, 1) for v in vertices], p.dim + 1)
         no_interior = len(pivots) <= p.dim
         assert (functools.reduce(int.__and__, tights) != 0) == no_interior, p
-        assert (len(p._vertices) == 0) == no_interior
         outcomes.append(no_interior)
     assert outcomes[:9] == [False, False, False, True, True, True, True, True, False]
     assert 10 < sum(outcomes[9:]) < 30
@@ -567,7 +610,7 @@ def test_segment_has_two_vertices():
     segment = HPolytope(1, (((2.0,), 1.0), ((-4.0,), 1.0)))  # -1/4 <= x <= 1/2
     assert sorted(segment._vrep[0]) == [(Fraction(-1, 4),), (Fraction(1, 2),)]
     assert projection_range(segment, 0) == (-0.25, 0.5)
-    assert segment._vertices.shape == (2, 1)
+    assert sorted(_float_vertices(segment).tolist()) == [[-0.25], [0.5]]
 
 
 def test_slab_is_unbounded_only_along_its_line():
@@ -605,7 +648,7 @@ def test_emptiness_takes_precedence_over_unboundedness():
         with pytest.raises(EmptyPolytopeError):
             projection_range(empty, axis)
     with pytest.raises(EmptyPolytopeError):
-        empty._vertices
+        empty._vrep
 
 
 def test_zero_normal_with_negative_offset_is_empty():
