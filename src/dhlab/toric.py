@@ -501,13 +501,14 @@ def _round_out(num: int, den: int, up: bool) -> float:
 
 
 def _slice_boxes(p: HPolytope, axis: int):
-    """The bounding boxes of the slices of a bounded ``p`` with interior (so
-    its vertices have two heights or more) at axis = s: a function of a list of centres giving, at each, None where the
-    hyperplane misses ``p``, else ``(lows, highs, ends)`` over the
-    coordinates other than the axis.  ``lows`` holds the largest double <= the
-    slice's exact least coordinate, ``highs`` the smallest double >= its
-    greatest, and ``ends`` those exact ends as (numerator, denominator > 0)
-    pairs, least and greatest for each coordinate in turn.
+    """The bounding boxes of the slices at axis = s of a bounded ``p`` with
+    interior (so its vertices have two heights or more): a function of a list
+    of centres giving, at each, None where the hyperplane misses ``p``, else
+    ``(lows, highs, ends)`` over the coordinates other than the axis.
+    ``lows`` holds the largest double <= the slice's exact least coordinate,
+    ``highs`` the smallest double >= its greatest, and ``ends`` those exact
+    ends as (numerator, denominator > 0) pairs, least and greatest for each
+    coordinate in turn.
 
     The slice's extent along coordinate j at s is the chord at s of the
     projection of ``p`` onto (axis, j), and that projection is the convex
@@ -594,20 +595,20 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     rows of the half-spaces without the axis, the mask of those normal to
     it (each passes a whole slice or none of it), their exact integer rows,
     and the exact hull chains from which _slice_boxes reads every slice's
-    box: its exact bounding box, rounded outward once, so that it holds the
-    slice with no pad.  Each step after the walk over the chains is an array
-    operation over all bins, the cuts and box volumes taken column by column
-    in a fixed order.  If the exact slice fills its exact box, decided
-    exactly (float bounds settle most rows, and integers the rest), the bin
-    gives that box's exact volume, rounded once, with standard error 0, and
-    samples nothing; a one-point slice gives 1 by the same rule.  Every
-    other bin folds its box into its rows: a point u of the unit cube,
-    scaled to lows + widths * u, hits when (rows * widths) u <= bounds -
-    rows lows.  A bin keeps only the rows that can reject a point of its
-    box: a row is dropped when its folded entries are all <= 0 and its cut
-    is >= 0, or when its largest value on the box, plus the rounding bound
-    of a (dim-1)-term dot product, is within its cut; so dropping a row
-    changes no count.
+    box: its exact bounding box, rounded outward once, each width rounded
+    up, so that it holds the slice with no pad.  Each step after the walk
+    over the chains is an array operation over all bins, the cuts and box
+    volumes taken column by column in a fixed order.  If the exact slice
+    fills its exact box, decided exactly (float bounds settle most rows, and
+    integers the rest), the bin gives that box's exact volume, rounded once,
+    with standard error 0, and samples nothing; a one-point slice gives 1 by
+    the same rule.  Every other bin folds its box into its rows: a point u
+    of the unit cube, scaled to lows + widths * u, hits when (rows * widths)
+    u <= bounds - rows lows.  A bin keeps only the rows that can reject a
+    point of its box: a row is dropped when its folded entries are all <= 0
+    and its cut is >= 0, or when its largest value on the box, plus the
+    rounding bound of a (dim-1)-term dot product, is within its cut; so
+    dropping a row changes no count.
 
     The sampled bins share one stream, so every bin tests the same points:
     if any bin is sampled, the call draws rng's next n * (dim-1) doubles in
@@ -653,7 +654,12 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
             live, s = [i for i, ok in zip(live, passes.tolist()) if ok], s[passes]
             lows = np.array([found[i][0] for i in live]).reshape(len(live), k)
             highs = np.array([found[i][1] for i in live]).reshape(len(live), k)
+            # each width rounded up, so that the box holds [lows, highs]: the
+            # rounding error of highs - lows is exact by Knuth's TwoSum
             widths = highs - lows
+            part = widths - highs
+            short = (highs - (widths - part)) - (lows + part) > 0
+            widths = np.where(short, np.nextafter(widths, np.inf), widths)
             volumes = np.ones(len(live))
             for column in widths.T:
                 volumes = volumes * column
@@ -675,7 +681,8 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
             slack = 2 * (k + 2) * _UNIT_ROUNDOFF * np.abs(folded).sum(axis=2) \
                 + (k + 1) * _LEAST_DOUBLE
             finite = np.isfinite(folded).all(axis=2)
-            rejects = ~(finite & (((folded <= 0).all(axis=2) & (cuts >= 0)) | (top + slack <= cuts)))
+            rejects = ~(finite & (((folded <= 0).all(axis=2) & (cuts >= 0))
+                                  | (top + slack <= cuts)))
             # the exact row against the exact box: where nothing overflowed,
             # every rounding above, and the outward rounding of the box, moves
             # top - cuts by less than this margin

@@ -363,7 +363,8 @@ def outward_double(x: Fraction, up: bool) -> float:
 def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                               rng: np.random.Generator) -> tuple[float, float]:
     """The hit-or-miss slice estimate in one shot, in the slice's exact
-    bounding box (exact_slice_box) rounded outward: all ``n`` points of the
+    bounding box (exact_slice_box) rounded outward, each side's width the
+    least double that spans it: all ``n`` points of the
     unit cube at once, each tested against every half-space, folded into the
     box: u hits when (a * widths) u <= b - a lows.  A slice that fills its
     box, decided in Fractions at the box's corners for the half-spaces not
@@ -388,8 +389,10 @@ def slice_volume_mc_reference(p: HPolytope, axis: int, s: float, n: int,
                    for normal, offset in p.halfspaces if any(normal[j] for j in keep)]
     if all(v <= 0 for v in corner_sums) and np.all(b_slice[~a_slice.any(axis=1)] >= 0):
         return float(math.prod(hi - lo for lo, hi in zip(least, greatest))), 0.0
-    lows = np.array([outward_double(x, False) for x in least])
-    widths = np.array([outward_double(x, True) for x in greatest]) - lows
+    lows = [outward_double(x, False) for x in least]
+    widths = [outward_double(Fraction(hi) - Fraction(lo), True)
+              for lo, hi in zip(lows, (outward_double(x, True) for x in greatest))]
+    lows, widths = np.array(lows), np.array(widths)
     box_vol = math.prod(widths.tolist())
     u = rng.random((n, len(keep)))
     folded, cuts = a_slice * widths, b_slice
