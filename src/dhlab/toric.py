@@ -30,9 +30,10 @@ tests the same points of the unit cube, each scaled into its own box, so the
 points are drawn once per profile rather than once per bin, and the bins'
 errors are positively correlated (common random numbers), which smooths the
 second differences that ``prekopa_check`` reads.  A bin's estimate still
-depends only on the seed, the axis, the sample count and its centre.  2-d
-slicing computes every bin's chord in one pass per profile in integers and
-rounds it once, so each chord is the double nearest the exact one.
+depends only on the seed, the axis, the sample count and its centre.  A 2-d
+chord is the exact length of its slice, read from the same chains and
+rounded once, so each chord is the double nearest the exact one; on a
+polygon every Monte-Carlo bin fills its box, so it gives the same chords.
 
 Construction, JSON validation, the enumeration, ``projection_range``, every
 argument check of ``slice_profile``, its float bin grid, its 2-d chords and
@@ -172,8 +173,8 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
                   mc_n: int = 100_000, seed: int = 0) -> SliceVolumeFn:
     """Slice volumes at bin centers across the projection range.
 
-    ``method`` is "exact2d" (dim = 2 only), whose chords are exact and
-    rounded once, computed for every bin in one pass per profile, or "mc";
+    ``method`` is "exact2d" (dim = 2 only), whose chords are the exact
+    slices' lengths, read from the hull chains and rounded once, or "mc";
     None means "exact2d" in dimension 2, else "mc".  Monte-Carlo bins test
     the same points, drawn once from the stream of (seed, axis), each scaled
     into its slice's exact bounding box rounded outward, so a bin's estimate
@@ -203,7 +204,9 @@ def slice_profile(p: HPolytope, axis: int, bins: int, method: str | None = None,
     for other in range(p.dim):  # the slices must be bounded too
         _check_bounded(p._vrep[1], other)
     if method == "exact2d":
-        return SliceVolumeFn(method, centers, _chords_2d(p, axis, centers), [0.0] * bins)
+        chords = [0.0 if box is None else _box_volume(s, box)
+                  for s, box in zip(centers, _slice_boxes(p, axis)(centers))]
+        return SliceVolumeFn(method, centers, chords, [0.0] * bins)
     vols, errs = zip(*_mc_slicer(p, axis, mc_n)(centers, _rng(seed, axis)))
     return SliceVolumeFn(method, centers, vols, errs)
 
@@ -418,39 +421,6 @@ def _null_space(rows, width: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _chords_2d(p: HPolytope, axis: int, centers: list[float]) -> list[float]:
-    """The lengths, as a list of floats, of the slices of a planar polytope
-    at axis = s for each s in ``centers``, each the exact length rounded once;
-    the polytope must be bounded.  With s = num / den, each half-space, a
-    primitive integer row, bounds the free coordinate on one side at a
-    quotient of integers, or empties the slice (length 0.0); the nearest
-    bounds are picked by cross-multiplication.  Raises DomainError naming
-    the first s whose length is beyond the float range."""
-    other = 1 - axis
-    rows = [_integer_row([normal[axis], normal[other], -offset])
-            for normal, offset in p.halfspaces]
-    chords = []
-    for s in centers:
-        num, den = s.as_integer_ratio()
-        hi = lo = None  # (n, c): across * u <= n / den, so u <= or >= n / (c den)
-        for along, across, offset in rows:
-            n = -(along * num + offset * den)
-            if across > 0 and (hi is None or n * hi[1] < hi[0] * across):
-                hi = n, across
-            elif across < 0 and (lo is None or n * lo[1] > lo[0] * across):
-                lo = n, across
-            elif not across and n < 0:
-                chords.append(0.0)
-                break
-        else:  # hi - lo = (n_lo c_hi - n_hi c_lo) / (-c_hi c_lo den), c_hi c_lo < 0
-            chords.append(nearest_double(max(lo[0] * hi[1] - hi[0] * lo[1], 0),
-                                         -hi[1] * lo[1] * den))
-            if not math.isfinite(chords[-1]):
-                raise DomainError(f"the slice at s={s} has length {chords[-1]}, "
-                                  "outside the float range")
-    return chords
-
-
 _MC_BLOCK = 4096  # most points per block of the hit test
 _MC_STACK = 4 * _MC_BLOCK  # most floats in one block's stacked hit test, over all bins
 _UNIT_ROUNDOFF = 2.0 ** -53  # the relative error of one rounded double operation
@@ -501,14 +471,14 @@ def _round_out(num: int, den: int, up: bool) -> float:
 
 
 def _slice_boxes(p: HPolytope, axis: int):
-    """The bounding boxes of the slices at axis = s of a bounded ``p`` with
-    interior (so its vertices have two heights or more): a function of a list
-    of centres giving, at each, None where the hyperplane misses ``p``, else
+    """The bounding boxes of the slices at axis = s of a bounded ``p`` whose
+    vertices have two heights or more: a function of a list of centres
+    giving, at each, None where the hyperplane misses ``p``, else
     ``(lows, highs, ends)`` over the coordinates other than the axis.
     ``lows`` holds the largest double <= the slice's exact least coordinate,
-    ``highs`` the smallest double >= its greatest, and ``ends`` those exact
-    ends as (numerator, denominator > 0) pairs, least and greatest for each
-    coordinate in turn.
+    ``highs`` the smallest double >= its greatest (either may be infinite
+    beyond the float range), and ``ends`` those exact ends as (numerator,
+    denominator > 0) pairs, least and greatest for each coordinate in turn.
 
     The slice's extent along coordinate j at s is the chord at s of the
     projection of ``p`` onto (axis, j), and that projection is the convex
@@ -517,8 +487,7 @@ def _slice_boxes(p: HPolytope, axis: int):
     height t, are built once here, in Python integers: each vertex is
     written over one denominator, and each turn is the sign of an integer
     determinant.  One walk over the centres, in ascending order, then reads
-    every box from the chains.  Raises DomainError naming the first axis
-    along which a vertex lies beyond the float range.
+    every box from the chains.
     """
     vertices = p._vrep[0]
     homogeneous, rounded = [], []
@@ -526,9 +495,6 @@ def _slice_boxes(p: HPolytope, axis: int):
         den = math.lcm(*(x.denominator for x in v))
         homogeneous.append(([x.numerator * (den // x.denominator) for x in v], den))
         rounded.append([nearest_double(x) for x in v])
-    for j in range(p.dim):
-        if any(math.isinf(r[j]) for r in rounded):
-            raise DomainError(f"a vertex lies beyond the float range along axis {j}")
 
     # the exact order by a coordinate, compared as Fractions only where the
     # rounded coordinates tie (rounding is monotone)
@@ -572,6 +538,20 @@ def _slice_boxes(p: HPolytope, axis: int):
     return boxes
 
 
+def _box_volume(s: float, box) -> float:
+    """The volume of a box from _slice_boxes, the exact product of its sides
+    rounded once; raises DomainError naming s if that is inf, or 0 from a
+    positive product."""
+    lows, highs, ends = box
+    volume, scale = 1, 1
+    for (x, d), (y, e) in zip(ends[::2], ends[1::2]):
+        volume, scale = volume * (y * d - x * e), scale * d * e
+    rounded = nearest_double(volume, scale)
+    if math.isinf(rounded) or rounded == 0 < volume:
+        _refuse(s, [high - low for low, high in zip(lows, highs)])
+    return rounded
+
+
 def _holds(row: tuple, num: int, den: int, ends: list) -> bool:
     """Whether the integer half-space ``row`` = (along, across, offset),
     along s + across . y + offset <= 0, holds on the whole box of ``ends``
@@ -593,16 +573,16 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
 
     What does not depend on s is built here, once per profile: the float
     rows of the half-spaces without the axis, the mask of those normal to
-    it (each passes a whole slice or none of it), their exact integer rows,
-    and the exact hull chains from which _slice_boxes reads every slice's
-    box: its exact bounding box, rounded outward once, each width rounded
-    up, so that it holds the slice with no pad.  Each step after the walk
-    over the chains is an array operation over all bins, the cuts and box
-    volumes taken column by column in a fixed order.  If the exact slice
-    fills its exact box, decided exactly (float bounds settle most rows, and
-    integers the rest), the bin gives that box's exact volume, rounded once,
-    with standard error 0, and samples nothing; a one-point slice gives 1 by
-    the same rule.  Every other bin folds its box into its rows: a point u
+    it (each holds on a whole slice or empties it, and where it empties it
+    the chains give no box), their exact integer rows, and the exact hull
+    chains from which _slice_boxes reads every slice's box: its exact
+    bounding box, rounded outward once, each width rounded up, so that it
+    holds the slice with no pad.  Each step after the walk over the chains
+    is an array operation over all bins, the cuts and box volumes taken
+    column by column in a fixed order.  If the exact slice fills its exact
+    box, decided exactly (float bounds settle most rows, and integers the
+    rest), the bin gives that box's exact volume, rounded once, with standard
+    error 0, and samples nothing; a one-point slice gives 1 by the same rule.  Every other bin folds its box into its rows: a point u
     of the unit cube, scaled to lows + widths * u, hits when (rows * widths)
     u <= bounds - rows lows.  A bin keeps only the rows that can reject a
     point of its box: a row is dropped when its folded entries are all <= 0
@@ -622,7 +602,8 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
     (rng's state, n, s).  An empty slice or a polytope without interior
     (decided exactly) gives 0; a slice whose box volume is not finite, or
     whose extents are positive but multiply to 0, raises DomainError naming
-    the first such s.
+    the first such s, and so does a vertex beyond the float range, naming
+    the first axis along which it lies.
     """
     import numpy as np
 
@@ -639,6 +620,9 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
             exact_rows.append((row[axis], row[:axis] + row[axis + 1:-1], row[-1]))
     # a half-space tight at every vertex: no interior, and every slice has volume 0
     boxes = None if reduce(int.__and__, p._vrep[2]) else _slice_boxes(p, axis)
+    for j in range(p.dim):  # a box to sample needs float corners
+        if boxes and any(math.isinf(nearest_double(v[j])) for v in p._vrep[0]):
+            raise DomainError(f"a vertex lies beyond the float range along axis {j}")
 
     def estimate(centers, rng: np.random.Generator) -> list[tuple[float, float]]:
         out = [(0.0, 0.0)] * len(centers)
@@ -650,8 +634,6 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
         # an overflow gives inf or nan, which fails every test below but the
         # exact one, and reads as a miss in the hit test
         with np.errstate(over="ignore", invalid="ignore"):
-            passes = ~(b[normal] - along[normal] * s < 0).any(axis=1)
-            live, s = [i for i, ok in zip(live, passes.tolist()) if ok], s[passes]
             lows = np.array([found[i][0] for i in live]).reshape(len(live), k)
             highs = np.array([found[i][1] for i in live]).reshape(len(live), k)
             # each width rounded up, so that the box holds [lows, highs]: the
@@ -685,8 +667,10 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
                                   | (top + slack <= cuts)))
             # the exact row against the exact box: where nothing overflowed,
             # every rounding above, and the outward rounding of the box, moves
-            # top - cuts by less than this margin
-            margin = 8 * (k + 2) * (_UNIT_ROUNDOFF * scale + _LEAST_DOUBLE)
+            # top - cuts by less than this margin; rounded outward, a subnormal
+            # end moves by up to 2**-1074, which a row's entry scales
+            margin = 8 * (k + 2) * (_UNIT_ROUNDOFF * scale
+                                    + _LEAST_DOUBLE * (1 + np.abs(rows).sum(axis=1)))
             known = finite & np.isfinite(cuts) & np.isfinite(margin)
             cutting, inside = known & (top - cuts > margin), known & (cuts - top > margin)
         sampled = []
@@ -697,12 +681,7 @@ def _mc_slicer(p: HPolytope, axis: int, n: int):
                               in zip(exact_rows, inside[j].tolist()) if not skip):
                 sampled.append(j)
                 continue
-            volume, scale = 1, 1
-            for (x, d), (y, e) in zip(ends[::2], ends[1::2]):
-                volume, scale = volume * (y * d - x * e), scale * d * e
-            out[i] = nearest_double(volume, scale), 0.0
-            if not math.isfinite(out[i][0]) or out[i][0] == 0 < volume:
-                _refuse(centers[i], widths[j].tolist())
+            out[i] = _box_volume(centers[i], found[i]), 0.0
         if not sampled:
             return out
         keep = rejects[sampled]

@@ -27,7 +27,7 @@ from dhlab import (
     slice_profile,
     suggested_tolerance,
 )
-from dhlab.toric import _MC_BLOCK, _chords_2d, _mc_slicer, _rng, _slice_boxes
+from dhlab.toric import _MC_BLOCK, _mc_slicer, _rng, _slice_boxes
 from helpers import (exact_chord_2d, exact_slice_box, fraction_rref, random_polytope,
                      slice_volume_mc, slice_volume_mc_reference)
 
@@ -130,7 +130,8 @@ def test_exact2d_slice_beyond_a_half_space_is_empty():
     below = math.nextafter(0.1, 0)
     strip = HPolytope(2, (((10.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
                           ((0.0, 1.0), 1.0), ((0.0, -1.0), 0.0)))
-    assert _chords_2d(strip, 0, [0.1, below]) == [0.0, 1.0]
+    missed, box = _slice_boxes(strip, 0)([0.1, below])
+    assert missed is None and box[:2] == ([0.0], [1.0])
     assert [exact_chord_2d(strip, 0, s) for s in (0.1, below)] == [0.0, 1.0]
     # a body one ulp wide, whose one bin centre rounds onto 0.1
     sliver = HPolytope(2, (((10.0, 0.0), 1.0), ((-1.0, 0.0), -below),
@@ -709,10 +710,19 @@ def test_profile_method_defaults_by_dimension(p, method):
 
 
 def test_exact2d_and_mc_agree():
-    exact = slice_profile(SIMPLEX2, 0, bins=24, method="exact2d")
-    mc = slice_profile(SIMPLEX2, 0, bins=24, method="mc", mc_n=40_000, seed=33)
-    diff = np.abs(mc.volumes - exact.volumes)
-    assert np.all(diff <= 3 * np.maximum(mc.stderrs, 1e-9))
+    # every slice of a polygon fills its box, so Monte Carlo reads the same
+    # exact chord, samples nothing and draws nothing
+    rng = np.random.default_rng(711)
+    polygons = [(SIMPLEX2, 0)] + [(random_polytope(rng, 2), int(rng.integers(0, 2)))
+                                  for _ in range(50)]
+    for p, axis in polygons:
+        exact = slice_profile(p, axis, bins=24, method="exact2d")
+        mc = slice_profile(p, axis, bins=24, method="mc", mc_n=40_000, seed=33)
+        assert mc.volumes.tobytes() == exact.volumes.tobytes()
+        assert not mc.stderrs.any()
+        stream = _rng(33, axis)
+        _mc_slicer(p, axis, 40_000)(exact.grid.tolist(), stream)
+        assert stream.bit_generator.state == _rng(33, axis).bit_generator.state
 
 
 def test_translation_invariance():
@@ -822,11 +832,16 @@ def test_sample_count_is_checked_before_any_work(method, mc_n):
 # (polytope, axis, method): each first bin, at s = 0.0625, has a slice
 # whose box volume or chord is beyond the float range
 _WIDE_POLYGON = _box((-1e308, 0.0), (1e308, 1.0))
+# 0 <= y <= 1e-600 x <= 1e-600: every chord is positive and rounds to 0
+_THIN_TRIANGLE = HPolytope(2, (((1.0, 0.0), 1.0), ((0.0, -1.0), 0.0),
+                               ((-1e-300, 1e300), 0.0)))
 _FLOAT_RANGE_SLICES = {
     "overflowing box": (_box((0.0, 0.0, 0.0), (1.0, 1e200, 1e200)), 0, "mc"),
     "underflowing box": (_box((0.0, 0.0, 0.0), (1.0, 1e-200, 1e-200)), 0, "mc"),
     "overflowing chord": (_WIDE_POLYGON, 1, "exact2d"),
     "overflowing mc box": (_WIDE_POLYGON, 1, "mc"),
+    "underflowing chord": (_THIN_TRIANGLE, 0, "exact2d"),
+    "underflowing mc box": (_THIN_TRIANGLE, 0, "mc"),
 }
 
 
@@ -857,6 +872,13 @@ def test_vertex_beyond_the_float_range_rounds_to_inf_or_names_its_axis():
     assert projection_range(_far_box(3), 1) == (0.0, 1.0)
     with pytest.raises(DomainError, match="vertex lies beyond the float range along axis 0"):
         slice_profile(_far_box(3), 1, bins=4, mc_n=100)
+    # 0 <= x <= 1 and 1e600 x - 1 <= y <= 1e600 x: chords of length 1, and
+    # vertices near y = 1e600, which exact chords measure and sampling cannot
+    sliver = HPolytope(2, (((1.0, 0.0), 1.0), ((-1.0, 0.0), 0.0),
+                           ((-1e300, 1e-300), 0.0), ((1e300, -1e-300), 1e-300)))
+    assert slice_profile(sliver, 0, bins=8, method="exact2d").volumes.tolist() == [1.0] * 8
+    with pytest.raises(DomainError, match="vertex lies beyond the float range along axis 1"):
+        slice_profile(sliver, 0, bins=8, method="mc", mc_n=100)
 
 
 def test_large_finite_slices_are_measured():
